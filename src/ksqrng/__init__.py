@@ -1,63 +1,9 @@
 """Desk-scale simulator and validation toolkit for a contextuality-certified
 qutrit random number generator."""
 
-from .bits import BitStream, random_bits
-from .certify import (
-    CertificationReport,
-    build_report,
-    certification_bounds,
-    certified_fraction_final,
-    certified_fraction_raw,
-    check_certified,
-    estimate_overlaps,
-)
-from .extract import expected_yield, to_bits, von_neumann_extract
-from .primality import (
-    BitSource,
-    SSVerdict,
-    carmichael_harness,
-    carmichael_numbers,
-    jacobi,
-    solovay_strassen,
-)
-from .protocol import (
-    BatchSummary,
-    ProtocolConfig,
-    RawStream,
-    Symbol,
-    TrialRandom,
-    TrialRecord,
-    encode_symbol,
-    run_batch,
-    run_trial,
-)
-from .qutrit import (
-    QutritState,
-    SpinObservable,
-    Unitary3,
-    apply_unitary,
-    born_probabilities,
-    measurement_unitary,
-    overlap,
-    rotation,
-    spin_operators,
-    sx_eigenbasis,
-)
-from .readout import (
-    IQPoint,
-    NoiseParams,
-    ReadoutLevel,
-    apply_relaxation,
-    classify,
-    estimate_misclassification,
-    sample_level,
-    synth_iq,
-    thermal_init,
-)
-from .stats import (
-    bucket_frequency,
-    entropy_per_byte,
-    nist_subset,
-)
+from .certify import build_report
+from .extract import to_bits, von_neumann_extract
+from .protocol import ProtocolConfig, TrialRandom, run_batch, run_trial
+from .stats import nist_subset
 
 __version__ = "0.1.0"

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .protocol import RawStream
+from .protocol import RawStream, outcome_frequencies
 
 BOUND_LO = math.sqrt(5.0 / 14.0)
 BOUND_HI = 3.0 / math.sqrt(14.0)
@@ -83,24 +83,13 @@ def build_report(stream: RawStream) -> CertificationReport:
     """Assemble the certification report from a symbol trace. Frequencies
     are conditioned on the binary outcomes; discards carry no bias
     information and are excluded before estimation."""
-    nb = stream.n0 + stream.n1
-    if nb == 0:
+    if stream.n0 + stream.n1 == 0:
         raise ValidationError("cannot certify a stream with no binary outcomes")
-    n = len(stream)
-    p0 = stream.n0 / nb
-    p1 = stream.n1 / nb
-    se_binary = math.sqrt(p0 * p1 / nb)
-    p_discard = stream.n_discard / n
-    se_discard = math.sqrt(p_discard * (1.0 - p_discard) / n)
-    ov_plus, ov_minus = estimate_overlaps(p0, p1)
-    c_raw = certified_fraction_raw(p0, p1)
+    freq = outcome_frequencies(stream.n0, stream.n1, stream.n_discard)
+    ov_plus, ov_minus = estimate_overlaps(freq["p0"], freq["p1"])
+    c_raw = certified_fraction_raw(freq["p0"], freq["p1"])
     return CertificationReport(
-        p0=p0,
-        p1=p1,
-        p_discard=p_discard,
-        p0_stderr=se_binary,
-        p1_stderr=se_binary,
-        p_discard_stderr=se_discard,
+        **freq,
         overlap_plus=ov_plus,
         overlap_minus=ov_minus,
         bound_lo=BOUND_LO,

@@ -8,6 +8,7 @@ the bit supply ran out mid-analysis), 2 usage or configuration error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from . import certify as certify_mod
@@ -73,25 +74,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_generate(args) -> int:
     run_config = load_config(args.config)
     protocol_config = run_config.protocol(ideal_override=True if args.ideal else None)
-    if args.workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {args.workers}")
     stream, summary = run_batch(protocol_config, workers=args.workers)
     write_trace(stream, args.out)
+    fields = dataclasses.asdict(summary)
     emit_report(
         [
             ("report", "generate"),
-            ("trials", summary.n_trials),
+            ("trials", fields.pop("n_trials")),
             ("seed", protocol_config.seed),
             ("ideal", protocol_config.ideal),
-            ("n0", summary.n0),
-            ("n1", summary.n1),
-            ("n_discard", summary.n_discard),
-            ("p0", summary.p0),
-            ("p1", summary.p1),
-            ("p_discard", summary.p_discard),
-            ("p0_stderr", summary.p0_stderr),
-            ("p1_stderr", summary.p1_stderr),
-            ("p_discard_stderr", summary.p_discard_stderr),
+            *fields.items(),
         ],
         args.report,
     )
@@ -107,20 +99,7 @@ def _cmd_certify(args) -> int:
             ("n0", stream.n0),
             ("n1", stream.n1),
             ("n_discard", stream.n_discard),
-            ("p0", report.p0),
-            ("p1", report.p1),
-            ("p_discard", report.p_discard),
-            ("p0_stderr", report.p0_stderr),
-            ("p1_stderr", report.p1_stderr),
-            ("p_discard_stderr", report.p_discard_stderr),
-            ("overlap_plus", report.overlap_plus),
-            ("overlap_minus", report.overlap_minus),
-            ("bound_lo", report.bound_lo),
-            ("bound_hi", report.bound_hi),
-            ("certified_plus", report.certified_plus),
-            ("certified_minus", report.certified_minus),
-            ("certified_fraction_raw", report.certified_fraction_raw),
-            ("certified_fraction_final", report.certified_fraction_final),
+            *dataclasses.asdict(report).items(),
         ],
         args.report,
     )
@@ -133,20 +112,19 @@ def _cmd_certify(args) -> int:
 def _cmd_extract(args) -> int:
     trace = read_trace(args.infile)
     binary = extract_mod.to_bits(trace)
-    out, tally = extract_mod.extract_with_tally(binary)
+    out = extract_mod.von_neumann_extract(binary)
     write_bits(out, args.out)
-    zero_fraction = (
-        float((binary.bits == 0).sum()) / tally.input_bits if tally.input_bits else float("nan")
-    )
+    n_in, n_out = len(binary), len(out)
+    zero_fraction = trace.n0 / n_in if n_in else float("nan")
     emit_report(
         [
             ("report", "extract"),
-            ("input_bits", tally.input_bits),
-            ("pairs", tally.pairs),
-            ("accepted_pairs", tally.accepted_pairs),
-            ("dropped_trailing_bit", tally.dropped_trailing_bit),
-            ("output_bits", tally.output_bits),
-            ("realized_yield", tally.realized_yield),
+            ("input_bits", n_in),
+            ("pairs", n_in // 2),
+            ("accepted_pairs", n_out),
+            ("dropped_trailing_bit", bool(n_in % 2)),
+            ("output_bits", n_out),
+            ("realized_yield", n_out / n_in if n_in else 0.0),
             ("input_zero_fraction", zero_fraction),
             ("expected_yield", extract_mod.expected_yield(zero_fraction)),
         ],

@@ -42,10 +42,10 @@ class RunConfig:
     ss_witnesses: int = DEFAULT_SS_WITNESSES
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError(f"seed must fit in 64 bits, got {self.seed}")
+        try:
+            self.protocol()
+        except ValidationError as exc:
+            raise ConfigError(str(exc)) from None
         if self.bucket_size < 1:
             raise ConfigError(f"bucket_size must be >= 1, got {self.bucket_size}")
         if self.ss_limit < 3:

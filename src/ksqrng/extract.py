@@ -7,25 +7,8 @@ bits the output is exactly unbiased.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .bits import BitStream
 from .protocol import RawStream
-
-
-@dataclass(frozen=True)
-class ExtractionTally:
-    """Bookkeeping for one extraction pass."""
-
-    input_bits: int
-    pairs: int
-    accepted_pairs: int
-    dropped_trailing_bit: bool
-    output_bits: int
-
-    @property
-    def realized_yield(self) -> float:
-        return self.output_bits / self.input_bits if self.input_bits else 0.0
 
 
 def to_bits(stream: RawStream) -> BitStream:
@@ -39,18 +22,6 @@ def von_neumann_extract(stream: BitStream) -> BitStream:
     pairs = bits[: (len(bits) // 2) * 2].reshape(-1, 2)
     keep = pairs[:, 0] != pairs[:, 1]
     return BitStream(pairs[keep, 0])
-
-
-def extract_with_tally(stream: BitStream) -> tuple[BitStream, ExtractionTally]:
-    out = von_neumann_extract(stream)
-    n = len(stream)
-    return out, ExtractionTally(
-        input_bits=n,
-        pairs=n // 2,
-        accepted_pairs=len(out),
-        dropped_trailing_bit=bool(n % 2),
-        output_bits=len(out),
-    )
 
 
 def expected_yield(p0: float) -> float:

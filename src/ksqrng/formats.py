@@ -33,7 +33,10 @@ TRACE_VERSION = 1
 BITS_MAGIC = b"KSQBITS1"
 
 
-def _atomic_write(path, data: bytes) -> None:
+def atomic_write(path, data: bytes) -> None:
+    """Write ``data`` to a temporary file beside ``path``, then rename it over
+    ``path``; on any failure the temporary file is removed and ``path`` keeps
+    its old contents."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ksqrng-")
     try:
@@ -73,7 +76,7 @@ def unpack_bits(body: bytes, n_bits: int) -> BitStream:
 
 def write_bits(stream: BitStream, path) -> None:
     header = BITS_MAGIC + struct.pack("<Q", len(stream))
-    _atomic_write(path, header + pack_bits(stream))
+    atomic_write(path, header + pack_bits(stream))
 
 
 def read_bits(path) -> BitStream:
@@ -89,7 +92,7 @@ def read_bits(path) -> BitStream:
 
 def write_trace(stream: RawStream, path) -> None:
     header = TRACE_MAGIC + bytes([TRACE_VERSION]) + struct.pack("<Q", len(stream))
-    _atomic_write(path, header + stream.symbols.tobytes())
+    atomic_write(path, header + stream.symbols.tobytes())
 
 
 def read_trace(path) -> RawStream:

@@ -16,10 +16,15 @@ Per-trial word layout in noisy mode, consumed in order:
 
 Ideal mode consumes only word 0 (Born sampling); noise and IQ synthesis are
 bypassed entirely and classification is the identity on the projected level.
+
+``run_trial`` computes one trial with the qutrit linear algebra and serves as
+the independent reference for the closed-form Born probabilities of the
+batch kernel; both feed the same words to the same ``readout`` steps.
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import IntEnum
@@ -32,17 +37,13 @@ from .readout import (
     IQPoint,
     NoiseParams,
     ReadoutLevel,
-    _classify_kernel,
-    _gauss_pair_kernel,
-    _iq_kernel,
-    _relax_kernel,
-    _sample_kernel,
-    _thermal_kernel,
+    _sample_levels,
+    apply_relaxation,
     classify,
+    gate_error,
     sample_level,
     synth_iq,
     thermal_init,
-    apply_relaxation,
 )
 
 WORDS_PER_TRIAL = 8
@@ -76,6 +77,11 @@ class TrialRecord:
     symbol: Symbol
 
 
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed < 2**64:
+        raise ValidationError("seed must fit in 64 bits")
+
+
 @dataclass(frozen=True)
 class ProtocolConfig:
     n_trials: int
@@ -86,8 +92,7 @@ class ProtocolConfig:
     def __post_init__(self):
         if self.n_trials < 1:
             raise ValidationError(f"n_trials must be >= 1, got {self.n_trials}")
-        if not 0 <= self.seed < 2**64:
-            raise ValidationError("seed must fit in 64 bits")
+        _check_seed(self.seed)
 
 
 class RawStream:
@@ -118,10 +123,31 @@ class RawStream:
         return f"RawStream(n={len(self)}, n0={self.n0}, n1={self.n1}, n_discard={self.n_discard})"
 
 
+def outcome_frequencies(n0: int, n1: int, n_discard: int) -> dict[str, float]:
+    """p0 and p1 conditioned on the binary (non-discard) outcomes, so they sum
+    to 1, p_discard over all trials, and their binomial standard errors
+    (NaN where a denominator is zero)."""
+    nb = n0 + n1
+    n = nb + n_discard
+    nan = float("nan")
+    p0 = n0 / nb if nb else nan
+    p1 = n1 / nb if nb else nan
+    se_binary = math.sqrt(p0 * p1 / nb) if nb else nan
+    pd = n_discard / n if n else nan
+    se_discard = math.sqrt(pd * (1.0 - pd) / n) if n else nan
+    return dict(
+        p0=p0,
+        p1=p1,
+        p_discard=pd,
+        p0_stderr=se_binary,
+        p1_stderr=se_binary,
+        p_discard_stderr=se_discard,
+    )
+
+
 @dataclass(frozen=True)
 class BatchSummary:
-    """Outcome frequencies. p0 and p1 are conditioned on the binary (non
-    discard) outcomes so they sum to 1; p_discard is over all trials."""
+    """Symbol counts of a batch with their :func:`outcome_frequencies`."""
 
     n_trials: int
     n0: int
@@ -136,27 +162,12 @@ class BatchSummary:
 
     @classmethod
     def from_stream(cls, stream: RawStream) -> "BatchSummary":
-        n = len(stream)
-        nb = stream.n0 + stream.n1
-        if nb > 0:
-            p0 = stream.n0 / nb
-            p1 = stream.n1 / nb
-            se0 = float(np.sqrt(p0 * (1.0 - p0) / nb))
-        else:
-            p0 = p1 = se0 = float("nan")
-        pd = stream.n_discard / n if n else float("nan")
-        sed = float(np.sqrt(pd * (1.0 - pd) / n)) if n else float("nan")
         return cls(
-            n_trials=n,
+            n_trials=len(stream),
             n0=stream.n0,
             n1=stream.n1,
             n_discard=stream.n_discard,
-            p0=p0,
-            p1=p1,
-            p_discard=pd,
-            p0_stderr=se0,
-            p1_stderr=se0,
-            p_discard_stderr=sed,
+            **outcome_frequencies(stream.n0, stream.n1, stream.n_discard),
         )
 
 
@@ -168,8 +179,7 @@ class TrialRandom:
     """
 
     def __init__(self, seed: int, trial_index: int):
-        if not 0 <= seed < 2**64:
-            raise ValidationError("seed must fit in 64 bits")
+        _check_seed(seed)
         if trial_index < 0:
             raise ValidationError("trial_index must be nonnegative")
         bg = np.random.Philox(key=seed)
@@ -185,21 +195,15 @@ class TrialRandom:
         return self._gen.random(size)
 
 
-def _gate_epsilon(rng, width: float):
-    u_a = rng.random()
-    u_b = rng.random()
-    g, _ = _gauss_pair_kernel(u_a, u_b)
-    return width * g
-
-
 def run_trial(config: ProtocolConfig, rng) -> TrialRecord:
-    """Run one protocol shot, drawing from ``rng`` in the documented order."""
+    """Run one protocol shot, drawing its words from ``rng`` in the order of
+    the word table above."""
     if config.ideal:
         probs = born_probabilities(
             apply_unitary(measurement_unitary(), _COMPUTATIONAL_BASIS[0]),
             _COMPUTATIONAL_BASIS,
         )
-        level = sample_level(probs, rng)
+        level = ReadoutLevel(int(sample_level(probs, rng.random())))
         return TrialRecord(
             true_level=level,
             classified_level=level,
@@ -208,20 +212,19 @@ def run_trial(config: ProtocolConfig, rng) -> TrialRecord:
         )
 
     noise = config.noise
-    initial = thermal_init(noise, rng)
-    eps = _gate_epsilon(rng, noise.gate_amp_error)
-    theta = (np.pi / 2.0) * (1.0 + eps)
+    w = rng.random(WORDS_PER_TRIAL)
+    initial = int(thermal_init(w[0], noise))
+    theta = (np.pi / 2.0) * (1.0 + gate_error(w[1], w[2], noise))
     noisy_m = rotation("01", theta) @ rotation("12", theta)
     state = apply_unitary(noisy_m, _COMPUTATIONAL_BASIS[initial])
-    probs = born_probabilities(state, _COMPUTATIONAL_BASIS)
-    projected = sample_level(probs, rng)
-    relaxed = apply_relaxation(projected, noise, rng)
-    iq = synth_iq(relaxed, noise, rng)
-    classified = classify(iq, noise)
+    projected = sample_level(born_probabilities(state, _COMPUTATIONAL_BASIS), w[3])
+    relaxed = apply_relaxation(projected, w[4], w[5], noise)
+    i, q = synth_iq(relaxed, w[6], w[7], noise)
+    classified = ReadoutLevel(int(classify(i, q, noise)))
     return TrialRecord(
-        true_level=relaxed,
+        true_level=ReadoutLevel(int(relaxed)),
         classified_level=classified,
-        iq=iq,
+        iq=IQPoint(float(i), float(q)),
         symbol=encode_symbol(classified),
     )
 
@@ -236,13 +239,10 @@ def _batch_symbols(seed: int, start: int, count: int, noise: NoiseParams, ideal:
     words = _trial_words(seed, start, count)
     if ideal:
         m = measurement_unitary().matrix
-        probs = np.abs(m[:, 0]) ** 2
-        return _sample_kernel(probs, words[:, 0])
+        return sample_level(np.abs(m[:, 0]) ** 2, words[:, 0])
 
-    initial = _thermal_kernel(words[:, 0], noise)
-    g, _ = _gauss_pair_kernel(words[:, 1], words[:, 2])
-    eps = noise.gate_amp_error * g
-    theta = (np.pi / 2.0) * (1.0 + eps)
+    initial = thermal_init(words[:, 0], noise)
+    theta = (np.pi / 2.0) * (1.0 + gate_error(words[:, 1], words[:, 2], noise))
     c = np.cos(theta / 2.0)
     s = np.sin(theta / 2.0)
     cc = c * c
@@ -266,10 +266,12 @@ def _batch_symbols(seed: int, start: int, count: int, noise: NoiseParams, ideal:
         probs[idx2, 1] = (c[idx2] * s[idx2]) ** 2
         probs[idx2, 2] = cc[idx2]
 
-    projected = _sample_kernel(probs, words[:, 3])
-    relaxed = _relax_kernel(projected, words[:, 4], words[:, 5], noise)
-    i, q = _iq_kernel(relaxed, words[:, 6], words[:, 7], noise)
-    return _classify_kernel(i, q, noise)
+    # the rows are closed forms, so the per-chunk path skips sample_level's
+    # probability check
+    projected = _sample_levels(probs, words[:, 3])
+    relaxed = apply_relaxation(projected, words[:, 4], words[:, 5], noise)
+    i, q = synth_iq(relaxed, words[:, 6], words[:, 7], noise)
+    return classify(i, q, noise)
 
 
 def run_batch(config: ProtocolConfig, workers: int = 1) -> tuple[RawStream, BatchSummary]:

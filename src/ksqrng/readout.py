@@ -1,14 +1,12 @@
 """Phenomenological readout and noise model.
 
-Covers thermal initialization, Born-rule outcome sampling, discrete
-relaxation during the readout window, IQ-plane response synthesis and
-nearest-centroid classification. Every sampling operation draws uniform
-variates from the supplied random source (anything with a numpy-style
-``.random(size)`` method), so identical seeds give identical outputs.
-
-Scalar calls return enum / tuple values; passing ``size`` (or an array of
-levels / points) switches to the vectorized form, which runs the same
-arithmetic elementwise.
+Covers thermal initialization, gate amplitude error, Born-rule outcome
+sampling, discrete relaxation during the readout window, IQ-plane response
+synthesis and nearest-centroid classification. Each step is one function of
+pre-drawn uniforms (and the noise parameters): it draws nothing itself, so
+the caller fixes which random word feeds which step. The functions work
+elementwise, on a single trial's scalars as on a batch's arrays, and return
+numpy levels (uint8) or IQ coordinates (float64).
 """
 
 from __future__ import annotations
@@ -84,58 +82,28 @@ class NoiseParams:
         return np.array([[c.i, c.q] for c in self.iq_centers], dtype=np.float64)
 
 
-# Elementwise kernels. Each maps pre-drawn uniforms to outcomes so the
-# scalar operations and the batched protocol consume randomness identically.
-
-def _thermal_kernel(u, params: NoiseParams):
+def thermal_init(u, params: NoiseParams):
+    """Pre-protocol level: L1 when u < p_thermal_1, L2 when u < p_thermal_1 +
+    p_thermal_2, else L0."""
     t1, t2 = params.p_thermal_1, params.p_thermal_2
     u = np.asarray(u)
     return np.where(u < t1, 1, np.where(u < t1 + t2, 2, 0)).astype(np.uint8)
 
 
-def _relax_kernel(level, u_a, u_b, params: NoiseParams):
-    """Decay map: uses u_a for the first decay step and u_b for the cascaded
-    second step out of level 2. Levels never increase."""
-    level = np.asarray(level)
-    u_a = np.asarray(u_a)
-    u_b = np.asarray(u_b)
-    out = level.astype(np.uint8).copy()
-    from1 = level == 1
-    out[from1 & (u_a < params.p_decay_10)] = 0
-    from2 = level == 2
-    dropped = from2 & (u_a < params.p_decay_21)
-    out[dropped] = 1
-    out[dropped & (u_b < params.p_decay_10)] = 0
-    return out
+def _box_muller(u_a, u_b):
+    """Radius and angle whose cosine and sine projections are two independent
+    standard normals."""
+    return np.sqrt(-2.0 * np.log1p(-np.asarray(u_a))), 2.0 * np.pi * np.asarray(u_b)
 
 
-def _gauss_pair_kernel(u_a, u_b):
-    """Box-Muller: two uniforms in [0,1) to two independent standard normals."""
-    r = np.sqrt(-2.0 * np.log1p(-np.asarray(u_a)))
-    ang = 2.0 * np.pi * np.asarray(u_b)
-    return r * np.cos(ang), r * np.sin(ang)
+def gate_error(u_a, u_b, params: NoiseParams):
+    """Relative over-rotation of the measurement pulses: gate_amp_error times
+    the cosine-branch Box-Muller normal of two uniforms."""
+    r, ang = _box_muller(u_a, u_b)
+    return params.gate_amp_error * (r * np.cos(ang))
 
 
-def _iq_kernel(level, u_a, u_b, params: NoiseParams):
-    g1, g2 = _gauss_pair_kernel(u_a, u_b)
-    centers = params.centers_array()
-    level = np.asarray(level)
-    i = centers[level, 0] + params.iq_sigma * g1
-    q = centers[level, 1] + params.iq_sigma * g2
-    return i, q
-
-
-def _classify_kernel(i, q, params: NoiseParams):
-    centers = params.centers_array()
-    i = np.asarray(i, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    d = (i[..., None] - centers[:, 0]) ** 2 + (q[..., None] - centers[:, 1]) ** 2
-    # argmin returns the first minimum, which is the documented tie-break
-    # toward the lowest level index
-    return np.argmin(d, axis=-1).astype(np.uint8)
-
-
-def _sample_kernel(probs, u):
+def _sample_levels(probs, u):
     probs = np.asarray(probs, dtype=np.float64)
     u = np.asarray(u)
     c0 = probs[..., 0]
@@ -143,81 +111,58 @@ def _sample_kernel(probs, u):
     return ((u >= c0).astype(np.uint8) + (u >= c1).astype(np.uint8))
 
 
-def thermal_init(params: NoiseParams, rng, size=None):
-    """Draw the pre-protocol level: L1 w.p. p_thermal_1, L2 w.p. p_thermal_2,
-    else L0. One uniform consumed per sample."""
-    u = rng.random(size)
-    if size is None:
-        return ReadoutLevel(int(_thermal_kernel(u, params)))
-    return _thermal_kernel(u, params)
-
-
-def sample_level(probs, rng, size=None):
-    """Sample a level from a probability triple (Born-rule sampling).
-
-    ``probs`` may be a single triple (with optional ``size`` for repeated
-    draws) or an (n, 3) array paired with n uniforms.
-    """
+def sample_level(probs, u):
+    """Born-rule sampling: level 0 when u < p0, level 1 when u < p0 + p1,
+    else level 2. ``probs`` is one triple or an (n, 3) array with one row per
+    uniform; it must be nonnegative and sum to 1 within 1e-9."""
     probs = np.asarray(probs, dtype=np.float64)
     flat = probs.reshape(-1, 3)
     sums = flat.sum(axis=1)
     if np.any(flat < -1e-9) or np.any(np.abs(sums - 1.0) > 1e-9):
         raise ValidationError("probabilities must be nonnegative and sum to 1 within 1e-9")
-    if probs.ndim == 1:
-        u = rng.random(size)
-        out = _sample_kernel(probs, u)
-        if size is None:
-            return ReadoutLevel(int(out))
-        return out
-    u = rng.random(probs.shape[0])
-    return _sample_kernel(probs, u)
+    return _sample_levels(probs, u)
 
 
-def apply_relaxation(level, params: NoiseParams, rng):
-    """Apply readout-window decay: 1 -> 0 w.p. p_decay_10; 2 -> 1 w.p.
-    p_decay_21, then the decayed branch may continue 1 -> 0.
-
-    Always consumes two uniforms per sample so the draw count does not leak
-    information about the level.
-    """
-    scalar = np.isscalar(level) or isinstance(level, ReadoutLevel)
-    n = 1 if scalar else len(level)
-    u_a = rng.random(n)
-    u_b = rng.random(n)
-    out = _relax_kernel(np.atleast_1d(level), u_a, u_b, params)
-    if scalar:
-        return ReadoutLevel(int(out[0]))
+def apply_relaxation(level, u_a, u_b, params: NoiseParams):
+    """Readout-window decay: 1 -> 0 when u_a < p_decay_10; 2 -> 1 when
+    u_a < p_decay_21, and that decayed branch continues 1 -> 0 when
+    u_b < p_decay_10. Levels never increase."""
+    level = np.asarray(level)
+    u_a = np.asarray(u_a)
+    u_b = np.asarray(u_b)
+    out = level.astype(np.uint8)
+    out[(level == 1) & (u_a < params.p_decay_10)] = 0
+    dropped = (level == 2) & (u_a < params.p_decay_21)
+    out[dropped] = 1
+    out[dropped & (u_b < params.p_decay_10)] = 0
     return out
 
 
-def synth_iq(level, params: NoiseParams, rng):
-    """Readout response: the level's centre plus isotropic Gaussian noise of
-    standard deviation iq_sigma per axis. Two uniforms per sample."""
-    scalar = np.isscalar(level) or isinstance(level, ReadoutLevel)
-    n = 1 if scalar else len(level)
-    u_a = rng.random(n)
-    u_b = rng.random(n)
-    i, q = _iq_kernel(np.atleast_1d(level), u_a, u_b, params)
-    if scalar:
-        return IQPoint(float(i[0]), float(q[0]))
+def synth_iq(level, u_a, u_b, params: NoiseParams):
+    """Readout response (i, q): the level's centre plus isotropic Gaussian
+    noise of standard deviation iq_sigma per axis (Box-Muller on u_a, u_b)."""
+    r, ang = _box_muller(u_a, u_b)
+    centers = params.centers_array()
+    level = np.asarray(level)
+    i = centers[level, 0] + params.iq_sigma * (r * np.cos(ang))
+    q = centers[level, 1] + params.iq_sigma * (r * np.sin(ang))
     return i, q
 
 
-def classify(pt, params: NoiseParams):
-    """Assign the level whose centre is nearest in Euclidean distance; ties
-    break toward the lowest level index."""
-    if isinstance(pt, IQPoint):
-        return ReadoutLevel(int(_classify_kernel(pt.i, pt.q, params)))
-    i, q = pt
-    out = _classify_kernel(i, q, params)
-    if out.ndim == 0:
-        return ReadoutLevel(int(out))
-    return out
+def classify(i, q, params: NoiseParams):
+    """Level whose centre is nearest to (i, q) in Euclidean distance; ties
+    break toward the lowest level index (argmin keeps the first minimum)."""
+    centers = params.centers_array()
+    i = np.asarray(i, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
+    d = (i[..., None] - centers[:, 0]) ** 2 + (q[..., None] - centers[:, 1]) ** 2
+    return np.argmin(d, axis=-1).astype(np.uint8)
 
 
 def estimate_misclassification(params: NoiseParams, n_samples: int, rng) -> float:
     """Monte-Carlo estimate of P(classify(synth_iq(L)) != L) with L uniform
-    over the three levels."""
+    over the three levels; ``rng`` is anything with a numpy-style
+    ``.random(size)``."""
     if n_samples < 10**6:
         raise ValidationError("n_samples must be at least 10^6 for a stable estimate")
     chunk = 1 << 22
@@ -225,8 +170,8 @@ def estimate_misclassification(params: NoiseParams, n_samples: int, rng) -> floa
     done = 0
     while done < n_samples:
         n = min(chunk, n_samples - done)
-        levels = _sample_kernel(np.array([1 / 3, 1 / 3, 1 / 3]), rng.random(n))
-        i, q = _iq_kernel(levels, rng.random(n), rng.random(n), params)
-        errors += int(np.count_nonzero(_classify_kernel(i, q, params) != levels))
+        levels = sample_level((1 / 3, 1 / 3, 1 / 3), rng.random(n))
+        i, q = synth_iq(levels, rng.random(n), rng.random(n), params)
+        errors += int(np.count_nonzero(classify(i, q, params) != levels))
         done += n
     return errors / n_samples

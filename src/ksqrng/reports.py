@@ -4,8 +4,7 @@ are the golden-testable output of every pipeline stage."""
 
 from __future__ import annotations
 
-import os
-import tempfile
+from .formats import atomic_write
 
 
 def format_value(value) -> str:
@@ -27,14 +26,5 @@ def emit_report(entries, path=None) -> str:
     if path is None:
         print(text, end="")
         return text
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ksqrng-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write(path, text.encode("utf-8"))
     return text

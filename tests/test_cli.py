@@ -54,6 +54,13 @@ class TestGenerate:
         assert code == 2
         assert "p_thermal_1" in capsys.readouterr().err
 
+    def test_zero_workers_exits_2(self, workspace, capsys):
+        tmp, config = workspace
+        code = run_cli(["generate", "--config", str(config), "--out", str(tmp / "x.trace"), "--workers", "0"])
+        assert code == 2
+        assert "workers" in capsys.readouterr().err
+        assert not (tmp / "x.trace").exists()
+
     def test_missing_config_file_exits_3(self, workspace):
         tmp, _ = workspace
         assert run_cli(["generate", "--config", str(tmp / "nope.cfg"), "--out", str(tmp / "x")]) == 3
@@ -86,6 +93,22 @@ class TestCertify:
         assert code == 1
         assert "gate failed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("trials,seed", [(65536, 2), (65536, 7), (200000, 314159)])
+    def test_frequencies_match_generate_report(self, tmp_path, trials, seed):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"trials = {trials}\nseed = {seed}\n")
+        trace = tmp_path / "t.trace"
+        gen, cert = tmp_path / "gen.rpt", tmp_path / "cert.rpt"
+        assert run_cli(["generate", "--config", str(config), "--out", str(trace), "--report", str(gen)]) == 0
+        assert run_cli(["certify", "--in", str(trace), "--report", str(cert)]) == 0
+        keys = ("p0", "p1", "p_discard", "p0_stderr", "p1_stderr", "p_discard_stderr")
+
+        def frequency_lines(path):
+            return [line for line in path.read_text().splitlines() if line.split(" = ")[0] in keys]
+
+        assert len(frequency_lines(gen)) == len(keys)
+        assert frequency_lines(gen) == frequency_lines(cert)
+
     def test_corrupt_trace_exits_3(self, tmp_path):
         bad = tmp_path / "corrupt.trace"
         bad.write_bytes(b"NOTATRACE")
@@ -104,6 +127,18 @@ class TestExtract:
         stream = read_bits(bits)
         assert int(fields["output_bits"]) == len(stream)
         assert int(fields["input_bits"]) == read_trace(trace).n0 + read_trace(trace).n1
+
+        # binary bits 0 1 1: one pair accepted, the odd last bit dropped
+        write_trace(RawStream(np.array([0, 2, 1, 1], dtype=np.uint8)), trace)
+        assert run_cli(["extract", "--in", str(trace), "--out", str(bits), "--report", str(report)]) == 0
+        fields = parse_report(report)
+        assert list(read_bits(bits).bits) == [0]
+        assert fields["input_bits"] == "3"
+        assert fields["pairs"] == "1"
+        assert fields["accepted_pairs"] == "1"
+        assert fields["dropped_trailing_bit"] == "true"
+        assert fields["output_bits"] == "1"
+        assert fields["input_zero_fraction"] == repr(1 / 3)
 
     def test_matches_library_extraction(self, workspace):
         from ksqrng.extract import to_bits, von_neumann_extract

@@ -1,3 +1,4 @@
+import os
 import struct
 
 import numpy as np
@@ -25,6 +26,7 @@ from ksqrng.formats import (
     write_trace,
 )
 from ksqrng.protocol import RawStream
+from ksqrng.reports import emit_report
 
 
 class TestPackBits:
@@ -148,3 +150,25 @@ class TestTraceFile:
         path.write_bytes(TRACE_MAGIC + bytes([1]) + struct.pack("<Q", 1) + bytes([0, 0]))
         with pytest.raises(FormatError, match="trailing"):
             read_trace(path)
+
+
+class TestAtomicWrite:
+    WRITERS = {
+        "report": lambda path: emit_report([("report", "new")], path),
+        "trace": lambda path: write_trace(RawStream(np.array([0, 1, 2], dtype=np.uint8)), path),
+        "bits": lambda path: write_bits(BitStream([1, 0, 1]), path),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(WRITERS))
+    def test_failed_rename_keeps_old_file(self, tmp_path, monkeypatch, kind):
+        target = tmp_path / "out"
+        target.write_bytes(b"old contents")
+
+        def failing_replace(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="rename refused"):
+            self.WRITERS[kind](target)
+        assert target.read_bytes() == b"old contents"
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]

@@ -9,6 +9,7 @@ from ksqrng.readout import (
     apply_relaxation,
     classify,
     estimate_misclassification,
+    gate_error,
     sample_level,
     synth_iq,
     thermal_init,
@@ -50,101 +51,112 @@ class TestNoiseParams:
 class TestThermalInit:
     def test_noiseless_limit(self):
         p = NoiseParams(p_thermal_1=0.0, p_thermal_2=0.0)
-        levels = thermal_init(p, gen(1), size=1000)
+        levels = thermal_init(gen(1).random(1000), p)
         assert np.all(levels == 0)
-        assert thermal_init(p, gen(2)) == ReadoutLevel.L0
+        assert thermal_init(gen(2).random(), p) == ReadoutLevel.L0
 
     def test_ground_frequency_at_defaults(self):
         # binomial 3 sigma around 1 - p_thermal_1 - p_thermal_2 = 0.9982
-        levels = thermal_init(DEFAULTS, gen(3), size=1_000_000)
+        levels = thermal_init(gen(3).random(1_000_000), DEFAULTS)
         f0 = np.mean(levels == 0)
         assert abs(f0 - 0.9982) < 3 * np.sqrt(0.0018 * 0.9982 / 1e6)
 
     def test_excited_total_below_one_percent(self):
-        levels = thermal_init(DEFAULTS, gen(4), size=1_000_000)
+        levels = thermal_init(gen(4).random(1_000_000), DEFAULTS)
         assert np.mean(levels != 0) < 0.01
 
     def test_deterministic(self):
-        a = thermal_init(DEFAULTS, gen(5), size=10_000)
-        b = thermal_init(DEFAULTS, gen(5), size=10_000)
+        a = thermal_init(gen(5).random(10_000), DEFAULTS)
+        b = thermal_init(gen(5).random(10_000), DEFAULTS)
         assert np.array_equal(a, b)
+
+
+class TestGateError:
+    def test_zero_width_is_exact(self):
+        p = NoiseParams(gate_amp_error=0.0)
+        assert np.all(gate_error(*gen(30).random((2, 1000)), p) == 0.0)
+
+    def test_normal_spread(self):
+        eps = gate_error(*gen(31).random((2, 1_000_000)), DEFAULTS)
+        assert abs(eps.mean()) < 3 * 0.005 / 1e3
+        assert abs(eps.std() - 0.005) < 0.01 * 0.005
 
 
 class TestSampleLevel:
     def test_deterministic_distribution(self):
-        out = sample_level(np.array([1.0, 0.0, 0.0]), gen(6), size=1000)
+        out = sample_level(np.array([1.0, 0.0, 0.0]), gen(6).random(1000))
         assert np.all(out == 0)
 
     def test_zero_probability_outcome_never_drawn(self):
-        out = sample_level(np.array([0.5, 0.0, 0.5]), gen(7), size=1_000_000)
+        out = sample_level(np.array([0.5, 0.0, 0.5]), gen(7).random(1_000_000))
         assert np.count_nonzero(out == 1) == 0
 
     def test_binomial_band(self):
-        out = sample_level(np.array([0.5, 0.0, 0.5]), gen(8), size=1_000_000)
+        out = sample_level(np.array([0.5, 0.0, 0.5]), gen(8).random(1_000_000))
         assert abs(np.mean(out == 0) - 0.5) < 0.0015  # 3 sigma
 
     def test_rowwise_probabilities(self):
         probs = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        assert np.array_equal(sample_level(probs, gen(9)), [0, 1, 2])
+        assert np.array_equal(sample_level(probs, gen(9).random(3)), [0, 1, 2])
 
     def test_malformed_distribution_rejected(self):
         with pytest.raises(ValidationError):
-            sample_level(np.array([0.5, 0.1, 0.5]), gen(10))
+            sample_level(np.array([0.5, 0.1, 0.5]), 0.5)
         with pytest.raises(ValidationError):
-            sample_level(np.array([1.2, -0.2, 0.0]), gen(10))
+            sample_level(np.array([1.2, -0.2, 0.0]), 0.5)
 
 
 class TestApplyRelaxation:
     def test_ground_state_stable(self):
         p = NoiseParams(p_decay_10=1.0, p_decay_21=1.0)
-        assert apply_relaxation(ReadoutLevel.L0, p, gen(11)) == ReadoutLevel.L0
-        out = apply_relaxation(np.zeros(1000, dtype=np.uint8), p, gen(12))
+        assert apply_relaxation(ReadoutLevel.L0, 0.0, 0.0, p) == ReadoutLevel.L0
+        out = apply_relaxation(np.zeros(1000, dtype=np.uint8), *gen(12).random((2, 1000)), p)
         assert np.all(out == 0)
 
     def test_decay_frequency_from_first_excited(self):
         levels = np.ones(1_000_000, dtype=np.uint8)
-        out = apply_relaxation(levels, DEFAULTS, gen(13))
+        out = apply_relaxation(levels, *gen(13).random((2, levels.size)), DEFAULTS)
         assert abs(np.mean(out == 0) - 0.072) < 0.0008  # binomial 3 sigma
 
     def test_full_cascade(self):
         p = NoiseParams(p_decay_21=1.0, p_decay_10=1.0)
-        out = apply_relaxation(np.full(1000, 2, dtype=np.uint8), p, gen(14))
+        out = apply_relaxation(np.full(1000, 2, dtype=np.uint8), *gen(14).random((2, 1000)), p)
         assert np.all(out == 0)
 
     def test_never_increases_level(self):
         rng = gen(15)
         levels = rng.integers(0, 3, 10_000).astype(np.uint8)
-        out = apply_relaxation(levels, DEFAULTS, rng)
+        out = apply_relaxation(levels, *rng.random((2, levels.size)), DEFAULTS)
         assert np.all(out <= levels)
 
 
 class TestSynthIQ:
     def test_vanishing_noise_returns_center(self):
         p = NoiseParams(iq_sigma=1e-300)
-        pt = synth_iq(ReadoutLevel.L1, p, gen(16))
-        assert abs(pt.i - 0.0) < 1e-250 and pt.q == 1.0
+        i, q = synth_iq(ReadoutLevel.L1, *gen(16).random(2), p)
+        assert abs(i - 0.0) < 1e-250 and q == 1.0
 
     def test_mean_at_center(self):
-        i, q = synth_iq(np.zeros(1_000_000, dtype=np.uint8), DEFAULTS, gen(17))
+        i, q = synth_iq(np.zeros(1_000_000, dtype=np.uint8), *gen(17).random((2, 1_000_000)), DEFAULTS)
         assert abs(i.mean() - 1.0) < 0.001  # 3 sigma / sqrt(N) = 5.4e-4
         assert abs(q.mean() - 0.0) < 0.001
 
     def test_per_axis_variance(self):
-        i, q = synth_iq(np.full(1_000_000, 2, dtype=np.uint8), DEFAULTS, gen(18))
+        i, q = synth_iq(np.full(1_000_000, 2, dtype=np.uint8), *gen(18).random((2, 1_000_000)), DEFAULTS)
         for axis in (i, q):
             assert abs(axis.var() - 0.18**2) < 0.05 * 0.18**2
 
 
 class TestClassify:
     def test_on_center(self):
-        assert classify(IQPoint(0.0, 1.0), DEFAULTS) == ReadoutLevel.L1
+        assert classify(0.0, 1.0, DEFAULTS) == ReadoutLevel.L1
 
     def test_near_ground_center(self):
         # squared distances at default centers: 0.02 vs 1.62 vs 3.62
-        assert classify(IQPoint(0.9, 0.1), DEFAULTS) == ReadoutLevel.L0
+        assert classify(0.9, 0.1, DEFAULTS) == ReadoutLevel.L0
 
     def test_tie_breaks_to_lowest_index(self):
-        assert classify(IQPoint(0.5, 0.5), DEFAULTS) == ReadoutLevel.L0
+        assert classify(0.5, 0.5, DEFAULTS) == ReadoutLevel.L0
 
     def test_translation_invariance(self):
         rng = gen(19)
@@ -156,15 +168,15 @@ class TestClassify:
                     IQPoint(c.i + t[0], c.q + t[1]) for c in DEFAULTS.iq_centers
                 )
             )
-            assert classify(IQPoint(*(pt + t)), moved) == classify(IQPoint(*pt), DEFAULTS)
+            assert classify(*(pt + t), moved) == classify(*pt, DEFAULTS)
 
     def test_vectorized_matches_scalar(self):
         rng = gen(20)
         i = rng.standard_normal(500)
         q = rng.standard_normal(500)
-        vec = classify((i, q), DEFAULTS)
+        vec = classify(i, q, DEFAULTS)
         for k in range(500):
-            assert vec[k] == classify(IQPoint(i[k], q[k]), DEFAULTS)
+            assert vec[k] == classify(i[k], q[k], DEFAULTS)
 
 
 class TestMisclassification:
@@ -198,16 +210,16 @@ class TestDeterminism:
         levels = np.array([0, 1, 2] * 100, dtype=np.uint8)
         probs = np.array([0.3, 0.3, 0.4])
         first = (
-            thermal_init(DEFAULTS, gen(26), size=300),
-            sample_level(probs, gen(27), size=300),
-            apply_relaxation(levels, DEFAULTS, gen(28)),
-            synth_iq(levels, DEFAULTS, gen(29)),
+            thermal_init(gen(26).random(300), DEFAULTS),
+            sample_level(probs, gen(27).random(300)),
+            apply_relaxation(levels, *gen(28).random((2, 300)), DEFAULTS),
+            synth_iq(levels, *gen(29).random((2, 300)), DEFAULTS),
         )
         second = (
-            thermal_init(DEFAULTS, gen(26), size=300),
-            sample_level(probs, gen(27), size=300),
-            apply_relaxation(levels, DEFAULTS, gen(28)),
-            synth_iq(levels, DEFAULTS, gen(29)),
+            thermal_init(gen(26).random(300), DEFAULTS),
+            sample_level(probs, gen(27).random(300)),
+            apply_relaxation(levels, *gen(28).random((2, 300)), DEFAULTS),
+            synth_iq(levels, *gen(29).random((2, 300)), DEFAULTS),
         )
         assert np.array_equal(first[0], second[0])
         assert np.array_equal(first[1], second[1])
