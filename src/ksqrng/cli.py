@@ -1,8 +1,8 @@
 """Command-line pipeline: generate -> certify -> extract -> stats -> consume-ss.
 
 Exit codes: 0 success, 1 analysis failure (a --gate check did not hold, or
-the bit supply ran out mid-analysis), 2 usage or configuration error,
-3 I/O or file-parse error.
+the bit supply ran out mid-analysis), 2 usage or configuration error, or
+the run did not fit in memory, 3 I/O or file-parse error.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import sys
 from . import certify as certify_mod
 from . import extract as extract_mod
 from . import stats as stats_mod
-from .config import DEFAULT_BUCKET_SIZE, DEFAULT_SS_LIMIT, DEFAULT_SS_WITNESSES, load_config
+from .config import load_config
 from .errors import BitSourceExhaustedError, ConfigError, FormatError, ValidationError
 from .formats import read_bits, read_trace, write_bits, write_trace
 from .primality import BitSource, carmichael_harness
@@ -25,6 +25,10 @@ EXIT_OK = 0
 EXIT_ANALYSIS = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+
+DEFAULT_BUCKET_SIZE = 999302
+DEFAULT_SS_LIMIT = 100000
+DEFAULT_SS_WITNESSES = 64
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -72,17 +76,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_generate(args) -> int:
-    run_config = load_config(args.config)
-    protocol_config = run_config.protocol(ideal_override=True if args.ideal else None)
-    stream, summary = run_batch(protocol_config, workers=args.workers)
+    config = load_config(args.config)
+    if args.ideal:
+        config = dataclasses.replace(config, ideal=True)
+    stream, summary = run_batch(config, workers=args.workers)
     write_trace(stream, args.out)
     fields = dataclasses.asdict(summary)
     emit_report(
         [
             ("report", "generate"),
             ("trials", fields.pop("n_trials")),
-            ("seed", protocol_config.seed),
-            ("ideal", protocol_config.ideal),
+            ("seed", config.seed),
+            ("ideal", config.ideal),
             *fields.items(),
         ],
         args.report,
@@ -169,10 +174,6 @@ def _cmd_stats(args) -> int:
 
 def _cmd_consume_ss(args) -> int:
     bits = read_bits(args.infile)
-    if args.limit < 3:
-        raise ConfigError(f"limit must be >= 3, got {args.limit}")
-    if args.witnesses < 1:
-        raise ConfigError(f"witnesses must be >= 1, got {args.witnesses}")
     result = carmichael_harness(args.limit, BitSource(bits), args.witnesses)
     entries = [
         ("report", "consume-ss"),
@@ -226,6 +227,9 @@ def run_cli(argv) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def main() -> None:

@@ -2,62 +2,18 @@
 
 Format: one ``key = value`` pair per line; blank lines and ``#`` comments
 are ignored. Unknown and duplicate keys are rejected. ``trials`` and
-``seed`` are required; everything else has defaults.
+``seed`` are required; everything else has defaults. ``bucket_size``,
+``ss_limit`` and ``ss_witnesses`` are range-checked but not read: ``stats
+--bucket`` and ``consume-ss --limit/--witnesses`` set those values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import fields
 
 from .errors import ConfigError, ValidationError
 from .protocol import ProtocolConfig
 from .readout import IQPoint, NoiseParams
-
-_INT_KEYS = {"trials", "seed", "bucket_size", "ss_limit", "ss_witnesses"}
-_BOOL_KEYS = {"ideal"}
-_FLOAT_KEYS = {
-    "p_thermal_1",
-    "p_thermal_2",
-    "gate_amp_error",
-    "p_decay_10",
-    "p_decay_21",
-    "iq_sigma",
-}
-_CENTER_KEYS = {"iq_center_0", "iq_center_1", "iq_center_2"}
-KNOWN_KEYS = _INT_KEYS | _BOOL_KEYS | _FLOAT_KEYS | _CENTER_KEYS
-
-DEFAULT_BUCKET_SIZE = 999302
-DEFAULT_SS_LIMIT = 100000
-DEFAULT_SS_WITNESSES = 64
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    trials: int
-    seed: int
-    ideal: bool = False
-    noise: NoiseParams = NoiseParams()
-    bucket_size: int = DEFAULT_BUCKET_SIZE
-    ss_limit: int = DEFAULT_SS_LIMIT
-    ss_witnesses: int = DEFAULT_SS_WITNESSES
-
-    def __post_init__(self):
-        try:
-            self.protocol()
-        except ValidationError as exc:
-            raise ConfigError(str(exc)) from None
-        if self.bucket_size < 1:
-            raise ConfigError(f"bucket_size must be >= 1, got {self.bucket_size}")
-        if self.ss_limit < 3:
-            raise ConfigError(f"ss_limit must be >= 3, got {self.ss_limit}")
-        if self.ss_witnesses < 1:
-            raise ConfigError(f"ss_witnesses must be >= 1, got {self.ss_witnesses}")
-
-    def protocol(self, ideal_override: bool | None = None) -> ProtocolConfig:
-        ideal = self.ideal if ideal_override is None else ideal_override
-        return ProtocolConfig(
-            n_trials=self.trials, seed=self.seed, noise=self.noise, ideal=ideal
-        )
 
 
 def _parse_bool(key: str, raw: str) -> bool:
@@ -92,7 +48,22 @@ def _parse_center(key: str, raw: str) -> IQPoint:
         raise ConfigError(f"{key}: {exc}") from None
 
 
-def parse_config(text: str) -> RunConfig:
+_DEFAULT_NOISE = NoiseParams()
+_NOISE_KEYS = tuple(f.name for f in fields(NoiseParams) if f.name != "iq_centers")
+_CENTER_KEYS = tuple(f"iq_center_{i}" for i in range(len(_DEFAULT_NOISE.iq_centers)))
+_ANALYSIS_MINIMUMS = {"bucket_size": 1, "ss_limit": 3, "ss_witnesses": 1}
+
+_PARSERS = {
+    "trials": _parse_int,
+    "seed": _parse_int,
+    "ideal": _parse_bool,
+    **{key: _parse_float for key in _NOISE_KEYS},
+    **{key: _parse_center for key in _CENTER_KEYS},
+    **{key: _parse_int for key in _ANALYSIS_MINIMUMS},
+}
+
+
+def parse_config(text: str) -> ProtocolConfig:
     values: dict[str, object] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -102,39 +73,37 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {stripped!r}")
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        raw = raw.strip()
-        if key not in KNOWN_KEYS:
+        if key not in _PARSERS:
             raise ConfigError(f"line {lineno}: unknown configuration key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate configuration key {key!r}")
-        if key in _INT_KEYS:
-            values[key] = _parse_int(key, raw)
-        elif key in _BOOL_KEYS:
-            values[key] = _parse_bool(key, raw)
-        elif key in _FLOAT_KEYS:
-            values[key] = _parse_float(key, raw)
-        else:
-            values[key] = _parse_center(key, raw)
+        values[key] = _PARSERS[key](key, raw.strip())
 
     for required in ("trials", "seed"):
         if required not in values:
             raise ConfigError(f"missing required configuration key {required!r}")
 
-    noise_kwargs = {k: values.pop(k) for k in list(values) if k in _FLOAT_KEYS}
-    centers = [values.pop(k, None) for k in ("iq_center_0", "iq_center_1", "iq_center_2")]
+    noise_kwargs = {k: values[k] for k in _NOISE_KEYS if k in values}
+    centers = [values.get(k) for k in _CENTER_KEYS]
     if any(c is not None for c in centers):
-        defaults = NoiseParams().iq_centers
         noise_kwargs["iq_centers"] = tuple(
-            c if c is not None else d for c, d in zip(centers, defaults)
+            c if c is not None else d for c, d in zip(centers, _DEFAULT_NOISE.iq_centers)
         )
     try:
-        noise = NoiseParams(**noise_kwargs)
+        config = ProtocolConfig(
+            n_trials=values["trials"],
+            seed=values["seed"],
+            noise=NoiseParams(**noise_kwargs),
+            ideal=values.get("ideal", False),
+        )
     except ValidationError as exc:
         raise ConfigError(str(exc)) from None
+    for key, minimum in _ANALYSIS_MINIMUMS.items():
+        if values.get(key, minimum) < minimum:
+            raise ConfigError(f"{key} must be >= {minimum}, got {values[key]}")
+    return config
 
-    return RunConfig(noise=noise, **values)
 
-
-def load_config(path) -> RunConfig:
+def load_config(path) -> ProtocolConfig:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config(fh.read())

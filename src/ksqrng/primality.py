@@ -172,6 +172,8 @@ def carmichael_harness(limit: int, source: BitSource, max_witnesses: int) -> Har
     """Test every Carmichael number below ``limit`` against one shared bit
     source, in ascending order. Exhaustion mid-run propagates with the index
     of the number that could not be finished."""
+    if max_witnesses < 1:
+        raise ValidationError("max_witnesses must be >= 1")
     verdicts: list[SSVerdict] = []
     numbers = carmichael_numbers(limit)
     for index, n in enumerate(numbers):

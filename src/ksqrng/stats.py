@@ -74,9 +74,7 @@ def entropy_per_byte(stream: BitStream) -> float:
     if n < 8:
         raise ValidationError("entropy per byte needs at least 8 bits")
     n_bytes = n // 8
-    byte_vals = np.packbits(
-        stream.bits[: n_bytes * 8].reshape(-1, 8), axis=1, bitorder="little"
-    ).ravel()
+    byte_vals = np.packbits(stream.bits[: n_bytes * 8], bitorder="little")
     counts = np.bincount(byte_vals, minlength=256)
     freqs = counts[counts > 0] / n_bytes
     return float(-np.sum(freqs * np.log2(freqs)))
@@ -159,13 +157,7 @@ def longest_run_of_ones(stream: BitStream) -> TestResult:
     return TestResult("longest_run_of_ones", chi2, p, p >= ALPHA)
 
 
-def _phi(bits: np.ndarray, m: int) -> float:
-    n = bits.size
-    aug = np.concatenate([bits, bits[: m - 1]]) if m > 1 else bits
-    windows = np.lib.stride_tricks.sliding_window_view(aug, m)
-    weights = (1 << np.arange(m - 1, -1, -1)).astype(np.int64)
-    values = windows.astype(np.int64) @ weights
-    counts = np.bincount(values, minlength=1 << m)
+def _phi(counts: np.ndarray, n: int) -> float:
     freqs = counts[counts > 0] / n
     return float(np.sum(freqs * np.log(freqs)))
 
@@ -180,7 +172,14 @@ def approximate_entropy(stream: BitStream, m: int = 10) -> TestResult:
         return _not_applicable(
             "approximate_entropy", f"needs at least 2^{m + 5} bits for m={m}"
         )
-    ap_en = _phi(stream.bits, m) - _phi(stream.bits, m + 1)
+    # circular (m+1)-bit window codes; an m-bit count sums its two extensions
+    aug = np.concatenate([stream.bits, stream.bits[:m]])
+    codes = np.zeros(n, dtype=np.int64)
+    for j in range(m + 1):
+        codes <<= 1
+        codes |= aug[j : j + n]
+    counts = np.bincount(codes, minlength=2 << m)
+    ap_en = _phi(counts.reshape(-1, 2).sum(axis=1), n) - _phi(counts, n)
     chi2 = 2.0 * n * (math.log(2.0) - ap_en)
     p = float(gammaincc(float(1 << (m - 1)), chi2 / 2.0))
     return TestResult("approximate_entropy", chi2, p, p >= ALPHA)

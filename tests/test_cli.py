@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ksqrng import cli
 from ksqrng.cli import run_cli
 from ksqrng.formats import read_bits, read_trace, write_bits, write_trace
 from ksqrng.bits import BitStream, random_bits
@@ -59,6 +60,18 @@ class TestGenerate:
         code = run_cli(["generate", "--config", str(config), "--out", str(tmp / "x.trace"), "--workers", "0"])
         assert code == 2
         assert "workers" in capsys.readouterr().err
+        assert not (tmp / "x.trace").exists()
+
+    def test_out_of_memory_exits_2(self, workspace, capsys, monkeypatch):
+        tmp, config = workspace
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 9.09 TiB for an array")
+
+        monkeypatch.setattr(cli, "run_batch", exhausted)
+        code = run_cli(["generate", "--config", str(config), "--out", str(tmp / "x.trace")])
+        assert code == 2
+        assert capsys.readouterr().err == "out of memory: Unable to allocate 9.09 TiB for an array\n"
         assert not (tmp / "x.trace").exists()
 
     def test_missing_config_file_exits_3(self, workspace):
@@ -210,6 +223,7 @@ class TestConsumeSS:
         bits = tmp_path / "r.bits"
         write_bits(random_bits(5, 1000), bits)
         assert run_cli(["consume-ss", "--in", str(bits), "--limit", "2"]) == 2
+        assert run_cli(["consume-ss", "--in", str(bits), "--limit", "100", "--witnesses", "0"]) == 2
 
 
 class TestUsage:

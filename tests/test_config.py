@@ -1,8 +1,9 @@
 import pytest
 
-from ksqrng.config import RunConfig, parse_config
+from ksqrng.config import parse_config
 from ksqrng.errors import ConfigError
-from ksqrng.readout import IQPoint
+from ksqrng.protocol import ProtocolConfig
+from ksqrng.readout import IQPoint, NoiseParams
 
 MINIMAL = "trials = 100\nseed = 7\n"
 
@@ -10,16 +11,11 @@ MINIMAL = "trials = 100\nseed = 7\n"
 class TestParseConfig:
     def test_minimal_with_defaults(self):
         cfg = parse_config(MINIMAL)
-        assert cfg.trials == 100
-        assert cfg.seed == 7
-        assert cfg.ideal is False
-        assert cfg.bucket_size == 999302
-        assert cfg.ss_limit == 100000
-        assert cfg.ss_witnesses == 64
+        assert cfg == ProtocolConfig(n_trials=100, seed=7, noise=NoiseParams(), ideal=False)
 
     def test_comments_and_blank_lines(self):
         cfg = parse_config("# a comment\n\ntrials = 5\n  seed=9  \n")
-        assert cfg.trials == 5 and cfg.seed == 9
+        assert cfg.n_trials == 5 and cfg.seed == 9
 
     def test_full_noise_override(self):
         text = MINIMAL + (
@@ -39,11 +35,14 @@ class TestParseConfig:
         cfg = parse_config(text)
         assert cfg.ideal is True
         assert cfg.noise.p_thermal_1 == 0.002
+        assert cfg.noise.p_thermal_2 == 0.0005
+        assert cfg.noise.gate_amp_error == 0.01
+        assert cfg.noise.p_decay_10 == 0.05
+        assert cfg.noise.p_decay_21 == 0.1
         assert cfg.noise.iq_sigma == 0.25
         assert cfg.noise.iq_centers[0] == IQPoint(2.0, 0.0)
         assert cfg.noise.iq_centers[1] == IQPoint(0.0, 1.0)  # default kept
         assert cfg.noise.iq_centers[2] == IQPoint(-2.0, 0.5)
-        assert cfg.bucket_size == 1000
 
     def test_unknown_key_named(self):
         with pytest.raises(ConfigError, match="unknown configuration key 'p_thermal_3'"):
@@ -74,23 +73,13 @@ class TestParseConfig:
             parse_config("trials 5\n")
 
     def test_range_validation(self):
-        with pytest.raises(ConfigError):
-            parse_config("trials = 0\nseed = 1\n")
-        with pytest.raises(ConfigError):
-            parse_config("trials = 1\nseed = -1\n")
-        with pytest.raises(ConfigError):
-            parse_config(MINIMAL + "bucket_size = 0\n")
-
-
-class TestRunConfig:
-    def test_protocol_conversion(self):
-        cfg = parse_config(MINIMAL)
-        assert cfg.protocol().ideal is False
-        assert cfg.protocol(ideal_override=True).ideal is True
-        assert cfg.protocol().n_trials == 100
-
-    def test_direct_validation(self):
-        with pytest.raises(ConfigError):
-            RunConfig(trials=10, seed=0, ss_limit=2)
-        with pytest.raises(ConfigError):
-            RunConfig(trials=10, seed=0, ss_witnesses=0)
+        cases = [
+            ("trials = 0\nseed = 1\n", "n_trials must be >= 1"),
+            ("trials = 1\nseed = -1\n", "seed must fit in 64 bits"),
+            (MINIMAL + "bucket_size = 0\n", "bucket_size must be >= 1, got 0"),
+            (MINIMAL + "ss_limit = 2\n", "ss_limit must be >= 3, got 2"),
+            (MINIMAL + "ss_witnesses = 0\n", "ss_witnesses must be >= 1, got 0"),
+        ]
+        for text, message in cases:
+            with pytest.raises(ConfigError, match=message):
+                parse_config(text)

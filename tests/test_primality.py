@@ -181,6 +181,11 @@ class TestHarness:
             carmichael_harness(2000, BitSource(BitStream([])), max_witnesses=4)
         assert "561" in str(err.value)
 
+    def test_zero_witnesses_rejected_below_first_carmichael(self):
+        # no number below 561 reaches solovay_strassen's own check
+        with pytest.raises(ValidationError, match="max_witnesses"):
+            carmichael_harness(100, source(23), max_witnesses=0)
+
     def test_sequential_consumption_is_deterministic(self):
         a = carmichael_harness(10**4, source(22), max_witnesses=16)
         b = carmichael_harness(10**4, source(22), max_witnesses=16)

@@ -113,8 +113,8 @@ class TestLongestRun:
 
 class TestApproximateEntropy:
     def test_matches_bruteforce_oracle(self):
+        # 512 bits keep every m here applicable (n >= 2^(m+5))
         bits = random_bits(31337, 512)
-        m = 2
 
         def phi(stream, mm):
             n = len(stream)
@@ -125,12 +125,14 @@ class TestApproximateEntropy:
                 counts[key] = counts.get(key, 0) + 1
             return sum((c / n) * math.log(c / n) for c in counts.values())
 
-        ap_en = phi(bits, m) - phi(bits, m + 1)
-        chi2 = 2 * 512 * (math.log(2) - ap_en)
-        expected_p = float(gammaincc(2 ** (m - 1), chi2 / 2))
-        result = approximate_entropy(bits, m=2)
-        assert result.statistic == pytest.approx(chi2, abs=1e-9)
-        assert result.p_value == pytest.approx(expected_p, abs=1e-12)
+        for m in (1, 2, 3, 4):
+            ap_en = phi(bits, m) - phi(bits, m + 1)
+            chi2 = 2 * 512 * (math.log(2) - ap_en)
+            expected_p = float(gammaincc(2 ** (m - 1), chi2 / 2))
+            result = approximate_entropy(bits, m=m)
+            assert result.applicable
+            assert result.statistic == pytest.approx(chi2, abs=1e-9)
+            assert result.p_value == pytest.approx(expected_p, abs=1e-12)
 
     def test_not_applicable_when_short(self):
         assert not approximate_entropy(random_bits(1, 1000), m=10).applicable
