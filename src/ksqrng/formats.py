@@ -12,8 +12,8 @@ Writes are atomic (write to a temporary file, then rename).
 from __future__ import annotations
 
 import os
+import secrets
 import struct
-import tempfile
 
 import numpy as np
 
@@ -36,9 +36,10 @@ BITS_MAGIC = b"KSQBITS1"
 def atomic_write(path, data: bytes) -> None:
     """Write ``data`` to a temporary file beside ``path``, then rename it over
     ``path``; on any failure the temporary file is removed and ``path`` keeps
-    its old contents."""
+    its old contents. The file is created with mode 0666 less the umask."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ksqrng-")
+    tmp = os.path.join(directory, f".ksqrng-{secrets.token_hex(8)}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
@@ -106,7 +107,7 @@ def read_trace(path) -> RawStream:
     if version != TRACE_VERSION:
         raise BadVersionError(f"unsupported trace version {version}, expected {TRACE_VERSION}")
     (count,) = struct.unpack("<Q", data[9:17])
-    body = np.frombuffer(data[17:], dtype=np.uint8)
+    body = np.frombuffer(data, dtype=np.uint8, offset=17)
     if body.size < count:
         raise TruncatedFileError(
             f"trace body truncated: expected {count} symbols, got {body.size}"
@@ -115,9 +116,8 @@ def read_trace(path) -> RawStream:
         raise FormatError(
             f"trace body has trailing data: expected {count} symbols, got {body.size}"
         )
-    bad = np.flatnonzero(body > 2)
-    if bad.size:
-        offset = int(bad[0])
+    if body.size and body.max() > 2:
+        offset = int(np.argmax(body > 2))
         raise BadSymbolError(
             f"undefined symbol byte 0x{body[offset]:02x} at body offset {offset}"
             f" (file offset {17 + offset})"

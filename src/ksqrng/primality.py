@@ -136,36 +136,20 @@ def carmichael_numbers(limit: int) -> list[int]:
     factor p."""
     if limit < 3:
         raise ValidationError(f"limit must be >= 3, got {limit}")
-    if limit <= 4:
-        return []
-    spf = np.arange(limit, dtype=np.int64)
-    for p in range(2, int(limit**0.5) + 1):
-        if spf[p] == p:
-            sl = spf[p * p :: p]
-            untouched = sl == np.arange(p * p, limit, p)
-            sl[untouched] = p
-
-    found = []
-    for n in range(4, limit):
-        if spf[n] == n:
-            continue  # prime
-        m = n
-        squarefree = True
-        korselt = True
-        n_factors = 0
-        while m > 1:
-            p = int(spf[m])
-            m //= p
-            n_factors += 1
-            if m % p == 0:
-                squarefree = False
-                break
-            if (n - 1) % (p - 1) != 0:
-                korselt = False
-                break
-        if squarefree and korselt and n_factors >= 2:
-            found.append(n)
-    return found
+    # p - 1 | n - 1 with p | n forces n / p > p, so every prime factor of a
+    # Carmichael number n < limit is at most isqrt(limit - 1); a cofactor
+    # left in ``rest`` after these primes are divided out fails the test.
+    rest = np.arange(limit, dtype=np.int64)
+    korselt = np.ones(limit, dtype=bool)
+    korselt[:2] = False
+    for p in range(2, math.isqrt(limit - 1) + 1):
+        if rest[p] != p:
+            continue  # composite: its prime factors already divided it out
+        korselt[p] = False
+        rest[p::p] //= p
+        squarefree = rest[p::p] % p != 0
+        korselt[p::p] &= squarefree & ((np.arange(p, limit, p) - 1) % (p - 1) == 0)
+    return np.flatnonzero(korselt & (rest == 1)).tolist()
 
 
 def carmichael_harness(limit: int, source: BitSource, max_witnesses: int) -> HarnessResult:

@@ -107,11 +107,10 @@ class RawStream:
         if arr.size and arr.max() > 2:
             raise ValidationError("symbol trace contains values outside {0, 1, 2}")
         arr.setflags(write=False)
-        counts = np.bincount(arr, minlength=3)
         self.symbols = arr
-        self.n0 = int(counts[0])
-        self.n1 = int(counts[1])
-        self.n_discard = int(counts[2])
+        self.n1 = int(np.count_nonzero(arr == 1))
+        self.n_discard = int(np.count_nonzero(arr == 2))
+        self.n0 = arr.size - self.n1 - self.n_discard
 
     def __len__(self):
         return self.symbols.size

@@ -124,18 +124,6 @@ def runs(stream: BitStream) -> TestResult:
     return TestResult("runs", float(v_obs), p, p >= ALPHA)
 
 
-def _longest_one_run(row: np.ndarray) -> int:
-    padded = np.empty(row.size + 2, dtype=np.int8)
-    padded[0] = padded[-1] = 0
-    padded[1:-1] = row
-    d = np.diff(padded)
-    starts = np.flatnonzero(d == 1)
-    if starts.size == 0:
-        return 0
-    ends = np.flatnonzero(d == -1)
-    return int(np.max(ends - starts))
-
-
 def longest_run_of_ones(stream: BitStream) -> TestResult:
     """Longest-run-of-ones test with the standard block-size regimes."""
     n = len(stream)
@@ -145,11 +133,14 @@ def longest_run_of_ones(stream: BitStream) -> TestResult:
         if n >= min_n:
             break
     n_blocks = n // m
-    blocks = stream.bits[: n_blocks * m].reshape(n_blocks, m)
-    longest = np.fromiter(
-        (_longest_one_run(row) for row in blocks), dtype=np.int64, count=n_blocks
-    )
-    classes = np.clip(longest, lo, hi) - lo
+    # in pass j (from 1) run[:, i] is true when bits i..i+j-1 are all ones, so
+    # ``longest`` counts the lengths 1..hi some run reaches: min(longest run, hi)
+    run = stream.bits[: n_blocks * m].reshape(n_blocks, m).astype(bool)
+    longest = np.zeros(n_blocks, dtype=np.int64)
+    for _ in range(hi):
+        longest += run.any(axis=1)
+        run = run[:, 1:] & run[:, :-1]
+    classes = np.maximum(longest, lo) - lo
     nu = np.bincount(classes, minlength=k + 1)
     expected = n_blocks * np.asarray(ref)
     chi2 = float(np.sum((nu - expected) ** 2 / expected))

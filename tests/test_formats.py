@@ -1,5 +1,7 @@
 import os
+import stat
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -145,6 +147,19 @@ class TestTraceFile:
         with pytest.raises(TruncatedFileError, match="expected 5 symbols, got 2"):
             read_trace(path)
 
+    def test_read_allocates_at_most_three_bytes_per_trial(self, tmp_path):
+        # one copy of the file, one byte per trial of temporaries
+        n = 1 << 20
+        path = tmp_path / "big.trace"
+        write_trace(RawStream((np.arange(n) % 3).astype(np.uint8)), path)
+        tracemalloc.start()
+        try:
+            read_trace(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * n
+
     def test_trailing_data(self, tmp_path):
         path = tmp_path / "trail.trace"
         path.write_bytes(TRACE_MAGIC + bytes([1]) + struct.pack("<Q", 1) + bytes([0, 0]))
@@ -172,3 +187,15 @@ class TestAtomicWrite:
             self.WRITERS[kind](target)
         assert target.read_bytes() == b"old contents"
         assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    @pytest.mark.parametrize("kind", sorted(WRITERS))
+    def test_file_mode_follows_umask(self, tmp_path, kind):
+        target = tmp_path / "out"
+        old_umask = os.umask(0o022)
+        try:
+            for umask, mode in ((0o022, 0o644), (0o077, 0o600)):
+                os.umask(umask)
+                self.WRITERS[kind](target)
+                assert stat.S_IMODE(target.stat().st_mode) == mode, oct(umask)
+        finally:
+            os.umask(old_umask)

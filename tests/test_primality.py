@@ -158,6 +158,9 @@ class TestCarmichaelNumbers:
         mine = carmichael_numbers(20_000)
         oracle = [n for n in range(3, 20_000) if is_carmichael_oracle(n)]
         assert mine == oracle
+        # every small limit, across each isqrt(limit - 1) step of the sieve
+        for limit in range(3, 2001):
+            assert carmichael_numbers(limit) == [n for n in oracle if n < limit], limit
 
     def test_validation(self):
         with pytest.raises(ValidationError):

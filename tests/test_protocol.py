@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,18 @@ class TestRawStream:
     def test_rejects_undefined_symbols(self):
         with pytest.raises(ValidationError):
             RawStream(np.array([0, 3], dtype=np.uint8))
+
+    def test_tallies_allocate_at_most_two_bytes_per_trial(self):
+        n = 1 << 20
+        symbols = (np.arange(n) % 3).astype(np.uint8)
+        tracemalloc.start()
+        try:
+            stream = RawStream(symbols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (stream.n0, stream.n1, stream.n_discard) == (349526, 349525, 349525)
+        assert peak <= 2 * n
 
 
 class TestConfig:

@@ -89,22 +89,39 @@ class TestLongestRun:
         assert not longest_run_of_ones(BitStream([0, 1] * 50)).applicable
 
     def test_statistic_against_manual_chi_square(self):
-        bits = random_bits(13, 1024)
-        result = longest_run_of_ones(bits)
-        # manual recount at the 8-bit regime
-        blocks = bits.bits[: 128 * 8].reshape(128, 8)
-        longest = []
-        for row in blocks:
-            best = cur = 0
-            for v in row:
-                cur = cur + 1 if v else 0
-                best = max(best, cur)
-            longest.append(best)
-        nu = np.bincount(np.clip(longest, 1, 4) - 1, minlength=4)
-        ref = np.array([0.2148, 0.3672, 0.2305, 0.1875])
-        chi2 = float(np.sum((nu - 128 * ref) ** 2 / (128 * ref)))
-        assert result.statistic == pytest.approx(chi2, abs=1e-12)
-        assert result.p_value == pytest.approx(float(gammaincc(1.5, chi2 / 2.0)), abs=1e-12)
+        # SP 800-22 regimes: block length, class bounds, class probabilities
+        regimes = {
+            1024: (8, 1, 4, [0.2148, 0.3672, 0.2305, 0.1875]),
+            6272: (128, 4, 9, [0.1174, 0.2430, 0.2493, 0.1752, 0.1027, 0.1124]),
+            750_000: (
+                10_000, 10, 16, [0.0882, 0.2092, 0.2483, 0.1933, 0.1208, 0.0675, 0.0727]
+            ),
+        }
+        # the source biased to ones has runs longer than the top class bound
+        # in every regime
+        rng = np.random.default_rng(17)
+        streams = [random_bits(13, 1024)] + [
+            BitStream((rng.random(n) < 0.9).astype(np.uint8)) for n in (6272, 750_000)
+        ]
+        for bits in streams:
+            block, lo, hi, ref = regimes[len(bits)]
+            result = longest_run_of_ones(bits)
+            n_blocks = len(bits) // block
+            longest = []
+            for row in bits.bits[: n_blocks * block].reshape(n_blocks, block):
+                best = cur = 0
+                for v in row:
+                    cur = cur + 1 if v else 0
+                    best = max(best, cur)
+                longest.append(best)
+            nu = np.bincount(np.clip(longest, lo, hi) - lo, minlength=len(ref))
+            expected = n_blocks * np.array(ref)
+            chi2 = float(np.sum((nu - expected) ** 2 / expected))
+            dof = len(ref) - 1
+            assert result.statistic == pytest.approx(chi2, abs=1e-12)
+            assert result.p_value == pytest.approx(
+                float(gammaincc(dof / 2.0, chi2 / 2.0)), abs=1e-12
+            )
 
     def test_long_one_blocks_fail(self):
         result = longest_run_of_ones(BitStream([1] * 10_000))
