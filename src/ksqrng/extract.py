@@ -19,9 +19,9 @@ def to_bits(stream: RawStream) -> BitStream:
 
 def von_neumann_extract(stream: BitStream) -> BitStream:
     bits = stream.bits
-    pairs = bits[: (len(bits) // 2) * 2].reshape(-1, 2)
-    keep = pairs[:, 0] != pairs[:, 1]
-    return BitStream(pairs[keep, 0])
+    end = len(bits) // 2 * 2
+    a, b = bits[0:end:2], bits[1:end:2]
+    return BitStream(a[a != b])
 
 
 def expected_yield(p0: float) -> float:

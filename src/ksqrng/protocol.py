@@ -48,7 +48,7 @@ from .readout import (
 
 WORDS_PER_TRIAL = 8
 _BLOCKS_PER_TRIAL = WORDS_PER_TRIAL // 4  # Philox emits 4 words per counter step
-_CHUNK = 1 << 18  # fixed batch granularity; must not depend on worker count
+_CHUNK = 1 << 14  # trials per chunk: 1 MiB of words, 128 KiB per float temporary
 
 _COMPUTATIONAL_BASIS = (
     QutritState([1, 0, 0]),
@@ -228,17 +228,11 @@ def run_trial(config: ProtocolConfig, rng) -> TrialRecord:
     )
 
 
-def _trial_words(seed: int, start: int, count: int) -> np.ndarray:
-    bg = np.random.Philox(key=seed)
-    bg.advance(_BLOCKS_PER_TRIAL * start)
-    return np.random.Generator(bg).random((count, WORDS_PER_TRIAL))
-
-
-def _batch_symbols(seed: int, start: int, count: int, noise: NoiseParams, ideal: bool) -> np.ndarray:
-    words = _trial_words(seed, start, count)
-    if ideal:
-        m = measurement_unitary().matrix
-        return sample_level(np.abs(m[:, 0]) ** 2, words[:, 0])
+def _batch_symbols(words: np.ndarray, noise: NoiseParams, ideal_probs) -> np.ndarray:
+    """Symbols of the trials whose word rows are ``words``; ``ideal_probs``
+    is the ideal Born triple, or None in noisy mode."""
+    if ideal_probs is not None:
+        return sample_level(ideal_probs, words[:, 0])
 
     initial = thermal_init(words[:, 0], noise)
     theta = (np.pi / 2.0) * (1.0 + gate_error(words[:, 1], words[:, 2], noise))
@@ -248,26 +242,17 @@ def _batch_symbols(seed: int, start: int, count: int, noise: NoiseParams, ideal:
     ss = s * s
 
     # Born probabilities are the squared entries of the initial level's
-    # column of R01(theta) @ R12(theta); excited initial levels are rare, so
-    # fill the ground-state column and patch the exceptions.
-    probs = np.empty((count, 3), dtype=np.float64)
-    probs[:, 0] = cc
-    probs[:, 1] = ss
-    probs[:, 2] = 0.0
-    idx1 = np.nonzero(initial == 1)[0]
-    if idx1.size:
-        probs[idx1, 0] = (s[idx1] * c[idx1]) ** 2
-        probs[idx1, 1] = cc[idx1] ** 2
-        probs[idx1, 2] = ss[idx1]
-    idx2 = np.nonzero(initial == 2)[0]
-    if idx2.size:
-        probs[idx2, 0] = ss[idx2] ** 2
-        probs[idx2, 1] = (c[idx2] * s[idx2]) ** 2
-        probs[idx2, 2] = cc[idx2]
+    # column of R01(theta) @ R12(theta), (c, s, 0) from the ground state.
+    # Excited initial levels are rare, so sample every row from the ground
+    # column and resample the exceptions. The rows are closed forms, so this
+    # skips sample_level's probability check.
+    u = words[:, 3]
+    projected = _sample_levels(cc, ss, u)
+    idx = np.flatnonzero(initial == 1)  # column (s c, c^2, s)
+    projected[idx] = _sample_levels((s[idx] * c[idx]) ** 2, cc[idx] ** 2, u[idx])
+    idx = np.flatnonzero(initial == 2)  # column (s^2, c s, c)
+    projected[idx] = _sample_levels(ss[idx] ** 2, (c[idx] * s[idx]) ** 2, u[idx])
 
-    # the rows are closed forms, so the per-chunk path skips sample_level's
-    # probability check
-    projected = _sample_levels(probs, words[:, 3])
     relaxed = apply_relaxation(projected, words[:, 4], words[:, 5], noise)
     i, q = synth_iq(relaxed, words[:, 6], words[:, 7], noise)
     return classify(i, q, noise)
@@ -277,27 +262,39 @@ def run_batch(config: ProtocolConfig, workers: int = 1) -> tuple[RawStream, Batc
     """Generate ``config.n_trials`` symbols.
 
     Output is bit-identical for identical configs regardless of ``workers``:
-    trials are split into fixed-size chunks whose randomness is addressed by
-    absolute trial index, and workers only decide which thread runs a chunk.
+    randomness is addressed by absolute trial index, so how trials are split
+    only decides who computes them. The trials are cut into ``_CHUNK``-trial
+    chunks (sized so one chunk's words and temporaries stay in L2 cache), and
+    ``min(workers, chunks)`` threads each take a contiguous run of chunks.
+    A thread advances one Philox stream to its first trial and draws each
+    chunk's words into one reused buffer: a trial consumes exactly two
+    counter blocks, so consecutive draws continue at the next trial.
     """
     if workers < 1:
         raise ValidationError("workers must be >= 1")
     n = config.n_trials
     out = np.empty(n, dtype=np.uint8)
-    spans = [(start, min(_CHUNK, n - start)) for start in range(0, n, _CHUNK)]
+    ideal_probs = np.abs(measurement_unitary().matrix[:, 0]) ** 2 if config.ideal else None
+    n_chunks = -(-n // _CHUNK)
+    threads = min(workers, n_chunks)
 
-    def fill(span):
-        start, count = span
-        out[start : start + count] = _batch_symbols(
-            config.seed, start, count, config.noise, config.ideal
-        )
+    def fill(t):
+        start = t * n_chunks // threads * _CHUNK
+        stop = min(n, (t + 1) * n_chunks // threads * _CHUNK)
+        bg = np.random.Philox(key=config.seed)
+        bg.advance(_BLOCKS_PER_TRIAL * start)
+        gen = np.random.Generator(bg)
+        buf = np.empty((min(_CHUNK, stop - start), WORDS_PER_TRIAL))
+        for lo in range(start, stop, _CHUNK):
+            words = buf[: min(_CHUNK, stop - lo)]
+            gen.random(out=words)
+            out[lo : lo + len(words)] = _batch_symbols(words, config.noise, ideal_probs)
 
-    if workers == 1 or len(spans) == 1:
-        for span in spans:
-            fill(span)
+    if threads == 1:
+        fill(0)
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, spans))
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(fill, range(threads)))
 
     stream = RawStream(out)
     return stream, BatchSummary.from_stream(stream)

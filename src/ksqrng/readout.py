@@ -87,7 +87,8 @@ def thermal_init(u, params: NoiseParams):
     p_thermal_2, else L0."""
     t1, t2 = params.p_thermal_1, params.p_thermal_2
     u = np.asarray(u)
-    return np.where(u < t1, 1, np.where(u < t1 + t2, 2, 0)).astype(np.uint8)
+    # u < t1 implies u < t1 + t2, so 2 * [u < t1 + t2] - [u < t1] is 1, 2 or 0
+    return (u < t1 + t2).astype(np.uint8) * np.uint8(2) - (u < t1)
 
 
 def _box_muller(u_a, u_b):
@@ -103,12 +104,11 @@ def gate_error(u_a, u_b, params: NoiseParams):
     return params.gate_amp_error * (r * np.cos(ang))
 
 
-def _sample_levels(probs, u):
-    probs = np.asarray(probs, dtype=np.float64)
+def _sample_levels(p0, p1, u):
+    """Born-rule levels of uniforms ``u`` for level probabilities ``p0`` and
+    ``p1`` (level 2 takes the rest), without checking them."""
     u = np.asarray(u)
-    c0 = probs[..., 0]
-    c1 = probs[..., 0] + probs[..., 1]
-    return ((u >= c0).astype(np.uint8) + (u >= c1).astype(np.uint8))
+    return (u >= p0).astype(np.uint8) + (u >= p0 + p1)
 
 
 def sample_level(probs, u):
@@ -120,7 +120,7 @@ def sample_level(probs, u):
     sums = flat.sum(axis=1)
     if np.any(flat < -1e-9) or np.any(np.abs(sums - 1.0) > 1e-9):
         raise ValidationError("probabilities must be nonnegative and sum to 1 within 1e-9")
-    return _sample_levels(probs, u)
+    return _sample_levels(probs[..., 0], probs[..., 1], u)
 
 
 def apply_relaxation(level, u_a, u_b, params: NoiseParams):
@@ -151,12 +151,12 @@ def synth_iq(level, u_a, u_b, params: NoiseParams):
 
 def classify(i, q, params: NoiseParams):
     """Level whose centre is nearest to (i, q) in Euclidean distance; ties
-    break toward the lowest level index (argmin keeps the first minimum)."""
-    centers = params.centers_array()
+    break toward the lowest level index (strict comparisons keep the first
+    minimum)."""
     i = np.asarray(i, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
-    d = (i[..., None] - centers[:, 0]) ** 2 + (q[..., None] - centers[:, 1]) ** 2
-    return np.argmin(d, axis=-1).astype(np.uint8)
+    d0, d1, d2 = (np.square(i - c.i) + np.square(q - c.q) for c in params.iq_centers)
+    return np.where(d2 < np.minimum(d0, d1), np.uint8(2), (d1 < d0).astype(np.uint8))
 
 
 def estimate_misclassification(params: NoiseParams, n_samples: int, rng) -> float:

@@ -165,7 +165,7 @@ def approximate_entropy(stream: BitStream, m: int = 10) -> TestResult:
         )
     # circular (m+1)-bit window codes; an m-bit count sums its two extensions
     aug = np.concatenate([stream.bits, stream.bits[:m]])
-    codes = np.zeros(n, dtype=np.int64)
+    codes = np.zeros(n, dtype=np.min_scalar_type((2 << m) - 1))
     for j in range(m + 1):
         codes <<= 1
         codes |= aug[j : j + n]

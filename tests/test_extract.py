@@ -38,6 +38,15 @@ class TestVonNeumann:
             von_neumann_extract(flipped).bits, 1 - von_neumann_extract(stream).bits
         )
 
+    @given(bit_lists)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_pair_loop(self, bits):
+        expected = []
+        for k in range(0, len(bits) - 1, 2):
+            if bits[k] != bits[k + 1]:
+                expected.append(bits[k])
+        assert von_neumann_extract(BitStream(bits)).bits.tolist() == expected
+
     def test_not_idempotent(self):
         rng = np.random.default_rng(2)
         stream = BitStream(rng.integers(0, 2, 10_000, dtype=np.uint8))

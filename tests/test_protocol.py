@@ -1,8 +1,10 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from ksqrng import protocol
 from ksqrng.errors import ValidationError
 from ksqrng.protocol import (
     ProtocolConfig,
@@ -158,6 +160,65 @@ class TestDeterminism:
         for i in range(1000):
             rec = run_trial(cfg, TrialRandom(36, i))
             assert int(rec.symbol) == int(stream.symbols[i])
+
+
+class TestChunking:
+    @pytest.mark.parametrize("ideal", [False, True], ids=["noisy", "ideal"])
+    @pytest.mark.parametrize("n", [1, (1 << 14) - 1, (1 << 14) + 1, 70_001])
+    def test_chunk_size_invariance(self, monkeypatch, n, ideal):
+        cfg = ProtocolConfig(n_trials=n, seed=41, ideal=ideal)
+        reference = None
+        for chunk in (1 << 10, 1 << 14, 1 << 18):
+            monkeypatch.setattr(protocol, "_CHUNK", chunk)
+            for workers in (1, 2, 3):
+                symbols = run_batch(cfg, workers=workers)[0].symbols
+                if reference is None:
+                    reference = symbols
+                assert np.array_equal(symbols, reference), (chunk, workers)
+            edges = {0, n - 1}
+            for boundary in range(chunk, n, chunk):
+                edges |= {boundary - 1, boundary}
+            for i in sorted(edges):
+                assert int(run_trial(cfg, TrialRandom(41, i)).symbol) == reference[i], (chunk, i)
+
+    @pytest.mark.parametrize(
+        "ideal, digest",
+        [
+            (False, "c92f517a299f17baeb088d3fc206beb666c3f9b6be4beb2eeb9d729750048146"),
+            (True, "ba3d285e2a747b21464aaf73dbe2947af01482f302707644f0be2a28a426e359"),
+        ],
+        ids=["noisy", "ideal"],
+    )
+    def test_pinned_symbol_digest(self, ideal, digest):
+        stream, _ = run_batch(ProtocolConfig(n_trials=300_007, seed=271828, ideal=ideal), workers=2)
+        assert hashlib.sha256(stream.symbols.tobytes()).hexdigest() == digest
+
+    def test_threads_capped_at_chunk_count(self, monkeypatch):
+        requested = []
+
+        class SerialPool:
+            """Records the pool size and runs the jobs in this thread."""
+
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(protocol, "_CHUNK", 1 << 10)
+        monkeypatch.setattr(protocol, "ThreadPoolExecutor", SerialPool)
+        cfg = ProtocolConfig(n_trials=3 * (1 << 10) - 5, seed=42)  # 3 chunks
+        wide, _ = run_batch(cfg, workers=64)
+        assert requested == [3]
+        serial, _ = run_batch(cfg, workers=1)
+        assert requested == [3]
+        assert wide == serial
 
 
 class TestSummary:

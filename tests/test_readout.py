@@ -156,7 +156,19 @@ class TestClassify:
         assert classify(0.9, 0.1, DEFAULTS) == ReadoutLevel.L0
 
     def test_tie_breaks_to_lowest_index(self):
-        assert classify(0.5, 0.5, DEFAULTS) == ReadoutLevel.L0
+        # default centres (1, 0), (0, 1), (-1, 0); every point below is
+        # exactly equidistant from the tied centres and nearer to them than
+        # to any other
+        ties = [
+            ((0.5, 0.5), ReadoutLevel.L0),  # 0 = 1
+            ((0.0, -1.0), ReadoutLevel.L0),  # 0 = 2
+            ((-0.5, 0.5), ReadoutLevel.L1),  # 1 = 2
+            ((0.0, 0.0), ReadoutLevel.L0),  # 0 = 1 = 2
+        ]
+        for (i, q), level in ties:
+            assert classify(i, q, DEFAULTS) == level
+        i, q = np.array([pt for pt, _ in ties]).T
+        assert classify(i, q, DEFAULTS).tolist() == [level for _, level in ties]
 
     def test_translation_invariance(self):
         rng = gen(19)

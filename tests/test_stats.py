@@ -130,26 +130,28 @@ class TestLongestRun:
 
 class TestApproximateEntropy:
     def test_matches_bruteforce_oracle(self):
-        # 512 bits keep every m here applicable (n >= 2^(m+5))
-        bits = random_bits(31337, 512)
-
         def phi(stream, mm):
             n = len(stream)
-            seq = list(stream.bits) + list(stream.bits[: mm - 1])
+            seq = "".join(map(str, stream.bits.tolist()))
+            seq += seq[: mm - 1]
             counts = {}
             for i in range(n):
-                key = tuple(seq[i : i + mm])
+                key = seq[i : i + mm]
                 counts[key] = counts.get(key, 0) + 1
-            return sum((c / n) * math.log(c / n) for c in counts.values())
+            return math.fsum((c / n) * math.log(c / n) for c in counts.values())
 
-        for m in (1, 2, 3, 4):
-            ap_en = phi(bits, m) - phi(bits, m + 1)
-            chi2 = 2 * 512 * (math.log(2) - ap_en)
-            expected_p = float(gammaincc(2 ** (m - 1), chi2 / 2))
-            result = approximate_entropy(bits, m=m)
-            assert result.applicable
-            assert result.statistic == pytest.approx(chi2, abs=1e-9)
-            assert result.p_value == pytest.approx(expected_p, abs=1e-12)
+        # each stream keeps its m applicable (n >= 2^(m+5)); m = 7, 8 and 15
+        # are the last uint8, the first and the last uint16 window codes
+        for n, ms in ((512, (1, 2, 3, 4)), (1 << 13, (7, 8)), (1 << 20, (15,))):
+            bits = random_bits(31337, n)
+            for m in ms:
+                ap_en = phi(bits, m) - phi(bits, m + 1)
+                chi2 = 2 * n * (math.log(2) - ap_en)
+                expected_p = float(gammaincc(2 ** (m - 1), chi2 / 2))
+                result = approximate_entropy(bits, m=m)
+                assert result.applicable
+                assert result.statistic == pytest.approx(chi2, abs=1e-9)
+                assert result.p_value == pytest.approx(expected_p, abs=1e-12)
 
     def test_not_applicable_when_short(self):
         assert not approximate_entropy(random_bits(1, 1000), m=10).applicable
