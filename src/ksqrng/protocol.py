@@ -17,9 +17,21 @@ Per-trial word layout in noisy mode, consumed in order:
 Ideal mode consumes only word 0 (Born sampling); noise and IQ synthesis are
 bypassed entirely and classification is the identity on the projected level.
 
-``run_trial`` computes one trial with the qutrit linear algebra and serves as
-the independent reference for the closed-form Born probabilities of the
-batch kernel; both feed the same words to the same ``readout`` steps.
+``run_trial`` computes every step of one trial with the qutrit linear
+algebra. It is the independent reference for the batch kernel, so it takes
+none of the kernel's shortcuts. The kernel uses closed-form Born
+probabilities and decides most noisy trials from bounds on their uniforms:
+
+- a ground-state trial whose Born uniform lies farther from 1/2 than the
+  largest shift of cos^2(theta/2) its gate-error radius allows has its
+  level without the rotation being computed;
+- a trial whose IQ noise radius is below 0.99 of half the distance from its
+  level's centre to the nearest other centre is classified as that level
+  without its IQ point being synthesised.
+
+Only the other trials (1.2% and 0.05% of them at the defaults) take the
+exact path, which feeds the same words to the same ``readout`` steps as
+``run_trial``, so every symbol is the one computing every step would give.
 """
 
 from __future__ import annotations
@@ -37,6 +49,7 @@ from .readout import (
     IQPoint,
     NoiseParams,
     ReadoutLevel,
+    _radius,
     _sample_levels,
     apply_relaxation,
     classify,
@@ -49,6 +62,16 @@ from .readout import (
 WORDS_PER_TRIAL = 8
 _BLOCKS_PER_TRIAL = WORDS_PER_TRIAL // 4  # Philox emits 4 words per counter step
 _CHUNK = 1 << 14  # trials per chunk: 1 MiB of words, 128 KiB per float temporary
+
+# Margins of the early decisions in _batch_symbols. Each guarded value is a
+# few float64 operations from its exact value, each off by at most 2^-53
+# (1.1e-16) relative, so every margin is wider than the rounding by 10^6 or more.
+_ABS_MARGIN = 1e-9  # on c^2 and c^2 + s^2, which lie in [0, 1]
+_BORN_SLOPE = (math.pi / 4.0) * (1.0 + 1e-9)  # pi/4, widened for rounding in the bound
+_RHO_SHRINK = 0.99  # the IQ point's rounding stays below 1e-9 rho ...
+_RHO_PER_COORD = 1e-6  # ... when rho >= 1e-6 max|coord|
+_MIN_RHO = 1e-100  # squared distances to the other centres stay normal
+_MAX_COORD = 1e100  # squared distances stay finite
 
 _COMPUTATIONAL_BASIS = (
     QutritState([1, 0, 0]),
@@ -228,14 +251,32 @@ def run_trial(config: ProtocolConfig, rng) -> TrialRecord:
     )
 
 
-def _batch_symbols(words: np.ndarray, noise: NoiseParams, ideal_probs) -> np.ndarray:
-    """Symbols of the trials whose word rows are ``words``; ``ideal_probs``
-    is the ideal Born triple, or None in noisy mode."""
-    if ideal_probs is not None:
-        return sample_level(ideal_probs, words[:, 0])
+def _iq_decision_radii(noise: NoiseParams) -> np.ndarray:
+    """Per level L, a noise radius below which ``classify`` returns L.
 
-    initial = thermal_init(words[:, 0], noise)
-    theta = (np.pi / 2.0) * (1.0 + gate_error(words[:, 1], words[:, 2], noise))
+    A point nearer centre L than rho_L, half the distance from L to its
+    nearest other centre, is nearer L than any other centre, whatever its
+    angle. ``synth_iq`` and ``classify`` round relative to the largest
+    coordinate, so the radii are 0.99 rho_L only when the centres are far
+    apart for their size (rho >= 1e-6 max|coord|) and every squared distance
+    stays a normal float64 (rho >= 1e-100, max|coord| <= 1e100); otherwise
+    they are 0 and every trial is classified.
+    """
+    centres = noise.centers_array()
+    diff = centres[:, None, :] - centres[None, :, :]
+    gaps = np.hypot(diff[..., 0], diff[..., 1])
+    np.fill_diagonal(gaps, np.inf)
+    rho = gaps.min(axis=1) / 2.0
+    size = np.abs(centres).max()
+    if size <= _MAX_COORD and rho.min() >= max(_MIN_RHO, _RHO_PER_COORD * size):
+        return _RHO_SHRINK * rho
+    return np.zeros(3)
+
+
+def _born_levels(initial, u_a, u_b, u, noise: NoiseParams):
+    """Born levels from the gate error on ``u_a``, ``u_b`` and the uniform
+    ``u``, for trials that start in level ``initial``."""
+    theta = (np.pi / 2.0) * (1.0 + gate_error(u_a, u_b, noise))
     c = np.cos(theta / 2.0)
     s = np.sin(theta / 2.0)
     cc = c * c
@@ -246,16 +287,45 @@ def _batch_symbols(words: np.ndarray, noise: NoiseParams, ideal_probs) -> np.nda
     # Excited initial levels are rare, so sample every row from the ground
     # column and resample the exceptions. The rows are closed forms, so this
     # skips sample_level's probability check.
-    u = words[:, 3]
-    projected = _sample_levels(cc, ss, u)
+    levels = _sample_levels(cc, ss, u)
     idx = np.flatnonzero(initial == 1)  # column (s c, c^2, s)
-    projected[idx] = _sample_levels((s[idx] * c[idx]) ** 2, cc[idx] ** 2, u[idx])
+    levels[idx] = _sample_levels((s[idx] * c[idx]) ** 2, cc[idx] ** 2, u[idx])
     idx = np.flatnonzero(initial == 2)  # column (s^2, c s, c)
-    projected[idx] = _sample_levels(ss[idx] ** 2, (c[idx] * s[idx]) ** 2, u[idx])
+    levels[idx] = _sample_levels(ss[idx] ** 2, (c[idx] * s[idx]) ** 2, u[idx])
+    return levels
 
-    relaxed = apply_relaxation(projected, words[:, 4], words[:, 5], noise)
-    i, q = synth_iq(relaxed, words[:, 6], words[:, 7], noise)
-    return classify(i, q, noise)
+
+def _batch_symbols(words: np.ndarray, noise: NoiseParams, ideal_probs, iq_radii) -> np.ndarray:
+    """Symbols of the trials whose word rows are ``words``; ``ideal_probs``
+    is the ideal Born triple, or None in noisy mode, where ``iq_radii`` are
+    the :func:`_iq_decision_radii` of ``noise``."""
+    if ideal_probs is not None:
+        return sample_level(ideal_probs, words[:, 0])
+
+    # Born level. From the ground state it is [u >= c^2] + [u >= c^2 + s^2]
+    # with c^2 = cos^2(theta/2) = (1 - sin(pi e / 2)) / 2, so |c^2 - 1/2| <=
+    # (pi/4)|e| <= (pi/4) gate_amp_error r for the gate error e on radius r.
+    # A ground-state trial whose u lies outside that band, widened for
+    # rounding in the bound and in c^2, and below 1 - 1e-9 < c^2 + s^2 is
+    # level [u >= 1/2] at any angle; only the others take the exact path.
+    initial = thermal_init(words[:, 0], noise)
+    u = words[:, 3]
+    band = (_BORN_SLOPE * noise.gate_amp_error) * _radius(words[:, 1]) + _ABS_MARGIN
+    projected = (u >= 0.5).astype(np.uint8)
+    idx = np.flatnonzero((initial != 0) | (np.abs(u - 0.5) <= band) | (u > 1.0 - _ABS_MARGIN))
+    if idx.size:
+        rows = words[idx]
+        projected[idx] = _born_levels(initial[idx], rows[:, 1], rows[:, 2], rows[:, 3], noise)
+
+    # Classified level: a response within iq_radii of its level's centre is
+    # classified as that level, so only the others are synthesised.
+    levels = apply_relaxation(projected, words[:, 4], words[:, 5], noise)
+    idx = np.flatnonzero(noise.iq_sigma * _radius(words[:, 6]) >= iq_radii[levels])
+    if idx.size:
+        rows = words[idx]
+        i, q = synth_iq(levels[idx], rows[:, 6], rows[:, 7], noise)
+        levels[idx] = classify(i, q, noise)
+    return levels
 
 
 def run_batch(config: ProtocolConfig, workers: int = 1) -> tuple[RawStream, BatchSummary]:
@@ -275,6 +345,7 @@ def run_batch(config: ProtocolConfig, workers: int = 1) -> tuple[RawStream, Batc
     n = config.n_trials
     out = np.empty(n, dtype=np.uint8)
     ideal_probs = np.abs(measurement_unitary().matrix[:, 0]) ** 2 if config.ideal else None
+    iq_radii = _iq_decision_radii(config.noise)
     n_chunks = -(-n // _CHUNK)
     threads = min(workers, n_chunks)
 
@@ -288,7 +359,7 @@ def run_batch(config: ProtocolConfig, workers: int = 1) -> tuple[RawStream, Batc
         for lo in range(start, stop, _CHUNK):
             words = buf[: min(_CHUNK, stop - lo)]
             gen.random(out=words)
-            out[lo : lo + len(words)] = _batch_symbols(words, config.noise, ideal_probs)
+            out[lo : lo + len(words)] = _batch_symbols(words, config.noise, ideal_probs, iq_radii)
 
     if threads == 1:
         fill(0)

@@ -91,10 +91,16 @@ def thermal_init(u, params: NoiseParams):
     return (u < t1 + t2).astype(np.uint8) * np.uint8(2) - (u < t1)
 
 
+def _radius(u):
+    """Box-Muller radius of a uniform: the norm of the normal pair built on
+    ``u``, so a bound on either normal whatever the pair's angle."""
+    return np.sqrt(-2.0 * np.log1p(-np.asarray(u)))
+
+
 def _box_muller(u_a, u_b):
     """Radius and angle whose cosine and sine projections are two independent
     standard normals."""
-    return np.sqrt(-2.0 * np.log1p(-np.asarray(u_a))), 2.0 * np.pi * np.asarray(u_b)
+    return _radius(u_a), 2.0 * np.pi * np.asarray(u_b)
 
 
 def gate_error(u_a, u_b, params: NoiseParams):

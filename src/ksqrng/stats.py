@@ -5,7 +5,8 @@ Implements Shannon entropy per byte, a five-test subset of the NIST SP
 ones, approximate entropy) and bucketed zero-frequency analysis. Each SP
 800-22 test computes that suite's statistic and p-value; a test passes when
 p >= 0.01. Tests fed less data than they support report not-applicable
-rather than a made-up p-value.
+rather than a made-up p-value. ``scipy.special`` is imported inside the
+tests that need it, so importing the package (and the CLI) does not load it.
 """
 
 from __future__ import annotations
@@ -14,12 +15,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, gammaincc
 
 from .bits import BitStream
 from .errors import ValidationError
 
 ALPHA = 0.01
+_COUNT_SLICE = 1 << 16  # window codes per bincount: 512 KiB once widened to int64
 
 # (minimum stream length, block length, chi-square dof, run-length class
 # bounds, reference class probabilities) per SP 800-22 longest-run regimes
@@ -85,6 +86,8 @@ def monobit(stream: BitStream) -> TestResult:
     n = len(stream)
     if n < 1:
         return _not_applicable("monobit", "empty stream")
+    from scipy.special import erfc
+
     ones = int(np.count_nonzero(stream.bits))
     s_obs = abs(2 * ones - n) / math.sqrt(n)
     p = float(erfc(s_obs / math.sqrt(2.0)))
@@ -99,6 +102,8 @@ def block_frequency(stream: BitStream, block_size: int = 128) -> TestResult:
     n_blocks = n // block_size
     if n_blocks < 1:
         return _not_applicable("block_frequency", f"needs at least {block_size} bits")
+    from scipy.special import gammaincc
+
     pi = stream.bits[: n_blocks * block_size].reshape(n_blocks, block_size).mean(axis=1)
     chi2 = 4.0 * block_size * float(np.sum((pi - 0.5) ** 2))
     p = float(gammaincc(n_blocks / 2.0, chi2 / 2.0))
@@ -113,6 +118,8 @@ def runs(stream: BitStream) -> TestResult:
     n = len(stream)
     if n < 2:
         return _not_applicable("runs", "needs at least 2 bits")
+    from scipy.special import erfc
+
     bits = stream.bits
     pi = float(np.count_nonzero(bits)) / n
     if abs(pi - 0.5) >= 2.0 / math.sqrt(n) or pi in (0.0, 1.0):
@@ -129,6 +136,8 @@ def longest_run_of_ones(stream: BitStream) -> TestResult:
     n = len(stream)
     if n < _LONGEST_RUN_REGIMES[0][0]:
         return _not_applicable("longest_run_of_ones", "needs at least 128 bits")
+    from scipy.special import gammaincc
+
     for min_n, m, k, (lo, hi), ref in reversed(_LONGEST_RUN_REGIMES):
         if n >= min_n:
             break
@@ -163,13 +172,18 @@ def approximate_entropy(stream: BitStream, m: int = 10) -> TestResult:
         return _not_applicable(
             "approximate_entropy", f"needs at least 2^{m + 5} bits for m={m}"
         )
+    from scipy.special import gammaincc
+
     # circular (m+1)-bit window codes; an m-bit count sums its two extensions
     aug = np.concatenate([stream.bits, stream.bits[:m]])
     codes = np.zeros(n, dtype=np.min_scalar_type((2 << m) - 1))
     for j in range(m + 1):
         codes <<= 1
         codes |= aug[j : j + n]
-    counts = np.bincount(codes, minlength=2 << m)
+    # bincount widens its input to int64, so count in slices, not all at once
+    counts = np.zeros(2 << m, dtype=np.int64)
+    for lo in range(0, n, _COUNT_SLICE):
+        counts += np.bincount(codes[lo : lo + _COUNT_SLICE], minlength=2 << m)
     ap_en = _phi(counts.reshape(-1, 2).sum(axis=1), n) - _phi(counts, n)
     chi2 = 2.0 * n * (math.log(2.0) - ap_en)
     p = float(gammaincc(float(1 << (m - 1)), chi2 / 2.0))

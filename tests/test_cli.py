@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -21,6 +26,16 @@ def workspace(tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text("trials = 200000\nseed = 424242\n")
     return tmp_path, config
+
+
+def test_import_leaves_scipy_unloaded():
+    # generate, certify, extract and consume-ss never call scipy, and
+    # scipy.special is most of the time `import ksqrng.cli` would take
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    code = "import sys, ksqrng.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 class TestGenerate:

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hst
 
 from ksqrng import protocol
 from ksqrng.errors import ValidationError
@@ -16,7 +18,16 @@ from ksqrng.protocol import (
     run_trial,
 )
 from ksqrng.qutrit import QutritState, born_probabilities, measurement_unitary, sx_eigenbasis
-from ksqrng.readout import NoiseParams, ReadoutLevel
+from ksqrng.readout import (
+    NoiseParams,
+    ReadoutLevel,
+    _sample_levels,
+    apply_relaxation,
+    classify,
+    gate_error,
+    synth_iq,
+    thermal_init,
+)
 
 
 class TestEncodeSymbol:
@@ -219,6 +230,86 @@ class TestChunking:
         serial, _ = run_batch(cfg, workers=1)
         assert requested == [3]
         assert wide == serial
+
+
+def reference_symbols(words, noise):
+    """The all-trials noisy kernel: every trial takes the gate rotation, Born
+    sampling from its initial level's column, relaxation, IQ synthesis and
+    classification, with nothing decided early."""
+    initial = thermal_init(words[:, 0], noise)
+    theta = (np.pi / 2.0) * (1.0 + gate_error(words[:, 1], words[:, 2], noise))
+    c = np.cos(theta / 2.0)
+    s = np.sin(theta / 2.0)
+    cc = c * c
+    ss = s * s
+    # columns of R01(theta) @ R12(theta): (c, s, 0), (s c, c^2, s), (s^2, c s, c)
+    p0 = np.select([initial == 1, initial == 2], [(s * c) ** 2, ss**2], cc)
+    p1 = np.select([initial == 1, initial == 2], [cc**2, (c * s) ** 2], ss)
+    projected = _sample_levels(p0, p1, words[:, 3])
+    relaxed = apply_relaxation(projected, words[:, 4], words[:, 5], noise)
+    i, q = synth_iq(relaxed, words[:, 6], words[:, 7], noise)
+    return classify(i, q, noise)
+
+
+def trial_words(seed, n):
+    return np.random.Generator(np.random.Philox(key=seed)).random((n, 8))
+
+
+EARLY_DECISION_CONFIGS = {
+    "defaults": {},
+    "sigma-0.12": dict(iq_sigma=0.12),
+    "sigma-0.36": dict(iq_sigma=0.36),
+    "sigma-1": dict(iq_sigma=1.0),
+    "gate-0": dict(gate_amp_error=0.0),
+    "gate-0.2": dict(gate_amp_error=0.2),
+    "gate-1e308": dict(gate_amp_error=1e308),
+    "thermal-0.3": dict(p_thermal_1=0.3, p_thermal_2=0.3),
+    # centres 2e-5 apart at 1e10: rounding in synth_iq is comparable to the
+    # half-gap, so only the guard relative to the coordinates keeps them exact
+    "near-ulp": dict(iq_centers=((1e10, 0.0), (1e10 + 2e-5, 0.0), (0.0, 1e10)), iq_sigma=4e-6),
+    "tiny": dict(iq_centers=((1e-160, 0.0), (0.0, 1e-160), (-1e-160, 0.0)), iq_sigma=1e-161),
+    # squared distances underflow to 0, so classify ties every trial to level 0
+    "underflow": dict(iq_centers=((1e-170, 0.0), (0.0, 1e-170), (-1e-170, 0.0)), iq_sigma=1e-171),
+    "huge": dict(iq_centers=((1e160, 0.0), (0.0, 1e160), (-1e160, 0.0)), iq_sigma=1e159),
+}
+
+
+class TestEarlyDecisions:
+    """run_batch decides most noisy trials from bounds on their uniforms; it
+    must write exactly the symbols of the all-trials kernel."""
+
+    @pytest.mark.parametrize("thermal", [0.0, 0.3], ids=["cold", "thermal"])
+    def test_reference_matches_run_trial(self, thermal):
+        noise = NoiseParams(p_thermal_1=thermal, p_thermal_2=thermal, iq_sigma=0.36)
+        cfg = ProtocolConfig(n_trials=1, seed=51, noise=noise)
+        reference = reference_symbols(trial_words(51, 300), noise)
+        for i in range(300):
+            assert int(run_trial(cfg, TrialRandom(51, i)).symbol) == reference[i], i
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow at gate error 1e308
+    @pytest.mark.parametrize("kw", EARLY_DECISION_CONFIGS.values(), ids=EARLY_DECISION_CONFIGS)
+    def test_matches_all_trials_reference(self, kw):
+        noise = NoiseParams(**kw)
+        n = 1 << 16
+        stream, _ = run_batch(ProtocolConfig(n_trials=n, seed=52, noise=noise), workers=2)
+        assert np.array_equal(stream.symbols, reference_symbols(trial_words(52, n), noise))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=60, deadline=None)
+    @given(
+        coords=hst.lists(hst.floats(-4.0, 4.0), min_size=6, max_size=6),
+        exponent=hst.integers(-170, 170),
+        sigma=hst.floats(1e-3, 3.0),
+        gate=hst.one_of(hst.floats(0.0, 2.0), hst.just(1e308)),
+        seed=hst.integers(0, 2**64 - 1),
+    )
+    def test_matches_reference_on_random_noise(self, coords, exponent, sigma, gate, seed):
+        scale = 10.0**exponent
+        centres = [(coords[k] * scale, coords[k + 1] * scale) for k in (0, 2, 4)]
+        assume(len(set(centres)) == 3)
+        noise = NoiseParams(iq_centers=centres, iq_sigma=sigma * scale, gate_amp_error=gate)
+        stream, _ = run_batch(ProtocolConfig(n_trials=4096, seed=seed, noise=noise))
+        assert np.array_equal(stream.symbols, reference_symbols(trial_words(seed, 4096), noise))
 
 
 class TestSummary:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -152,6 +153,20 @@ class TestApproximateEntropy:
                 assert result.applicable
                 assert result.statistic == pytest.approx(chi2, abs=1e-9)
                 assert result.p_value == pytest.approx(expected_p, abs=1e-12)
+
+    def test_allocates_at_most_four_bytes_per_bit(self):
+        # the wrapped bits (1 B/bit) and the uint16 window codes (2 B/bit);
+        # counting them in one bincount widened the codes to 8 B/bit
+        n = 1 << 20
+        bits = random_bits(7, n)
+        tracemalloc.start()
+        try:
+            result = approximate_entropy(bits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.applicable
+        assert peak <= 4 * n
 
     def test_not_applicable_when_short(self):
         assert not approximate_entropy(random_bits(1, 1000), m=10).applicable
