@@ -25,13 +25,15 @@ probabilities and decides most noisy trials from bounds on their uniforms:
 - a ground-state trial whose Born uniform lies farther from 1/2 than the
   largest shift of cos^2(theta/2) its gate-error radius allows has its
   level without the rotation being computed;
-- a trial whose IQ noise radius is below 0.99 of half the distance from its
-  level's centre to the nearest other centre is classified as that level
-  without its IQ point being synthesised.
+- a trial whose IQ noise radius is below its level's
+  ``readout.decision_radii`` is classified as that level without its IQ
+  point being synthesised.
 
 Only the other trials (1.2% and 0.05% of them at the defaults) take the
 exact path, which feeds the same words to the same ``readout`` steps as
 ``run_trial``, so every symbol is the one computing every step would give.
+The bounds hold on the float64 domain that ``readout.NoiseParams`` owns and
+enforces, so every accepted noise model takes this one path.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ from .readout import (
     _sample_levels,
     apply_relaxation,
     classify,
+    decision_radii,
     gate_error,
     sample_level,
     synth_iq,
@@ -68,10 +71,6 @@ _CHUNK = 1 << 14  # trials per chunk: 1 MiB of words, 128 KiB per float temporar
 # (1.1e-16) relative, so every margin is wider than the rounding by 10^6 or more.
 _ABS_MARGIN = 1e-9  # on c^2 and c^2 + s^2, which lie in [0, 1]
 _BORN_SLOPE = (math.pi / 4.0) * (1.0 + 1e-9)  # pi/4, widened for rounding in the bound
-_RHO_SHRINK = 0.99  # the IQ point's rounding stays below 1e-9 rho ...
-_RHO_PER_COORD = 1e-6  # ... when rho >= 1e-6 max|coord|
-_MIN_RHO = 1e-100  # squared distances to the other centres stay normal
-_MAX_COORD = 1e100  # squared distances stay finite
 
 _COMPUTATIONAL_BASIS = (
     QutritState([1, 0, 0]),
@@ -251,28 +250,6 @@ def run_trial(config: ProtocolConfig, rng) -> TrialRecord:
     )
 
 
-def _iq_decision_radii(noise: NoiseParams) -> np.ndarray:
-    """Per level L, a noise radius below which ``classify`` returns L.
-
-    A point nearer centre L than rho_L, half the distance from L to its
-    nearest other centre, is nearer L than any other centre, whatever its
-    angle. ``synth_iq`` and ``classify`` round relative to the largest
-    coordinate, so the radii are 0.99 rho_L only when the centres are far
-    apart for their size (rho >= 1e-6 max|coord|) and every squared distance
-    stays a normal float64 (rho >= 1e-100, max|coord| <= 1e100); otherwise
-    they are 0 and every trial is classified.
-    """
-    centres = noise.centers_array()
-    diff = centres[:, None, :] - centres[None, :, :]
-    gaps = np.hypot(diff[..., 0], diff[..., 1])
-    np.fill_diagonal(gaps, np.inf)
-    rho = gaps.min(axis=1) / 2.0
-    size = np.abs(centres).max()
-    if size <= _MAX_COORD and rho.min() >= max(_MIN_RHO, _RHO_PER_COORD * size):
-        return _RHO_SHRINK * rho
-    return np.zeros(3)
-
-
 def _born_levels(initial, u_a, u_b, u, noise: NoiseParams):
     """Born levels from the gate error on ``u_a``, ``u_b`` and the uniform
     ``u``, for trials that start in level ``initial``."""
@@ -298,7 +275,7 @@ def _born_levels(initial, u_a, u_b, u, noise: NoiseParams):
 def _batch_symbols(words: np.ndarray, noise: NoiseParams, ideal_probs, iq_radii) -> np.ndarray:
     """Symbols of the trials whose word rows are ``words``; ``ideal_probs``
     is the ideal Born triple, or None in noisy mode, where ``iq_radii`` are
-    the :func:`_iq_decision_radii` of ``noise``."""
+    the ``decision_radii`` of ``noise``."""
     if ideal_probs is not None:
         return sample_level(ideal_probs, words[:, 0])
 
@@ -345,7 +322,7 @@ def run_batch(config: ProtocolConfig, workers: int = 1) -> tuple[RawStream, Batc
     n = config.n_trials
     out = np.empty(n, dtype=np.uint8)
     ideal_probs = np.abs(measurement_unitary().matrix[:, 0]) ** 2 if config.ideal else None
-    iq_radii = _iq_decision_radii(config.noise)
+    iq_radii = decision_radii(config.noise)
     n_chunks = -(-n // _CHUNK)
     threads = min(workers, n_chunks)
 

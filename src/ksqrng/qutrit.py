@@ -1,12 +1,12 @@
-"""Qutrit states, rotation gates and spin-1 observables.
+"""Qutrit states, rotation gates and the Sx measurement basis.
 
 The qutrit lives on the energy eigenstates |0>, |1>, |2>, onto which the
 spin-1 basis is mapped as |z,0> -> |0>, |z,+1> -> |1>, |z,-1> -> |2>.
-In that ordering the spin operators read
+In that ordering the measured spin operator reads
 
-    Sz = |0 0  0|        Sx = 1/sqrt2 * |0 1 1|
-         |0 1  0|                       |1 0 0|
-         |0 0 -1|                       |1 0 0|
+    Sx = 1/sqrt2 * |0 1 1|
+                   |1 0 0|
+                   |1 0 0|
 
 and the y-rotations in the 01 / 12 two-level subspaces are
 
@@ -88,30 +88,6 @@ class Unitary3:
         return Unitary3(self.matrix @ other.matrix)
 
 
-@dataclass(frozen=True)
-class SpinObservable:
-    """Hermitian spin-1 operator with its eigenvalues and eigenbasis attached."""
-
-    matrix: np.ndarray
-    eigenvalues: tuple[float, float, float]
-    eigenbasis: tuple[QutritState, QutritState, QutritState]
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.complex128)
-        if m.shape != (3, 3):
-            raise ValidationError("observable matrix must be 3x3")
-        if np.max(np.abs(m - m.conj().T)) > TOL:
-            raise ValidationError("observable matrix is not Hermitian")
-        for lam, vec in zip(self.eigenvalues, self.eigenbasis):
-            if np.max(np.abs(m @ vec.amplitudes - lam * vec.amplitudes)) > TOL:
-                raise ValidationError(f"eigenpair check failed for eigenvalue {lam}")
-        basis = np.column_stack([v.amplitudes for v in self.eigenbasis])
-        if np.max(np.abs(basis.conj().T @ basis - np.eye(3))) > TOL:
-            raise ValidationError("eigenbasis is not orthonormal")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-
 def rotation(subspace: str, theta: float) -> Unitary3:
     """Rotation by ``theta`` about y in the two-level subspace "01" or "12".
 
@@ -136,33 +112,6 @@ def apply_unitary(u: Unitary3, s: QutritState) -> QutritState:
     return QutritState(u.matrix @ s.amplitudes)
 
 
-def spin_operators() -> tuple[SpinObservable, SpinObservable]:
-    """The (Sz, Sx) pair with exact eigen-decompositions attached.
-
-    Sz is diagonal with eigenvalues (0, 1, -1) on the computational basis;
-    Sx has eigenvalues (-1, 0, +1) on the basis returned by
-    :func:`sx_eigenbasis`.
-    """
-    e0 = QutritState([1, 0, 0])
-    e1 = QutritState([0, 1, 0])
-    e2 = QutritState([0, 0, 1])
-    sz = SpinObservable(
-        matrix=np.diag([0.0, 1.0, -1.0]).astype(np.complex128),
-        eigenvalues=(0.0, 1.0, -1.0),
-        eigenbasis=(e0, e1, e2),
-    )
-    sx_matrix = np.array(
-        [[0, 1, 1], [1, 0, 0], [1, 0, 0]], dtype=np.complex128
-    ) / _SQRT2
-    minus, zero, plus = sx_eigenbasis()
-    sx = SpinObservable(
-        matrix=sx_matrix,
-        eigenvalues=(-1.0, 0.0, 1.0),
-        eigenbasis=(minus, zero, plus),
-    )
-    return sz, sx
-
-
 def sx_eigenbasis() -> tuple[QutritState, QutritState, QutritState]:
     """Eigenstates (|x,-1>, |x,0>, |x,+1>) of Sx in the energy basis."""
     minus = QutritState([-_SQRT2 / 2.0, 0.5, 0.5])
@@ -181,11 +130,6 @@ def born_probabilities(s: QutritState, basis) -> np.ndarray:
         raise ValidationError("measurement basis is not orthonormal")
     amps = b.conj().T @ s.amplitudes
     return np.abs(amps) ** 2
-
-
-def overlap(psi: QutritState, phi: QutritState) -> float:
-    """|<psi|phi>| for two normalized states."""
-    return float(abs(np.vdot(psi.amplitudes, phi.amplitudes)))
 
 
 def measurement_unitary() -> Unitary3:

@@ -37,6 +37,15 @@ class IQPoint:
 
 _DEFAULT_CENTERS = (IQPoint(1.0, 0.0), IQPoint(0.0, 1.0), IQPoint(-1.0, 0.0))
 
+# The float64 domain NoiseParams accepts. Within it every squared IQ distance
+# is finite and every squared distance between centres is a normal float64.
+_MAX_SCALE = 1e100  # on |coordinate|, iq_sigma and gate_amp_error
+_MIN_HALF_GAP = 1e-100  # on half the distance between two centres ...
+_HALF_GAP_PER_COORD = 1e-6  # ... and on its ratio to max|coord|
+# synth_iq and classify round relative to max|coord|, so on the domain their
+# rounding stays below 1e-9 of every half gap, well inside this shrink.
+_RADIUS_SHRINK = 0.99
+
 
 @dataclass(frozen=True)
 class NoiseParams:
@@ -47,6 +56,13 @@ class NoiseParams:
     so the full pipeline lands on a 0.536 zero-frequency. ``iq_sigma`` at
     unit centre separations puts nearest-centroid misclassification near
     6e-5.
+
+    This class owns the readout's float64 domain: every centre coordinate,
+    ``iq_sigma`` and ``gate_amp_error`` are at most 1e100, and half the
+    distance from each centre to its nearest other centre is at least
+    max(1e-100, 1e-6 max|coord|). Inside it no readout step overflows or
+    underflows a squared distance between centres, and rounding stays within
+    :func:`decision_radii`; parameters outside it raise ``ValidationError``.
     """
 
     p_thermal_1: float = 0.0016
@@ -64,19 +80,22 @@ class NoiseParams:
                 raise ValidationError(f"{name} must be a probability in [0, 1], got {v!r}")
         if self.p_thermal_1 + self.p_thermal_2 >= 1.0:
             raise ValidationError("p_thermal_1 + p_thermal_2 must be < 1")
-        if not (np.isfinite(self.gate_amp_error) and self.gate_amp_error >= 0.0):
-            raise ValidationError(f"gate_amp_error must be >= 0, got {self.gate_amp_error!r}")
-        if not (np.isfinite(self.iq_sigma) and self.iq_sigma > 0.0):
-            raise ValidationError(f"iq_sigma must be > 0, got {self.iq_sigma!r}")
+        if not 0.0 <= self.gate_amp_error <= _MAX_SCALE:
+            raise ValidationError(f"gate_amp_error must lie in [0, {_MAX_SCALE:g}], got {self.gate_amp_error!r}")
+        if not 0.0 < self.iq_sigma <= _MAX_SCALE:
+            raise ValidationError(f"iq_sigma must lie in (0, {_MAX_SCALE:g}], got {self.iq_sigma!r}")
         centers = tuple(self.iq_centers)
         if len(centers) != 3:
             raise ValidationError("iq_centers must hold exactly 3 points")
         centers = tuple(c if isinstance(c, IQPoint) else IQPoint(*c) for c in centers)
-        for a in range(3):
-            for b in range(a + 1, 3):
-                if centers[a] == centers[b]:
-                    raise ValidationError(f"iq_centers {a} and {b} coincide")
         object.__setattr__(self, "iq_centers", centers)
+        coords = self.centers_array()
+        size = float(np.abs(coords).max())
+        if size > _MAX_SCALE:  # checked first, so the differences below stay finite
+            raise ValidationError(f"iq_centers coordinates must lie within +-{_MAX_SCALE:g}, got {size!r}")
+        floor = max(_MIN_HALF_GAP, _HALF_GAP_PER_COORD * size)
+        if _half_gaps(coords).min() < floor:
+            raise ValidationError(f"iq_centers must lie at least {2 * floor:g} apart")
 
     def centers_array(self) -> np.ndarray:
         return np.array([[c.i, c.q] for c in self.iq_centers], dtype=np.float64)
@@ -163,6 +182,25 @@ def classify(i, q, params: NoiseParams):
     q = np.asarray(q, dtype=np.float64)
     d0, d1, d2 = (np.square(i - c.i) + np.square(q - c.q) for c in params.iq_centers)
     return np.where(d2 < np.minimum(d0, d1), np.uint8(2), (d1 < d0).astype(np.uint8))
+
+
+def _half_gaps(centres: np.ndarray) -> np.ndarray:
+    """Per centre row, half the distance to the nearest other row."""
+    diff = centres[:, None, :] - centres[None, :, :]
+    gaps = np.hypot(diff[..., 0], diff[..., 1])
+    np.fill_diagonal(gaps, np.inf)
+    return gaps.min(axis=1) / 2.0
+
+
+def decision_radii(params: NoiseParams) -> np.ndarray:
+    """Per level L, a noise radius below which ``classify`` returns L.
+
+    A point nearer centre L than rho_L, half the distance from L to its
+    nearest other centre, is nearer L than any other centre, whatever its
+    angle; the radii are 0.99 rho_L, which covers the rounding of
+    ``synth_iq`` and ``classify`` on the domain of :class:`NoiseParams`.
+    """
+    return _RADIUS_SHRINK * _half_gaps(params.centers_array())
 
 
 def estimate_misclassification(params: NoiseParams, n_samples: int, rng) -> float:

@@ -70,6 +70,20 @@ class TestGenerate:
         assert code == 2
         assert "p_thermal_1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line",
+        ["iq_center_0 = 1e160, 0", "iq_sigma = 1e300", "gate_amp_error = 1e308"],
+        ids=["centre-1e160", "sigma-1e300", "gate-1e308"],
+    )
+    def test_noise_outside_float_domain_exits_2(self, workspace, capsys, line):
+        tmp, config = workspace
+        config.write_text(f"trials = 16384\nseed = 1\n{line}\n")
+        code = run_cli(["generate", "--config", str(config), "--out", str(tmp / "x.trace")])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("configuration error: ")
+        assert not (tmp / "x.trace").exists()
+
     def test_zero_workers_exits_2(self, workspace, capsys):
         tmp, config = workspace
         code = run_cli(["generate", "--config", str(config), "--out", str(tmp / "x.trace"), "--workers", "0"])

@@ -4,18 +4,16 @@ import pytest
 from ksqrng.errors import ValidationError
 from ksqrng.qutrit import (
     QutritState,
-    SpinObservable,
     Unitary3,
     apply_unitary,
     born_probabilities,
     measurement_unitary,
-    overlap,
     rotation,
-    spin_operators,
     sx_eigenbasis,
 )
 
 SQRT2_2 = np.sqrt(2.0) / 2.0
+SX = np.array([[0, 1, 1], [1, 0, 0], [1, 0, 0]], dtype=np.complex128) / np.sqrt(2.0)
 E0 = QutritState([1, 0, 0])
 E1 = QutritState([0, 1, 0])
 E2 = QutritState([0, 0, 1])
@@ -80,28 +78,14 @@ class TestApplyUnitary:
             assert abs(np.sum(np.abs(out.amplitudes) ** 2) - 1.0) < 1e-12
 
 
-class TestSpinOperators:
-    def test_sz_matrix_and_eigenvalue_of_excited(self):
-        sz, _ = spin_operators()
-        assert np.allclose(sz.matrix, np.diag([0.0, 1.0, -1.0]), atol=0)
-        assert sz.matrix[1, 1] == 1.0
-        assert np.allclose(sz.matrix @ E1.amplitudes, 1.0 * E1.amplitudes, atol=1e-12)
-
-    def test_sx_eigen_relations(self):
-        _, sx = spin_operators()
-        minus, zero, plus = sx.eigenbasis
-        assert np.max(np.abs(sx.matrix @ plus.amplitudes - plus.amplitudes)) < 1e-12
-        assert np.max(np.abs(sx.matrix @ zero.amplitudes)) < 1e-12
-        assert np.max(np.abs(sx.matrix @ minus.amplitudes + minus.amplitudes)) < 1e-12
-        assert sx.eigenvalues == (-1.0, 0.0, 1.0)
-
-    def test_sz_eigenvalues_match_diagonal(self):
-        sz, _ = spin_operators()
-        for lam, vec in zip(sz.eigenvalues, sz.eigenbasis):
-            assert np.max(np.abs(sz.matrix @ vec.amplitudes - lam * vec.amplitudes)) < 1e-12
-
-
 class TestSxEigenbasis:
+    def test_sx_eigen_relations(self):
+        # eigenvalues -1, 0, +1 against the Sx matrix of the module docstring
+        minus, zero, plus = sx_eigenbasis()
+        assert np.max(np.abs(SX @ plus.amplitudes - plus.amplitudes)) < 1e-12
+        assert np.max(np.abs(SX @ zero.amplitudes)) < 1e-12
+        assert np.max(np.abs(SX @ minus.amplitudes + minus.amplitudes)) < 1e-12
+
     def test_orthogonality(self):
         minus, zero, plus = sx_eigenbasis()
         assert abs(np.vdot(minus.amplitudes, plus.amplitudes)) < 1e-12
@@ -155,18 +139,6 @@ class TestBornProbabilities:
             ) < 1e-12
 
 
-class TestOverlap:
-    def test_self_overlap(self):
-        s = random_state(np.random.default_rng(0))
-        assert abs(overlap(s, s) - 1.0) < 1e-12
-
-    def test_plus_with_ground(self):
-        assert abs(overlap(sx_eigenbasis()[2], E0) - SQRT2_2) < 1e-12
-
-    def test_zero_with_ground(self):
-        assert overlap(sx_eigenbasis()[1], E0) < 1e-12
-
-
 class TestMeasurementUnitary:
     def test_is_product_of_rotations(self):
         expected = rotation("01", np.pi / 2).matrix @ rotation("12", np.pi / 2).matrix
@@ -192,19 +164,3 @@ class TestValidation:
     def test_non_unitary_rejected(self):
         with pytest.raises(ValidationError):
             Unitary3(np.ones((3, 3)))
-
-    def test_non_hermitian_observable_rejected(self):
-        with pytest.raises(ValidationError):
-            SpinObservable(
-                matrix=np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]], dtype=complex),
-                eigenvalues=(0.0, 0.0, 0.0),
-                eigenbasis=(E0, E1, E2),
-            )
-
-    def test_wrong_eigenpair_rejected(self):
-        with pytest.raises(ValidationError):
-            SpinObservable(
-                matrix=np.diag([0.0, 1.0, -1.0]).astype(complex),
-                eigenvalues=(1.0, 1.0, -1.0),
-                eigenbasis=(E0, E1, E2),
-            )

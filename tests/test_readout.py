@@ -17,6 +17,25 @@ from ksqrng.readout import (
 
 DEFAULTS = NoiseParams()
 
+ABOVE_CEILING = float(np.nextafter(1e100, np.inf))
+
+# Noise models whose readout leaves float64's exact range: overflow to inf or
+# NaN, squared distances that underflow so classify ties every trial to level
+# 0, or centres so close for their size that rounding decides the level.
+OUTSIDE_FLOAT_DOMAIN = {
+    "gate-1e308": dict(gate_amp_error=1e308),
+    "sigma-1e300": dict(iq_sigma=1e300),
+    "near-ulp": dict(iq_centers=((1e10, 0.0), (1e10 + 2e-5, 0.0), (0.0, 1e10)), iq_sigma=4e-6),
+    "tiny": dict(iq_centers=((1e-160, 0.0), (0.0, 1e-160), (-1e-160, 0.0)), iq_sigma=1e-161),
+    "underflow": dict(iq_centers=((1e-170, 0.0), (0.0, 1e-170), (-1e-170, 0.0)), iq_sigma=1e-171),
+    "huge": dict(iq_centers=((1e160, 0.0), (0.0, 1e160), (-1e160, 0.0)), iq_sigma=1e159),
+    "coord-above-ceiling": dict(iq_centers=((1e100, 0.0), (0.0, 1e100), (-ABOVE_CEILING, 0.0))),
+    "sigma-above-ceiling": dict(iq_sigma=ABOVE_CEILING),
+    "gate-above-ceiling": dict(gate_amp_error=ABOVE_CEILING),
+    "gap-below-floor": dict(iq_centers=((1e-100, 0.0), (-0.99e-100, 0.0), (0.0, 1e-99)), iq_sigma=1e-101),
+    "gap-below-per-coord": dict(iq_centers=((1e6, 0.0), (1e6 - 1.75, 0.0), (-1e6, 0.0)), iq_sigma=1e-7),
+}
+
 
 def gen(seed=0):
     return np.random.default_rng(seed)
@@ -46,6 +65,12 @@ class TestNoiseParams:
     def test_rejects_coincident_centers(self):
         with pytest.raises(ValidationError):
             NoiseParams(iq_centers=(IQPoint(0, 0), IQPoint(0, 0), IQPoint(1, 1)))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # validation itself must not overflow
+    @pytest.mark.parametrize("kwargs", OUTSIDE_FLOAT_DOMAIN.values(), ids=OUTSIDE_FLOAT_DOMAIN)
+    def test_rejects_outside_float_domain(self, kwargs):
+        with pytest.raises(ValidationError):
+            NoiseParams(**kwargs)
 
 
 class TestThermalInit:
