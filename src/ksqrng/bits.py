@@ -7,19 +7,25 @@ import numpy as np
 from .errors import ValidationError
 
 
+def small_uints(values, top: int, what: str) -> np.ndarray:
+    """``values``, integers or bools in [0, top], checked before the cast to a
+    read-only 1-D uint8 array; a uint8 array costs one pass and no copy."""
+    arr = np.asarray(values)
+    kind = arr.dtype.kind
+    if arr.ndim != 1 or arr.size and (kind not in "biu" or arr.max() > top or (kind == "i" and arr.min() < 0)):
+        raise ValidationError(f"{what} must be 1-D integers in [0, {top}], got {arr.dtype} of shape {arr.shape}")
+    arr = arr.astype(np.uint8, copy=False)
+    arr.setflags(write=False)
+    return arr
+
+
 class BitStream:
     """Immutable sequence of bits stored one per byte (values 0/1)."""
 
     __slots__ = ("bits",)
 
     def __init__(self, bits):
-        arr = np.asarray(bits, dtype=np.uint8)
-        if arr.ndim != 1:
-            raise ValidationError("bit sequence must be one-dimensional")
-        if arr.size and arr.max() > 1:
-            raise ValidationError("bit sequence contains values other than 0 and 1")
-        arr.setflags(write=False)
-        self.bits = arr
+        self.bits = small_uints(bits, 1, "bit sequence")
 
     def __len__(self):
         return self.bits.size

@@ -45,6 +45,7 @@ from enum import IntEnum
 
 import numpy as np
 
+from .bits import small_uints
 from .errors import ValidationError
 from .qutrit import QutritState, apply_unitary, born_probabilities, measurement_unitary, rotation
 from .readout import (
@@ -123,13 +124,7 @@ class RawStream:
     __slots__ = ("symbols", "n0", "n1", "n_discard")
 
     def __init__(self, symbols):
-        arr = np.asarray(symbols, dtype=np.uint8)
-        if arr.ndim != 1:
-            raise ValidationError("symbol trace must be one-dimensional")
-        if arr.size and arr.max() > 2:
-            raise ValidationError("symbol trace contains values outside {0, 1, 2}")
-        arr.setflags(write=False)
-        self.symbols = arr
+        arr = self.symbols = small_uints(symbols, 2, "symbol trace")
         self.n1 = int(np.count_nonzero(arr == 1))
         self.n_discard = int(np.count_nonzero(arr == 2))
         self.n0 = arr.size - self.n1 - self.n_discard
@@ -210,8 +205,8 @@ class TrialRandom:
 
     def random(self, size=None):
         n = 1 if size is None else int(size)
-        if n > self._remaining:
-            raise ValidationError("trial word budget exhausted")
+        if not 0 <= n <= self._remaining:  # checked before the budget moves
+            raise ValidationError(f"size {n} lies outside [0, {self._remaining}], the trial's unread word budget")
         self._remaining -= n
         return self._gen.random(size)
 

@@ -54,14 +54,8 @@ class QutritState:
             raise ValidationError(f"state vector norm^2 = {norm_sq!r} deviates from 1 by more than {TOL}")
         object.__setattr__(self, "amplitudes", arr)
 
-    def __getitem__(self, k: int) -> complex:
-        return complex(self.amplitudes[k])
-
     def __eq__(self, other) -> bool:
         return isinstance(other, QutritState) and np.array_equal(self.amplitudes, other.amplitudes)
-
-    def __hash__(self):
-        return hash(self.amplitudes.tobytes())
 
 
 @dataclass(frozen=True)

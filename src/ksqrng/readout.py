@@ -11,6 +11,7 @@ numpy levels (uint8) or IQ coordinates (float64).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -54,8 +55,8 @@ class NoiseParams:
     Thermal defaults keep the excited-state population well under the 1%
     budget while holding discards below 0.1%; ``p_decay_10`` is calibrated
     so the full pipeline lands on a 0.536 zero-frequency. ``iq_sigma`` at
-    unit centre separations puts nearest-centroid misclassification near
-    6e-5.
+    unit centre separations puts nearest-centroid misclassification at
+    5.70e-5 (:func:`misclassification_rate`).
 
     This class owns the readout's float64 domain: every centre coordinate,
     ``iq_sigma`` and ``gate_amp_error`` are at most 1e100, and half the
@@ -203,19 +204,23 @@ def decision_radii(params: NoiseParams) -> np.ndarray:
     return _RADIUS_SHRINK * _half_gaps(params.centers_array())
 
 
-def estimate_misclassification(params: NoiseParams, n_samples: int, rng) -> float:
-    """Monte-Carlo estimate of P(classify(synth_iq(L)) != L) with L uniform
-    over the three levels; ``rng`` is anything with a numpy-style
-    ``.random(size)``."""
-    if n_samples < 10**6:
-        raise ValidationError("n_samples must be at least 10^6 for a stable estimate")
-    chunk = 1 << 22
-    errors = 0
-    done = 0
-    while done < n_samples:
-        n = min(chunk, n_samples - done)
-        levels = sample_level((1 / 3, 1 / 3, 1 / 3), rng.random(n))
-        i, q = synth_iq(levels, rng.random(n), rng.random(n), params)
-        errors += int(np.count_nonzero(classify(i, q, params) != levels))
-        done += n
-    return errors / n_samples
+def misclassification_rate(params: NoiseParams) -> float:
+    """Exact P(classify(synth_iq(L)) != L) with L uniform over the levels.
+
+    With d_k the offset from centre L to centre k, j the third centre and
+    h_k = |d_k| / (2 iq_sigma), Owen (1956) gives P(error | L) as the sum
+    over k of Q(h_k) / 2 + T(h_k, a_k), Q the normal tail, T Owen's T and
+    a_k = (h_j - rho h_k) / (h_k sqrt(1 - rho^2)) = d_j.(d_j - d_k) / |d_k x d_j|,
+    rho = cos(d_k, d_j). The last form is free of h, so finite for any
+    iq_sigma, and +-inf, where T has its limit, for collinear centres.
+    """
+    from scipy.special import ndtr, owens_t  # scipy stays off the CLI's import path
+
+    total = 0.0
+    for zl, zk, zj in itertools.permutations([complex(c.i, c.q) for c in params.iq_centers]):
+        h = abs(zk - zl) / (2.0 * params.iq_sigma)
+        dot = ((zj - zl).conjugate() * (zj - zk)).real  # d_j.(d_j - d_k)
+        cross = abs(((zk - zl).conjugate() * (zj - zl)).imag)  # |d_k x d_j|
+        a = dot / cross if cross else dot * np.inf
+        total += 0.5 * ndtr(-h) + owens_t(h, a)
+    return float(total) / 3.0

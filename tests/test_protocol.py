@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
 from ksqrng import protocol
+from ksqrng.bits import BitStream
 from ksqrng.errors import ValidationError
 from ksqrng.protocol import (
     ProtocolConfig,
@@ -61,6 +62,34 @@ class TestRawStream:
         assert peak <= 2 * n
 
 
+@pytest.mark.parametrize("stream_type, top", [(RawStream, 2), (BitStream, 1)], ids=["RawStream", "BitStream"])
+class TestStreamValues:
+    # a uint8 cast would wrap these into range (256 -> 0, 0.7 -> 0,
+    # -255 -> 1) or raise OverflowError, so they are checked before it
+    @pytest.mark.parametrize(
+        "values",
+        [np.array([256, 1]), np.array([0.7]), np.array([-255]), [256], [0, 1.0], np.array([1], dtype=object)],
+        ids=["wraps", "float", "negative", "list-overflow", "list-float", "object"],
+    )
+    def test_rejects_before_cast(self, stream_type, top, values):
+        with pytest.raises(ValidationError):
+            stream_type(values)
+
+    def test_rejects_above_top(self, stream_type, top):
+        with pytest.raises(ValidationError):
+            stream_type(np.array([top + 1], dtype=np.int64))
+
+    def test_accepts_empty_bool_and_int(self, stream_type, top):
+        assert len(stream_type([])) == 0
+        assert stream_type([True, False]) == stream_type(np.array([1, 0], dtype=np.uint8))
+        assert stream_type(np.arange(top + 1)) == stream_type(np.arange(top + 1, dtype=np.uint8))
+
+    def test_uint8_input_is_not_copied(self, stream_type, top):
+        values = np.zeros(4, dtype=np.uint8)
+        stream = stream_type(values)
+        assert (stream.symbols if stream_type is RawStream else stream.bits) is values
+
+
 class TestConfig:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValidationError):
@@ -78,6 +107,16 @@ class TestTrialRandom:
     def test_budget_exhaustion(self):
         rng = TrialRandom(1, 0)
         rng.random(8)
+        with pytest.raises(ValidationError):
+            rng.random()
+
+    def test_negative_size_leaves_budget(self):
+        rng = TrialRandom(77, 1)
+        with pytest.raises(ValidationError):
+            rng.random(-3)
+        with pytest.raises(ValidationError):
+            rng.random(9)
+        assert np.array_equal(rng.random(8), TrialRandom(77, 1).random(8))
         with pytest.raises(ValidationError):
             rng.random()
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from ksqrng.errors import ValidationError
 from ksqrng.readout import (
@@ -8,8 +9,8 @@ from ksqrng.readout import (
     ReadoutLevel,
     apply_relaxation,
     classify,
-    estimate_misclassification,
     gate_error,
+    misclassification_rate,
     sample_level,
     synth_iq,
     thermal_init,
@@ -216,30 +217,73 @@ class TestClassify:
             assert vec[k] == classify(i[k], q[k], DEFAULTS)
 
 
+def monte_carlo_rate(params, seed, n=10**6):
+    """Misclassified fraction of n synth_iq + classify draws, levels uniform."""
+    rng = gen(seed)
+    levels = rng.integers(0, 3, n).astype(np.uint8)
+    i, q = synth_iq(levels, *rng.random((2, n)), params)
+    return float(np.mean(classify(i, q, params) != levels))
+
+
+BIG = 1e100
+TINY_GAP = 2 * 1e-100  # half of it is the smallest half gap NoiseParams accepts
+
+# The corners of NoiseParams' float64 domain: h = |d| / (2 sigma) overflows,
+# underflows, or meets collinear centres, where Owen's a is infinite.
+DOMAIN_CORNERS = {
+    "huge-centres-tiny-sigma": dict(iq_centers=((BIG, 0.0), (0.0, BIG), (-BIG, 0.0)), iq_sigma=1e-300),
+    "huge-collinear-tiny-sigma": dict(iq_centers=((BIG, 0.0), (0.0, 0.0), (-BIG, 0.0)), iq_sigma=1e-300),
+    "huge-sigma": dict(iq_sigma=1e100),
+    "huge-sigma-collinear": dict(iq_centers=((0.0, 0.0), (1.0, 0.0), (-3.0, 0.0)), iq_sigma=1e100),
+    "tiny-gaps": dict(iq_centers=((TINY_GAP, 0.0), (0.0, TINY_GAP), (-TINY_GAP, 0.0)), iq_sigma=1e-100),
+    "tiny-gaps-collinear": dict(iq_centers=((0.0, 0.0), (TINY_GAP, 0.0), (2 * TINY_GAP, 0.0)), iq_sigma=1e-100),
+}
+
+
 class TestMisclassification:
     def test_separated_blobs(self):
-        p = NoiseParams(iq_sigma=1e-6)
-        assert estimate_misclassification(p, 10**6, gen(21)) == 0.0
+        assert misclassification_rate(NoiseParams(iq_sigma=1e-6)) == 0.0
 
     def test_overlapping_blobs_near_chance(self):
-        p = NoiseParams(iq_sigma=10.0)
-        assert estimate_misclassification(p, 10**6, gen(22)) > 0.5
+        assert misclassification_rate(NoiseParams(iq_sigma=10.0)) > 0.5
 
     def test_default_rate_matches_calibration_target(self):
         # target 6e-5 within a factor of 2
-        rate = estimate_misclassification(DEFAULTS, 10**8, gen(23))
-        assert 3e-5 <= rate <= 1.2e-4
+        assert 3e-5 <= misclassification_rate(DEFAULTS) <= 1.2e-4
 
     def test_monotone_in_sigma(self):
-        rates = [
-            estimate_misclassification(NoiseParams(iq_sigma=s), 10**6, gen(24))
-            for s in (0.05, 0.1, 0.2, 0.3, 0.4, 0.5)
-        ]
-        assert all(a <= b for a, b in zip(rates, rates[1:]))
+        rates = [misclassification_rate(NoiseParams(iq_sigma=s)) for s in (0.05, 0.1, 0.2, 0.3, 0.4, 0.5)]
+        assert all(a < b for a, b in zip(rates, rates[1:]))
 
-    def test_sample_floor(self):
-        with pytest.raises(ValidationError):
-            estimate_misclassification(DEFAULTS, 10**5, gen(25))
+    @pytest.mark.parametrize(
+        "kwargs, seed",
+        [
+            (dict(iq_sigma=0.3), 21),
+            (dict(iq_sigma=0.5), 22),
+            # collinear: for the centre at 2 one neighbour hides behind the other
+            (dict(iq_centers=((2.0, 0.0), (0.0, 0.0), (-1.0, 0.0)), iq_sigma=0.5), 23),
+            # obtuse at level 1, so levels 0 and 2 take a negative Owen's a
+            (dict(iq_centers=((1.0, 0.0), (0.0, 0.3), (-1.0, 0.0)), iq_sigma=0.2), 24),
+        ],
+        ids=["sigma-0.3", "sigma-0.5", "collinear", "obtuse"],
+    )
+    def test_matches_monte_carlo(self, kwargs, seed):
+        p = NoiseParams(**kwargs)
+        exact = misclassification_rate(p)
+        se = np.sqrt(exact * (1 - exact) / 10**6)
+        assert abs(monte_carlo_rate(p, seed) - exact) < 6 * se
+
+    def test_collinear_limits(self):
+        # centres 0, 2, 6 on a line at sigma 1: the boundaries lie h = 1 and
+        # 2 deviations out, each end errs by one tail and the middle by two
+        q1, q2 = ndtr(-1.0), ndtr(-2.0)
+        p = NoiseParams(iq_centers=((0.0, 0.0), (2.0, 0.0), (6.0, 0.0)), iq_sigma=1.0)
+        assert misclassification_rate(p) == pytest.approx((q1 + (q1 + q2) + q2) / 3, rel=1e-12)
+
+    @pytest.mark.parametrize("kwargs", DOMAIN_CORNERS.values(), ids=DOMAIN_CORNERS)
+    def test_finite_at_domain_corners(self, kwargs):
+        # pyproject turns every RuntimeWarning into an error
+        assert 0.0 <= misclassification_rate(NoiseParams(**kwargs)) <= 1.0
 
 
 class TestDeterminism:
