@@ -42,7 +42,7 @@ class CertificationReport:
 
 
 def certification_bounds() -> tuple[float, float]:
-    """The closed overlap window (sqrt(5/14), 3/sqrt(14))."""
+    """The closed overlap window [sqrt(5/14), 3/sqrt(14)]."""
     return BOUND_LO, BOUND_HI
 
 

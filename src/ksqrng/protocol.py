@@ -18,27 +18,32 @@ Ideal mode consumes only word 0 (Born sampling); noise and IQ synthesis are
 bypassed entirely and classification is the identity on the projected level.
 
 ``run_trial`` computes every step of one trial with the qutrit linear
-algebra. It is the independent reference for the batch kernel, so it takes
-none of the kernel's shortcuts. The kernel uses closed-form Born
-probabilities and decides most noisy trials from bounds on their uniforms:
+algebra from ``Generator.random`` uniforms. It is the independent reference
+for the batch kernel, so it takes none of the kernel's shortcuts. The kernel
+draws each chunk as raw 64-bit words; ``Generator.random`` would map a word
+w to the uniform (w >> 11) 2^-53, so a fixed threshold on a uniform is a
+fixed threshold on the word, computed once per run. The kernel decides most
+trials by comparing words with such thresholds:
 
-- a ground-state trial whose Born uniform lies farther from 1/2 than the
-  largest shift of cos^2(theta/2) its gate-error radius allows has its
-  level without the rotation being computed;
-- a trial whose IQ noise radius is below its level's
-  ``readout.decision_radii`` is classified as that level without its IQ
-  point being synthesised.
+- a ground-state trial whose gate-error radius is below a cap and whose
+  Born uniform lies outside the band that radius allows around 1/2 is level
+  [u3 >= 1/2] at any gate angle, and relaxes to 0 when u4 < p_decay_10;
+- a trial whose IQ noise uniform is below its level's bound, the uniform
+  of the level's ``readout.decision_radii``, is classified as that level.
 
-Only the other trials (1.2% and 0.05% of them at the defaults) take the
-exact path, which feeds the same words to the same ``readout`` steps as
-``run_trial``, so every symbol is the one computing every step would give.
-The bounds hold on the float64 domain that ``readout.NoiseParams`` owns and
-enforces, so every accepted noise model takes this one path.
+Only the other rows (3% and 0.05% of trials at the defaults) are turned
+into the uniforms ``Generator.random`` gives; they take the per-trial Born
+test and, where it cannot decide (1.2%), the exact path, which feeds the
+same uniforms to the same ``readout`` steps as ``run_trial``, so every
+symbol is the one computing every step would give. The bounds hold on the
+float64 domain that ``readout.NoiseParams`` owns and enforces, so every
+accepted noise model takes this one path.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import IntEnum
@@ -56,7 +61,7 @@ from .readout import (
     _sample_levels,
     apply_relaxation,
     classify,
-    decision_radii,
+    decision_uniforms,
     gate_error,
     sample_level,
     synth_iq,
@@ -204,7 +209,10 @@ class TrialRandom:
         self._remaining = WORDS_PER_TRIAL
 
     def random(self, size=None):
-        n = 1 if size is None else int(size)
+        try:
+            n = 1 if size is None else operator.index(size)
+        except TypeError:
+            raise ValidationError(f"size must be an integer, got {size!r}") from None
         if not 0 <= n <= self._remaining:  # checked before the budget moves
             raise ValidationError(f"size {n} lies outside [0, {self._remaining}], the trial's unread word budget")
         self._remaining -= n
@@ -245,6 +253,59 @@ def run_trial(config: ProtocolConfig, rng) -> TrialRecord:
     )
 
 
+def _uniforms(words):
+    """The float64 uniforms ``Generator.random`` makes of raw Philox words:
+    each word's top 53 bits times 2^-53, so [0, 1 - 2^-53]."""
+    return (words >> 11) * 2.0**-53
+
+
+def _word_threshold(p) -> int:
+    """The word T, in [0, 2^64], with ``_uniforms(w) < p`` exactly when
+    ``w < T``: (w >> 11) 2^-53 < p iff (w >> 11) < ceil(p 2^53)."""
+    return min(max(math.ceil(p * 2.0**53), 0), 1 << 53) << 11
+
+
+_HALF_WORD = _word_threshold(0.5)
+# A gate-error word below this has a uniform below 1 - 2^-9, so a Box-Muller
+# radius below sqrt(18 ln 2) = 3.53; the other 0.2% of trials take the per-trial test.
+_RADIUS_CAP_WORD = (1 << 64) - (1 << 55)
+
+
+@dataclass(frozen=True)
+class _WordBounds:
+    """Thresholds on raw words that decide the common noisy trials, computed
+    once per run from the noise model."""
+
+    thermal: int  # an excited start iff w0 < thermal
+    decay_10: int  # 1 -> 0 iff w4 < decay_10
+    band: tuple[int, int]  # a ground trial with w1 below the cap, w3 outside [lo, hi) ...
+    top: int  # ... and w3 below top is level [u3 >= 1/2]
+    iq: np.ndarray  # per level L, w6 < iq[L] is classified as L
+    iq_min: int
+
+    @classmethod
+    def of(cls, noise: NoiseParams) -> "_WordBounds":
+        # A capped-radius trial's Born band is at most the band at the cap,
+        # widened here by 1e-9 against rounding in _radius and counted in
+        # 2^-53 steps plus one, so |u3 - 1/2| computed in float exceeds it
+        # for every word outside [lo, hi).
+        cap = float(_radius(_uniforms(np.uint64(_RADIUS_CAP_WORD - 1))))
+        band = (_BORN_SLOPE * noise.gate_amp_error * cap + _ABS_MARGIN) * (1.0 + 1e-9)
+        reach = math.ceil(band * 2.0**53) + 1
+        top = _word_threshold(1.0 - _ABS_MARGIN)
+        half = 1 << 52
+        # One uniform step below each IQ bound covers expm1's rounding.
+        iq = [_word_threshold(q - 2.0**-53) for q in decision_uniforms(noise)]
+        return cls(
+            thermal=_word_threshold(noise.p_thermal_1 + noise.p_thermal_2),
+            decay_10=_word_threshold(noise.p_decay_10),
+            band=(max(half - reach, 0) << 11, min((half + reach) << 11, top)),
+            top=top,
+            iq=np.array(iq, dtype=np.uint64),
+            iq_min=min(iq),
+        )
+
+
 def _born_levels(initial, u_a, u_b, u, noise: NoiseParams):
     """Born levels from the gate error on ``u_a``, ``u_b`` and the uniform
     ``u``, for trials that start in level ``initial``."""
@@ -267,35 +328,56 @@ def _born_levels(initial, u_a, u_b, u, noise: NoiseParams):
     return levels
 
 
-def _batch_symbols(words: np.ndarray, noise: NoiseParams, ideal_probs, iq_radii) -> np.ndarray:
-    """Symbols of the trials whose word rows are ``words``; ``ideal_probs``
-    is the ideal Born triple, or None in noisy mode, where ``iq_radii`` are
-    the ``decision_radii`` of ``noise``."""
-    if ideal_probs is not None:
-        return sample_level(ideal_probs, words[:, 0])
+def _relaxed_levels(u, noise: NoiseParams):
+    """Relaxed levels of the trials whose uniforms are the rows ``u``.
 
-    # Born level. From the ground state it is [u >= c^2] + [u >= c^2 + s^2]
-    # with c^2 = cos^2(theta/2) = (1 - sin(pi e / 2)) / 2, so |c^2 - 1/2| <=
-    # (pi/4)|e| <= (pi/4) gate_amp_error r for the gate error e on radius r.
-    # A ground-state trial whose u lies outside that band, widened for
-    # rounding in the bound and in c^2, and below 1 - 1e-9 < c^2 + s^2 is
-    # level [u >= 1/2] at any angle; only the others take the exact path.
-    initial = thermal_init(words[:, 0], noise)
-    u = words[:, 3]
-    band = (_BORN_SLOPE * noise.gate_amp_error) * _radius(words[:, 1]) + _ABS_MARGIN
-    projected = (u >= 0.5).astype(np.uint8)
-    idx = np.flatnonzero((initial != 0) | (np.abs(u - 0.5) <= band) | (u > 1.0 - _ABS_MARGIN))
+    The Born level from the ground state is [u3 >= c^2] + [u3 >= c^2 + s^2]
+    with c^2 = cos^2(theta/2) = (1 - sin(pi e / 2)) / 2, so |c^2 - 1/2| <=
+    (pi/4)|e| <= (pi/4) gate_amp_error r for the gate error e on radius r.
+    A ground-state trial whose u3 lies outside that band, widened for
+    rounding in the bound and in c^2, and below 1 - 1e-9 < c^2 + s^2 is
+    level [u3 >= 1/2] at any angle; only the others take the exact path.
+    """
+    initial = thermal_init(u[:, 0], noise)
+    u3 = u[:, 3]
+    band = (_BORN_SLOPE * noise.gate_amp_error) * _radius(u[:, 1]) + _ABS_MARGIN
+    projected = (u3 >= 0.5).astype(np.uint8)
+    idx = np.flatnonzero((initial != 0) | (np.abs(u3 - 0.5) <= band) | (u3 > 1.0 - _ABS_MARGIN))
     if idx.size:
-        rows = words[idx]
+        rows = u[idx]
         projected[idx] = _born_levels(initial[idx], rows[:, 1], rows[:, 2], rows[:, 3], noise)
+    return apply_relaxation(projected, u[:, 4], u[:, 5], noise)
 
-    # Classified level: a response within iq_radii of its level's centre is
-    # classified as that level, so only the others are synthesised.
-    levels = apply_relaxation(projected, words[:, 4], words[:, 5], noise)
-    idx = np.flatnonzero(noise.iq_sigma * _radius(words[:, 6]) >= iq_radii[levels])
+
+def _batch_symbols(words: np.ndarray, noise: NoiseParams, bounds: _WordBounds) -> np.ndarray:
+    """Symbols of the noisy trials whose raw word rows are ``words``.
+
+    A ground-state trial with a capped gate radius and u3 outside the widest
+    Born band is level [u3 >= 1/2] & [u4 >= p_decay_10], read off its words.
+    The others take ``_relaxed_levels`` on their uniforms, which is the
+    per-trial test of the same bound, so the trials that compute the
+    rotation are the ones the bound cannot decide. A response whose noise
+    uniform is below its level's ``bounds.iq`` is classified as that level;
+    only the others are synthesised and classified.
+    """
+    w3 = words[:, 3]
+    levels = ((w3 >= _HALF_WORD) & (words[:, 4] >= bounds.decay_10)).view(np.uint8)
+    lo, hi = bounds.band
+    idx = np.flatnonzero(
+        (words[:, 0] < bounds.thermal)
+        | (words[:, 1] >= _RADIUS_CAP_WORD)
+        | ((w3 >= lo) & (w3 < hi))
+        | (w3 >= bounds.top)
+    )
     if idx.size:
-        rows = words[idx]
-        i, q = synth_iq(levels[idx], rows[:, 6], rows[:, 7], noise)
+        levels[idx] = _relaxed_levels(_uniforms(words[idx]), noise)
+
+    w6 = words[:, 6]
+    idx = np.flatnonzero(w6 >= bounds.iq_min)
+    idx = idx[w6[idx] >= bounds.iq[levels[idx]]]
+    if idx.size:
+        u = _uniforms(words[idx, 6:])
+        i, q = synth_iq(levels[idx], u[:, 0], u[:, 1], noise)
         levels[idx] = classify(i, q, noise)
     return levels
 
@@ -309,15 +391,29 @@ def run_batch(config: ProtocolConfig, workers: int = 1) -> tuple[RawStream, Batc
     chunks (sized so one chunk's words and temporaries stay in L2 cache), and
     ``min(workers, chunks)`` threads each take a contiguous run of chunks.
     A thread advances one Philox stream to its first trial and draws each
-    chunk's words into one reused buffer: a trial consumes exactly two
-    counter blocks, so consecutive draws continue at the next trial.
+    chunk as raw words, releasing them before the next draw: a trial
+    consumes exactly two counter blocks, so consecutive draws continue at
+    the next trial. Word thresholds are computed once per call.
     """
     if workers < 1:
         raise ValidationError("workers must be >= 1")
     n = config.n_trials
     out = np.empty(n, dtype=np.uint8)
-    ideal_probs = np.abs(measurement_unitary().matrix[:, 0]) ** 2 if config.ideal else None
-    iq_radii = decision_radii(config.noise)
+    if config.ideal:
+        # sample_level on the ideal Born triple, [u0 >= p0] + [u0 >= p0 + p1], on words
+        p0, p1, _ = np.abs(measurement_unitary().matrix[:, 0]) ** 2
+        t0, t01 = _word_threshold(p0), _word_threshold(p0 + p1)
+
+        def symbols(words):
+            w0 = words[:, 0]
+            return (w0 >= t0).astype(np.uint8) + (w0 >= t01)
+
+    else:
+        bounds = _WordBounds.of(config.noise)
+
+        def symbols(words):
+            return _batch_symbols(words, config.noise, bounds)
+
     n_chunks = -(-n // _CHUNK)
     threads = min(workers, n_chunks)
 
@@ -326,12 +422,11 @@ def run_batch(config: ProtocolConfig, workers: int = 1) -> tuple[RawStream, Batc
         stop = min(n, (t + 1) * n_chunks // threads * _CHUNK)
         bg = np.random.Philox(key=config.seed)
         bg.advance(_BLOCKS_PER_TRIAL * start)
-        gen = np.random.Generator(bg)
-        buf = np.empty((min(_CHUNK, stop - start), WORDS_PER_TRIAL))
         for lo in range(start, stop, _CHUNK):
-            words = buf[: min(_CHUNK, stop - lo)]
-            gen.random(out=words)
-            out[lo : lo + len(words)] = _batch_symbols(words, config.noise, ideal_probs, iq_radii)
+            m = min(_CHUNK, stop - lo)
+            words = bg.random_raw(WORDS_PER_TRIAL * m).reshape(m, WORDS_PER_TRIAL)
+            out[lo : lo + m] = symbols(words)
+            del words  # freed before the next draw: one chunk of words per thread
 
     if threads == 1:
         fill(0)

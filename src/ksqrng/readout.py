@@ -12,6 +12,7 @@ numpy levels (uint8) or IQ coordinates (float64).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -202,6 +203,18 @@ def decision_radii(params: NoiseParams) -> np.ndarray:
     ``synth_iq`` and ``classify`` on the domain of :class:`NoiseParams`.
     """
     return _RADIUS_SHRINK * _half_gaps(params.centers_array())
+
+
+def decision_uniforms(params: NoiseParams) -> list[float]:
+    """Per level L, the uniform whose Box-Muller radius times ``iq_sigma``
+    is ``decision_radii(params)[L]``: sqrt(-2 log(1 - u)) sigma < R_L exactly
+    when u < 1 - exp(-(R_L / sigma)^2 / 2). Computed in Python floats, where
+    a ratio that overflows or underflows gives 1 or 0 without a warning."""
+    bounds = []
+    for radius in decision_radii(params):
+        ratio = float(radius) / params.iq_sigma
+        bounds.append(-math.expm1(-0.5 * ratio * ratio))
+    return bounds
 
 
 def misclassification_rate(params: NoiseParams) -> float:

@@ -22,9 +22,11 @@ from ksqrng.qutrit import QutritState, born_probabilities, measurement_unitary, 
 from ksqrng.readout import (
     NoiseParams,
     ReadoutLevel,
+    _radius,
     _sample_levels,
     apply_relaxation,
     classify,
+    decision_radii,
     gate_error,
     synth_iq,
     thermal_init,
@@ -120,11 +122,87 @@ class TestTrialRandom:
         with pytest.raises(ValidationError):
             rng.random()
 
+    @pytest.mark.parametrize("size", [2.5, np.float64(2.0), "2"], ids=["float", "float64", "str"])
+    def test_non_integer_size_leaves_budget(self, size):
+        rng = TrialRandom(0, 0)
+        with pytest.raises(ValidationError):
+            rng.random(size)
+        assert np.array_equal(rng.random(np.int64(8)), TrialRandom(0, 0).random(8))
+
     def test_matches_contiguous_stream(self):
         full = np.random.Generator(np.random.Philox(key=77)).random(40)
         for i in range(5):
             words = TrialRandom(77, i).random(8)
             assert np.array_equal(words, full[8 * i : 8 * i + 8])
+
+
+def edge_words(threshold):
+    """The raw words one word and one uniform step (2^11 words) either side
+    of a word threshold, and the extreme words."""
+    near = {threshold + d for d in (-2049, -2048, -1, 0, 1, 2047, 2048)} | {0, 2**64 - 1}
+    return np.array(sorted(w for w in near if 0 <= w < 2**64), dtype=np.uint64)
+
+
+class TestRawWords:
+    """run_batch draws raw Philox words and compares them with per-run
+    thresholds; each must decide as the uniform Generator.random gives."""
+
+    @pytest.mark.parametrize("trial", [0, 1, 12_345, (1 << 14) - 3])
+    def test_uniforms_match_generator(self, trial):
+        def philox():
+            bg = np.random.Philox(key=2718)
+            bg.advance(protocol._BLOCKS_PER_TRIAL * trial)
+            return bg
+
+        bg = philox()
+        raw = np.concatenate([bg.random_raw(8 * 5), bg.random_raw(8 * 7)])  # consecutive draws, as chunks are
+        expected = np.random.Generator(philox()).random(8 * 12)
+        assert np.array_equal(protocol._uniforms(raw).view(np.uint64), expected.view(np.uint64))
+
+    def test_extreme_words(self):
+        u = protocol._uniforms(np.array([0, 2**64 - 1], dtype=np.uint64))
+        assert u.tolist() == [0.0, 1.0 - 2.0**-53]
+
+    @pytest.mark.parametrize(
+        "p",
+        [0.0, 1.0, 0.5, 3 * 2.0**-53, 1.0 - 2.0**-53, 5e-324, 0.072, 0.0016 + 0.0002, 0.5 + 0.499],
+        ids=["0", "1", "half", "grid", "below-1", "subnormal", "decay", "thermal-sum", "thermal-0.999"],
+    )
+    def test_word_threshold_is_exact(self, p):
+        t = protocol._word_threshold(p)
+        words = edge_words(t)
+        assert np.array_equal(words < t, protocol._uniforms(words) < p)
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {},
+            dict(p_thermal_1=0.3, p_thermal_2=0.3, p_decay_10=1.0),
+            dict(p_thermal_1=0.0, p_thermal_2=0.0, p_decay_10=0.0),
+            dict(p_thermal_1=0.5, p_thermal_2=0.499, p_decay_10=2.0**-3),
+            dict(iq_sigma=0.36, gate_amp_error=0.2),
+            dict(iq_sigma=5e-324, gate_amp_error=0.0),
+        ],
+        ids=["defaults", "decay-1", "decay-0", "on-grid", "wide", "sigma-subnormal"],
+    )
+    def test_bounds_decide_as_uniforms(self, kw):
+        noise = NoiseParams(**kw)
+        bounds = protocol._WordBounds.of(noise)
+        # exact: thermal excitation and 1 -> 0 relaxation
+        for t, p in ((bounds.thermal, noise.p_thermal_1 + noise.p_thermal_2), (bounds.decay_10, noise.p_decay_10)):
+            words = edge_words(t)
+            assert np.array_equal(words < t, protocol._uniforms(words) < p)
+        # early decisions: every word decided early fails the float test for the exact path
+        for level, t in enumerate(bounds.iq.tolist()):
+            words = edge_words(t)
+            u = protocol._uniforms(words[words < t])
+            assert np.all(noise.iq_sigma * _radius(u) < decision_radii(noise)[level])
+        lo, hi = bounds.band
+        cap = protocol._uniforms(np.uint64(protocol._RADIUS_CAP_WORD - 1))
+        band = (protocol._BORN_SLOPE * noise.gate_amp_error) * _radius(cap) + protocol._ABS_MARGIN
+        words = np.concatenate([edge_words(lo), edge_words(hi)])
+        u = protocol._uniforms(words[(words < lo) | ((words >= hi) & (words < bounds.top))])
+        assert np.all((np.abs(u - 0.5) > band) & (u <= 1.0 - protocol._ABS_MARGIN))
 
 
 class TestIdealMode:
@@ -270,6 +348,22 @@ class TestChunking:
         assert requested == [3]
         assert wide == serial
 
+    def test_generation_holds_one_chunk_of_words_per_thread(self):
+        # 1 B/trial of output and 1 B/trial of RawStream tallies, plus one
+        # chunk of raw words per thread and its temporaries; a chunk's words
+        # kept alive across the next draw would add a chunk per thread
+        n = 1 << 18
+        cfg = ProtocolConfig(n_trials=n, seed=61)
+        run_batch(cfg, workers=2)
+        tracemalloc.start()
+        try:
+            run_batch(cfg, workers=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        chunk_bytes = protocol._CHUNK * protocol.WORDS_PER_TRIAL * 8
+        assert peak <= 2 * n + 2 * (chunk_bytes + chunk_bytes // 4)
+
 
 def reference_symbols(words, noise):
     """The all-trials noisy kernel: every trial takes the gate rotation, Born
@@ -312,6 +406,14 @@ EARLY_DECISION_CONFIGS = {
     # half gaps of exactly 1e-100, and of exactly 1e-6 max|coord|
     "gap-floor": dict(iq_centers=((1e-100, 0.0), (-1e-100, 0.0), (0.0, 1e-99)), iq_sigma=3e-101),
     "gap-per-coord": dict(iq_centers=((1e6, 0.0), (1e6 - 2.0, 0.0), (-1e6, 0.0)), iq_sigma=0.3),
+    # the ends of each word threshold in run_batch
+    "decay10-0": dict(p_decay_10=0.0),
+    "decay10-1": dict(p_decay_10=1.0),
+    "decay21-1": dict(p_decay_21=1.0, p_thermal_1=0.3, p_thermal_2=0.3),
+    "thermal-0.999": dict(p_thermal_1=0.5, p_thermal_2=0.499),
+    "band-covers-all": dict(gate_amp_error=0.5),  # the Born band at the radius cap holds [0, 1]
+    "iq-bound-1": dict(iq_sigma=5e-324),  # R / sigma overflows, so every level's bound is 1
+    "iq-bound-0": dict(iq_centers=((1e-100, 0.0), (-1e-100, 0.0), (0.0, 1e-99)), iq_sigma=1e100),  # (R / sigma)^2 underflows
 }
 
 
@@ -327,6 +429,7 @@ class TestEarlyDecisions:
         for i in range(300):
             assert int(run_trial(cfg, TrialRandom(51, i)).symbol) == reference[i], i
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("kw", EARLY_DECISION_CONFIGS.values(), ids=EARLY_DECISION_CONFIGS)
     def test_matches_all_trials_reference(self, kw):
         noise = NoiseParams(**kw)
