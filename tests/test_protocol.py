@@ -388,32 +388,58 @@ def trial_words(seed, n):
     return np.random.Generator(np.random.Philox(key=seed)).random((n, 8))
 
 
+# noise model keywords, and the SHA-256 of the 2^16 symbols run_batch writes for them at seed 52
 EARLY_DECISION_CONFIGS = {
-    "defaults": {},
-    "sigma-0.12": dict(iq_sigma=0.12),
-    "sigma-0.36": dict(iq_sigma=0.36),
-    "sigma-1": dict(iq_sigma=1.0),
-    "gate-0": dict(gate_amp_error=0.0),
-    "gate-0.2": dict(gate_amp_error=0.2),
-    "thermal-0.3": dict(p_thermal_1=0.3, p_thermal_2=0.3),
+    "defaults": ({}, "9e8ea8a1114aa4a304ab7bab20fd4029f6a6562eed8488cca20d20d25cf47c3d"),
+    "sigma-0.12": (dict(iq_sigma=0.12), "107ef2a677dd60801a15b79668df68de8718a6bb4745ea432479bf4975980cc7"),
+    "sigma-0.36": (dict(iq_sigma=0.36), "7e3bcaa0a2c556127ded74111484bb3e5a9a4600a221d51ffc5e456408ea7daf"),
+    "sigma-1": (dict(iq_sigma=1.0), "f450741803ffe52a16ab0e20490d37dd51d8c7f3b4bb6cdad17f16304474e936"),
+    "gate-0": (dict(gate_amp_error=0.0), "2a33e9d57816f36b1893ecb9017a5ed5aea700da7e3497b79e24af63abd97665"),
+    "gate-0.2": (dict(gate_amp_error=0.2), "10dc842f44070b87744a534ef5064a8dff5781d3d09d46260e56bb71aa520d91"),
+    "thermal-0.3": (
+        dict(p_thermal_1=0.3, p_thermal_2=0.3),
+        "892cb435fdeac6bad9c61858588148ca47ccf3d27ba755e144167afd330ad8b2",
+    ),
     # the edges of the float64 domain NoiseParams accepts
-    "coord-ceiling": dict(iq_centers=((1e100, 0.0), (0.0, 1e100), (-1e100, 0.0)), iq_sigma=1e99),
-    "sigma-ceiling": dict(iq_sigma=1e100),
-    "gate-ceiling": dict(gate_amp_error=1e100),
-    "all-ceilings": dict(
-        iq_centers=((1e100, 0.0), (0.0, 1e100), (-1e100, 0.0)), iq_sigma=1e100, gate_amp_error=1e100
+    "coord-ceiling": (
+        dict(iq_centers=((1e100, 0.0), (0.0, 1e100), (-1e100, 0.0)), iq_sigma=1e99),
+        "107ef2a677dd60801a15b79668df68de8718a6bb4745ea432479bf4975980cc7",
+    ),
+    "sigma-ceiling": (dict(iq_sigma=1e100), "de2f256064a0af797747c2b97505dc0b9f3df0de4f489eac731c23ae9ca9cc31"),
+    "gate-ceiling": (dict(gate_amp_error=1e100), "d0060981272fc55e691e794ec23c3ab11aef4208b660d1d575eb23e4d5a8d731"),
+    "all-ceilings": (
+        dict(iq_centers=((1e100, 0.0), (0.0, 1e100), (-1e100, 0.0)), iq_sigma=1e100, gate_amp_error=1e100),
+        "1cedfe13b1357330e068d88eb0c82b54338edd33b682c266472cdaf94d9703b5",
     ),
     # half gaps of exactly 1e-100, and of exactly 1e-6 max|coord|
-    "gap-floor": dict(iq_centers=((1e-100, 0.0), (-1e-100, 0.0), (0.0, 1e-99)), iq_sigma=3e-101),
-    "gap-per-coord": dict(iq_centers=((1e6, 0.0), (1e6 - 2.0, 0.0), (-1e6, 0.0)), iq_sigma=0.3),
+    "gap-floor": (
+        dict(iq_centers=((1e-100, 0.0), (-1e-100, 0.0), (0.0, 1e-99)), iq_sigma=3e-101),
+        "7fa8795ff7942431188a692f6e9138c25858dc78e5d0dc0de88812f2b85a948b",
+    ),
+    "gap-per-coord": (
+        dict(iq_centers=((1e6, 0.0), (1e6 - 2.0, 0.0), (-1e6, 0.0)), iq_sigma=0.3),
+        "7fa8795ff7942431188a692f6e9138c25858dc78e5d0dc0de88812f2b85a948b",
+    ),
     # the ends of each word threshold in run_batch
-    "decay10-0": dict(p_decay_10=0.0),
-    "decay10-1": dict(p_decay_10=1.0),
-    "decay21-1": dict(p_decay_21=1.0, p_thermal_1=0.3, p_thermal_2=0.3),
-    "thermal-0.999": dict(p_thermal_1=0.5, p_thermal_2=0.499),
-    "band-covers-all": dict(gate_amp_error=0.5),  # the Born band at the radius cap holds [0, 1]
-    "iq-bound-1": dict(iq_sigma=5e-324),  # R / sigma overflows, so every level's bound is 1
-    "iq-bound-0": dict(iq_centers=((1e-100, 0.0), (-1e-100, 0.0), (0.0, 1e-99)), iq_sigma=1e100),  # (R / sigma)^2 underflows
+    "decay10-0": (dict(p_decay_10=0.0), "05fad97109b8970a7c0b59d8dbb1016b96ce3a59edf91e1ab93e82b0265609bb"),
+    "decay10-1": (dict(p_decay_10=1.0), "9930d4881193524377f360ec83d3af1d1285bd6ab37651d5c6bd35e03f3a1d95"),
+    "decay21-1": (
+        dict(p_decay_21=1.0, p_thermal_1=0.3, p_thermal_2=0.3),
+        "98a974d52547a92aa6d1634bafb0daec1119d5bc3474420ebc79d9f97c12a39c",
+    ),
+    "thermal-0.999": (
+        dict(p_thermal_1=0.5, p_thermal_2=0.499),
+        "56d3118b19821dba307e95a60a9e3ff2bebba23fba0a0482b4e9243f4fa7a62e",
+    ),
+    # the Born band at the radius cap holds [0, 1]
+    "band-covers-all": (dict(gate_amp_error=0.5), "7d96fbecf88d60aa004ee3015ff9d4e3119e94dee5557c9e3b3fd0fc3918c0dd"),
+    # R / sigma overflows, so every level's bound is 1
+    "iq-bound-1": (dict(iq_sigma=5e-324), "107ef2a677dd60801a15b79668df68de8718a6bb4745ea432479bf4975980cc7"),
+    # (R / sigma)^2 underflows
+    "iq-bound-0": (
+        dict(iq_centers=((1e-100, 0.0), (-1e-100, 0.0), (0.0, 1e-99)), iq_sigma=1e100),
+        "de2f256064a0af797747c2b97505dc0b9f3df0de4f489eac731c23ae9ca9cc31",
+    ),
 }
 
 
@@ -430,12 +456,13 @@ class TestEarlyDecisions:
             assert int(run_trial(cfg, TrialRandom(51, i)).symbol) == reference[i], i
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("kw", EARLY_DECISION_CONFIGS.values(), ids=EARLY_DECISION_CONFIGS)
-    def test_matches_all_trials_reference(self, kw):
+    @pytest.mark.parametrize("kw, digest", EARLY_DECISION_CONFIGS.values(), ids=EARLY_DECISION_CONFIGS)
+    def test_matches_all_trials_reference(self, kw, digest):
         noise = NoiseParams(**kw)
         n = 1 << 16
         stream, _ = run_batch(ProtocolConfig(n_trials=n, seed=52, noise=noise), workers=2)
         assert np.array_equal(stream.symbols, reference_symbols(trial_words(52, n), noise))
+        assert hashlib.sha256(stream.symbols.tobytes()).hexdigest() == digest
 
     @settings(max_examples=60, deadline=None)
     @given(
