@@ -31,11 +31,10 @@ trials by comparing words with such thresholds:
 - a trial whose IQ noise uniform is below its level's bound, the uniform
   of the level's ``readout.decision_radii``, is classified as that level.
 
-Only the other rows (3% and 0.05% of trials at the defaults) are turned
-into the uniforms ``Generator.random`` gives; they take the per-trial Born
-test and, where it cannot decide (1.2%), the exact path, which feeds the
-same uniforms to the same ``readout`` steps as ``run_trial``, so every
-symbol is the one computing every step would give. The bounds hold on the
+Only the other rows (3.1% and 0.05% of trials at the defaults) are turned
+into the uniforms ``Generator.random`` gives and take the exact path, which
+feeds them to the same ``readout`` steps as ``run_trial``, so every symbol
+is the one computing every step would give. The bounds hold on the
 float64 domain that ``readout.NoiseParams`` owns and enforces, so every
 accepted noise model takes this one path.
 """
@@ -72,7 +71,7 @@ WORDS_PER_TRIAL = 8
 _BLOCKS_PER_TRIAL = WORDS_PER_TRIAL // 4  # Philox emits 4 words per counter step
 _CHUNK = 1 << 14  # trials per chunk: 1 MiB of words, 128 KiB per float temporary
 
-# Margins of the early decisions in _batch_symbols. Each guarded value is a
+# Margins of the Born band in _WordBounds.of. Each guarded value is a
 # few float64 operations from its exact value, each off by at most 2^-53
 # (1.1e-16) relative, so every margin is wider than the rounding by 10^6 or more.
 _ABS_MARGIN = 1e-9  # on c^2 and c^2 + s^2, which lie in [0, 1]
@@ -267,7 +266,7 @@ def _word_threshold(p) -> int:
 
 _HALF_WORD = _word_threshold(0.5)
 # A gate-error word below this has a uniform below 1 - 2^-9, so a Box-Muller
-# radius below sqrt(18 ln 2) = 3.53; the other 0.2% of trials take the per-trial test.
+# radius below sqrt(18 ln 2) = 3.53; the other 0.2% of trials take the exact path.
 _RADIUS_CAP_WORD = (1 << 64) - (1 << 55)
 
 
@@ -285,10 +284,15 @@ class _WordBounds:
 
     @classmethod
     def of(cls, noise: NoiseParams) -> "_WordBounds":
-        # A capped-radius trial's Born band is at most the band at the cap,
-        # widened here by 1e-9 against rounding in _radius and counted in
-        # 2^-53 steps plus one, so |u3 - 1/2| computed in float exceeds it
-        # for every word outside [lo, hi).
+        # The Born level from the ground state is [u3 >= c^2] + [u3 >= c^2 + s^2]
+        # with c^2 = cos^2(theta/2) = (1 - sin(pi e / 2)) / 2, so |c^2 - 1/2|
+        # <= (pi/4)|e| <= (pi/4) gate_amp_error r for the gate error e on
+        # Box-Muller radius r. Below the radius cap this band lies inside the
+        # band at the cap, which _BORN_SLOPE and _ABS_MARGIN widen for rounding
+        # in the bound and in c^2, a further 1e-9 for rounding in _radius, and
+        # [lo, hi) holds in 2^-53 steps plus one. A ground trial with u3
+        # outside [lo, hi) and below top = 1 - 1e-9 < c^2 + s^2 is therefore
+        # level [u3 >= 1/2] at any gate angle.
         cap = float(_radius(_uniforms(np.uint64(_RADIUS_CAP_WORD - 1))))
         band = (_BORN_SLOPE * noise.gate_amp_error * cap + _ABS_MARGIN) * (1.0 + 1e-9)
         reach = math.ceil(band * 2.0**53) + 1
@@ -328,37 +332,16 @@ def _born_levels(initial, u_a, u_b, u, noise: NoiseParams):
     return levels
 
 
-def _relaxed_levels(u, noise: NoiseParams):
-    """Relaxed levels of the trials whose uniforms are the rows ``u``.
-
-    The Born level from the ground state is [u3 >= c^2] + [u3 >= c^2 + s^2]
-    with c^2 = cos^2(theta/2) = (1 - sin(pi e / 2)) / 2, so |c^2 - 1/2| <=
-    (pi/4)|e| <= (pi/4) gate_amp_error r for the gate error e on radius r.
-    A ground-state trial whose u3 lies outside that band, widened for
-    rounding in the bound and in c^2, and below 1 - 1e-9 < c^2 + s^2 is
-    level [u3 >= 1/2] at any angle; only the others take the exact path.
-    """
-    initial = thermal_init(u[:, 0], noise)
-    u3 = u[:, 3]
-    band = (_BORN_SLOPE * noise.gate_amp_error) * _radius(u[:, 1]) + _ABS_MARGIN
-    projected = (u3 >= 0.5).astype(np.uint8)
-    idx = np.flatnonzero((initial != 0) | (np.abs(u3 - 0.5) <= band) | (u3 > 1.0 - _ABS_MARGIN))
-    if idx.size:
-        rows = u[idx]
-        projected[idx] = _born_levels(initial[idx], rows[:, 1], rows[:, 2], rows[:, 3], noise)
-    return apply_relaxation(projected, u[:, 4], u[:, 5], noise)
-
-
 def _batch_symbols(words: np.ndarray, noise: NoiseParams, bounds: _WordBounds) -> np.ndarray:
     """Symbols of the noisy trials whose raw word rows are ``words``.
 
-    A ground-state trial with a capped gate radius and u3 outside the widest
-    Born band is level [u3 >= 1/2] & [u4 >= p_decay_10], read off its words.
-    The others take ``_relaxed_levels`` on their uniforms, which is the
-    per-trial test of the same bound, so the trials that compute the
-    rotation are the ones the bound cannot decide. A response whose noise
-    uniform is below its level's ``bounds.iq`` is classified as that level;
-    only the others are synthesised and classified.
+    A ground-state trial with a capped gate radius and u3 outside the Born
+    band of ``_WordBounds.of`` is level [u3 >= 1/2] at any gate angle, so
+    its relaxed level is [u3 >= 1/2] & [u4 >= p_decay_10], read off its
+    words. The other trials take the exact steps on their uniforms: thermal
+    start, gate rotation and Born sampling, relaxation. A response whose
+    noise uniform is below its level's ``bounds.iq`` is classified as that
+    level; only the others are synthesised and classified.
     """
     w3 = words[:, 3]
     levels = ((w3 >= _HALF_WORD) & (words[:, 4] >= bounds.decay_10)).view(np.uint8)
@@ -370,7 +353,9 @@ def _batch_symbols(words: np.ndarray, noise: NoiseParams, bounds: _WordBounds) -
         | (w3 >= bounds.top)
     )
     if idx.size:
-        levels[idx] = _relaxed_levels(_uniforms(words[idx]), noise)
+        u = _uniforms(words[idx])
+        projected = _born_levels(thermal_init(u[:, 0], noise), u[:, 1], u[:, 2], u[:, 3], noise)
+        levels[idx] = apply_relaxation(projected, u[:, 4], u[:, 5], noise)
 
     w6 = words[:, 6]
     idx = np.flatnonzero(w6 >= bounds.iq_min)
@@ -400,13 +385,12 @@ def run_batch(config: ProtocolConfig, workers: int = 1) -> tuple[RawStream, Batc
     n = config.n_trials
     out = np.empty(n, dtype=np.uint8)
     if config.ideal:
-        # sample_level on the ideal Born triple, [u0 >= p0] + [u0 >= p0 + p1], on words
-        p0, p1, _ = np.abs(measurement_unitary().matrix[:, 0]) ** 2
-        t0, t01 = _word_threshold(p0), _word_threshold(p0 + p1)
+        # sample_level on the ideal Born triple is [u0 >= p0] + [u0 >= p0 + p1];
+        # p0 + p1 is exactly 1, above every uniform, so the level is [u0 >= p0]
+        t0 = _word_threshold((np.abs(measurement_unitary().matrix[:, 0]) ** 2)[0])
 
         def symbols(words):
-            w0 = words[:, 0]
-            return (w0 >= t0).astype(np.uint8) + (w0 >= t01)
+            return (words[:, 0] >= t0).view(np.uint8)
 
     else:
         bounds = _WordBounds.of(config.noise)

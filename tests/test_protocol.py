@@ -1,4 +1,5 @@
 import hashlib
+import math
 import tracemalloc
 
 import numpy as np
@@ -128,6 +129,12 @@ class TestTrialRandom:
         with pytest.raises(ValidationError):
             rng.random(size)
         assert np.array_equal(rng.random(np.int64(8)), TrialRandom(0, 0).random(8))
+
+    def test_zero_size_draws_nothing(self):
+        rng = TrialRandom(77, 2)
+        assert rng.random(0).size == 0
+        assert np.array_equal(rng.random(8), TrialRandom(77, 2).random(8))
+        assert rng.random(0).size == 0
 
     def test_matches_contiguous_stream(self):
         full = np.random.Generator(np.random.Philox(key=77)).random(40)
@@ -481,6 +488,121 @@ class TestEarlyDecisions:
             assume(False)
         stream, _ = run_batch(ProtocolConfig(n_trials=4096, seed=seed, noise=noise))
         assert np.array_equal(stream.symbols, reference_symbols(trial_words(seed, 4096), noise))
+
+
+class RowRandom:
+    """An rng stand-in that hands ``run_trial`` the uniforms
+    ``Generator.random`` makes of one raw word row."""
+
+    def __init__(self, row):
+        self._u = protocol._uniforms(np.array(row, dtype=np.uint64))
+
+    def random(self, size=None):
+        return self._u[0] if size is None else self._u[:size]
+
+
+class RowSource:
+    """A Philox stand-in for ``run_batch`` whose raw words are ``rows``."""
+
+    def __init__(self, rows):
+        self._words = np.array(rows, dtype=np.uint64).ravel()
+
+    def __call__(self, key):
+        return self
+
+    def advance(self, delta):
+        assert delta == 0
+
+    def random_raw(self, size):
+        assert size == self._words.size
+        return self._words
+
+
+def tie_rows(base, word, threshold):
+    """Copies of ``base`` with its ``word`` at threshold - 1 and at threshold,
+    where those are 64-bit words."""
+    rows = []
+    for w in (threshold - 1, threshold):
+        if 0 <= w < 2**64:
+            row = list(base)
+            row[word] = w
+            rows.append(row)
+    return rows
+
+
+TOP_WORD = 2**64 - 1
+
+
+class TestWordTies:
+    """Every word threshold decides as the uniform test it stands for, also
+    at a tie: a row whose deciding word is T - 1 or T gets the symbol that
+    run_trial computes from the same words."""
+
+    @staticmethod
+    def batch(monkeypatch, rows, **cfg):
+        monkeypatch.setattr(np.random, "Philox", RowSource(rows))
+        return run_batch(ProtocolConfig(n_trials=len(rows), seed=0, **cfg))[0].symbols.tolist()
+
+    @pytest.mark.parametrize(
+        "kw",
+        [{}, dict(gate_amp_error=0.0), dict(p_thermal_1=0.3, p_thermal_2=0.3, gate_amp_error=0.2, iq_sigma=0.36)],
+        ids=["defaults", "gate-0", "wide"],
+    )
+    def test_noisy_thresholds(self, monkeypatch, kw):
+        noise = NoiseParams(**kw)
+        bounds = protocol._WordBounds.of(noise)
+        lo, hi = bounds.band
+        # a ground start, no gate error, u3 = 3/4, no relaxation and no IQ
+        # noise is level 1; u3 = 1/4 makes it level 0, and a start in level 2
+        # (u0 just below p_thermal_1 + p_thermal_2) level 2
+        level1 = [TOP_WORD, 0, 0, 3 << 62, TOP_WORD, TOP_WORD, 0, 0]
+        level0 = level1[:3] + [1 << 62] + level1[4:]
+        level2 = [bounds.thermal - 1] + level1[1:]
+        cases = {
+            "thermal": tie_rows(level1, 0, bounds.thermal),
+            "radius-cap": tie_rows(level1, 1, protocol._RADIUS_CAP_WORD),
+            "band-lo": tie_rows(level1, 3, lo),
+            "half": tie_rows(level1, 3, protocol._HALF_WORD),
+            "band-hi": tie_rows(level1, 3, hi),
+            "top": tie_rows(level1, 3, bounds.top),
+            "decay_10": tie_rows(level1, 4, bounds.decay_10),
+        }
+        for level, base in enumerate((level0, level1, level2)):
+            cases[f"iq-{level}"] = tie_rows(base, 6, int(bounds.iq[level]))
+        cfg = ProtocolConfig(n_trials=1, seed=0, noise=noise)
+        for level, base in enumerate((level0, level1, level2)):
+            assert run_trial(cfg, RowRandom(base)).true_level == level
+        for name, rows in cases.items():
+            expected = [int(run_trial(cfg, RowRandom(row)).symbol) for row in rows]
+            assert self.batch(monkeypatch, rows, noise=noise) == expected, name
+
+    def test_top_without_rotation(self, monkeypatch):
+        # a gate error of -1 turns the rotation off, so a ground start stays
+        # level 0 even at u3 = 1 - 1e-9; the word at top must not be read as 1
+        noise = NoiseParams(gate_amp_error=0.5)
+        bounds = protocol._WordBounds.of(noise)
+        radius_2 = protocol._word_threshold(-math.expm1(-2.0))  # Box-Muller radius 2
+        row = [TOP_WORD, radius_2, 1 << 63, 0, TOP_WORD, TOP_WORD, 0, 0]  # cos(2 pi u2) = -1
+        rows = tie_rows(row, 3, bounds.top)
+        cfg = ProtocolConfig(n_trials=1, seed=0, noise=noise)
+        expected = [int(run_trial(cfg, RowRandom(row)).symbol) for row in rows]
+        assert expected == [0, 0]
+        assert self.batch(monkeypatch, rows, noise=noise) == expected
+
+    def test_ideal_threshold(self, monkeypatch):
+        # the ideal triple's p0 + p1 is exactly 1, so the level is [u0 >= p0]
+        # alone; p0 is one ulp above 1/2, so its threshold is one uniform step
+        # above _HALF_WORD
+        p0, p1, _ = np.abs(measurement_unitary().matrix[:, 0]) ** 2
+        assert p0 + p1 == 1.0
+        assert protocol._word_threshold(p0 + p1) == 2**64
+        t0 = protocol._word_threshold(p0)
+        assert t0 == protocol._HALF_WORD + 2**11
+        rows = tie_rows([0] * 8, 0, t0) + tie_rows([0] * 8, 0, protocol._HALF_WORD)
+        cfg = ProtocolConfig(n_trials=1, seed=0, ideal=True)
+        expected = [int(run_trial(cfg, RowRandom(row)).symbol) for row in rows]
+        assert expected == [0, 1, 0, 0]
+        assert self.batch(monkeypatch, rows, ideal=True) == expected
 
 
 class TestSummary:
