@@ -12,7 +12,7 @@ import pytest
 from ksqrng.cli import run_cli
 
 CONFIGS = {
-    # the README"s calibrated configuration (its noise keys are the
+    # the README's calibrated configuration (its noise keys are the
     # defaults, as test_readme checks) at 2^18 trials
     "calibrated": "trials = 262144\nseed = 20260810\n",
     # the configuration of acceptance criterion 8

@@ -11,7 +11,6 @@ changing no output. The checkout is never edited. It uses the standard
 library only, and takes minutes, so it is not part of Tier-1.
 
     python tools/mutants.py protocol readout
-    python tools/mutants.py stats --tests test_stats.py test_cli.py
 """
 
 from __future__ import annotations
@@ -128,12 +127,11 @@ def survey(module: str, tests: list[str]) -> tuple[int, list[str]]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("modules", nargs="+", help="module names under src/ksqrng, e.g. protocol")
-    parser.add_argument("--tests", nargs="+", help="test files under tests/ (default: the module's mapped files)")
     args = parser.parse_args(argv)
     equivalent = accepted()
     summary = []
     for module in args.modules:
-        tests = args.tests or TESTS.get(module, [f"test_{module}.py"])
+        tests = TESTS.get(module, [f"test_{module}.py"])
         print(f"{module}.py against {', '.join(tests)}", flush=True)
         summary.append((module, *survey(module, tests)))
     unexplained = 0
