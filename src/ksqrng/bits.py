@@ -1,6 +1,9 @@
-"""Binary bit sequences and the simulated unbiased source."""
+"""Symbol and bit streams: the ternary outcome trace with its frequencies,
+binary bit sequences and the simulated unbiased bit source."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -17,6 +20,49 @@ def small_uints(values, top: int, what: str) -> np.ndarray:
     arr = arr.astype(np.uint8, copy=False)
     arr.setflags(write=False)
     return arr
+
+
+class RawStream:
+    """Ordered ternary symbol trace with its tallies."""
+
+    __slots__ = ("symbols", "n0", "n1", "n_discard")
+
+    def __init__(self, symbols):
+        arr = self.symbols = small_uints(symbols, 2, "symbol trace")
+        self.n1 = int(np.count_nonzero(arr == 1))
+        self.n_discard = int(np.count_nonzero(arr == 2))
+        self.n0 = arr.size - self.n1 - self.n_discard
+
+    def __len__(self):
+        return self.symbols.size
+
+    def __eq__(self, other):
+        return isinstance(other, RawStream) and np.array_equal(self.symbols, other.symbols)
+
+    def __repr__(self):
+        return f"RawStream(n={len(self)}, n0={self.n0}, n1={self.n1}, n_discard={self.n_discard})"
+
+
+def outcome_frequencies(n0: int, n1: int, n_discard: int) -> dict[str, float]:
+    """p0 and p1 conditioned on the binary (non-discard) outcomes, so they sum
+    to 1, p_discard over all trials, and their binomial standard errors
+    (NaN where a denominator is zero)."""
+    nb = n0 + n1
+    n = nb + n_discard
+    nan = float("nan")
+    p0 = n0 / nb if nb else nan
+    p1 = n1 / nb if nb else nan
+    se_binary = math.sqrt(p0 * p1 / nb) if nb else nan
+    pd = n_discard / n if n else nan
+    se_discard = math.sqrt(pd * (1.0 - pd) / n) if n else nan
+    return dict(
+        p0=p0,
+        p1=p1,
+        p_discard=pd,
+        p0_stderr=se_binary,
+        p1_stderr=se_binary,
+        p_discard_stderr=se_discard,
+    )
 
 
 class BitStream:

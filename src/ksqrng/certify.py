@@ -16,8 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .bits import RawStream, outcome_frequencies
 from .errors import ValidationError
-from .protocol import RawStream, outcome_frequencies
 
 BOUND_LO = math.sqrt(5.0 / 14.0)
 BOUND_HI = 3.0 / math.sqrt(14.0)

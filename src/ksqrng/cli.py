@@ -16,10 +16,9 @@ from . import extract as extract_mod
 from . import stats as stats_mod
 from .config import load_config
 from .errors import BitSourceExhaustedError, ConfigError, FormatError, ValidationError
-from .formats import read_bits, read_trace, write_bits, write_trace
+from .formats import emit_report, read_bits, read_trace, write_bits, write_trace
 from .primality import BitSource, carmichael_harness
 from .protocol import run_batch
-from .reports import emit_report
 
 EXIT_OK = 0
 EXIT_ANALYSIS = 1

@@ -7,8 +7,7 @@ bits the output is exactly unbiased.
 
 from __future__ import annotations
 
-from .bits import BitStream
-from .protocol import RawStream
+from .bits import BitStream, RawStream
 
 
 def to_bits(stream: RawStream) -> BitStream:

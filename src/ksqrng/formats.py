@@ -1,12 +1,15 @@
-"""Bit-exact file formats for symbol traces and packed bit streams.
+"""Bit-exact file formats for symbol traces, packed bit streams and reports.
 
 Trace file:   magic "KSQTRACE" | version byte 0x01 | u64-LE trial count |
               one byte per trial (0x00 zero, 0x01 one, 0x02 discard)
 Bit file:     magic "KSQBITS1" | u64-LE bit count | packed bits,
               least-significant-bit first within each byte, zero padding in
               the final byte
+Report file:  UTF-8 text, one ``key = value`` line per entry in insertion
+              order, ``true``/``false`` booleans, shortest round-trip floats
 
-Writes are atomic (write to a temporary file, then rename).
+Writes are atomic (write to a temporary file, then rename); reads raise a
+:class:`FormatError` subclass for any malformed file.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import struct
 
 import numpy as np
 
-from .bits import BitStream
+from .bits import BitStream, RawStream
 from .errors import (
     BadMagicError,
     BadSymbolError,
@@ -25,8 +28,8 @@ from .errors import (
     FormatError,
     NonzeroPaddingError,
     TruncatedFileError,
+    ValidationError,
 )
-from .protocol import RawStream
 
 TRACE_MAGIC = b"KSQTRACE"
 TRACE_VERSION = 1
@@ -50,6 +53,26 @@ def atomic_write(path, data: bytes) -> None:
         raise
 
 
+def _read_file(path, magic: bytes, header: int, kind: str) -> bytes:
+    """The bytes of the file at ``path``, checked to hold at least its
+    ``header``-byte header and to start with ``magic``."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if len(data) < header:
+        raise TruncatedFileError(f"{kind} file shorter than its {header}-byte header: {len(data)} bytes")
+    if data[:8] != magic:
+        raise BadMagicError(f"expected magic {magic!r}, found {data[:8]!r}")
+    return data
+
+
+def _check_body(size: int, expected: int, kind: str, unit: str) -> None:
+    """Raise unless a body of ``size`` units holds the ``expected`` count."""
+    if size < expected:
+        raise TruncatedFileError(f"{kind} body truncated: expected {expected} {unit}, got {size}")
+    if size > expected:
+        raise FormatError(f"{kind} body has trailing data: expected {expected} {unit}, got {size}")
+
+
 def pack_bits(stream: BitStream) -> bytes:
     """Pack bits LSB-first into ceil(n/8) bytes, zero padding at the end."""
     return np.packbits(stream.bits, bitorder="little").tobytes()
@@ -60,15 +83,7 @@ def unpack_bits(body: bytes, n_bits: int) -> BitStream:
     length and that all padding bits are zero."""
     if n_bits < 0:
         raise FormatError("negative bit count")
-    expected = (n_bits + 7) // 8
-    if len(body) < expected:
-        raise TruncatedFileError(
-            f"bit body truncated: expected {expected} bytes for {n_bits} bits, got {len(body)}"
-        )
-    if len(body) > expected:
-        raise FormatError(
-            f"bit body has trailing data: expected {expected} bytes, got {len(body)}"
-        )
+    _check_body(len(body), (n_bits + 7) // 8, "bit", f"bytes for {n_bits} bits")
     unpacked = np.unpackbits(np.frombuffer(body, dtype=np.uint8), bitorder="little")
     if np.any(unpacked[n_bits:]):
         raise NonzeroPaddingError("padding bits in the final byte are not zero")
@@ -81,12 +96,7 @@ def write_bits(stream: BitStream, path) -> None:
 
 
 def read_bits(path) -> BitStream:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < 16:
-        raise TruncatedFileError(f"bit file shorter than its 16-byte header: {len(data)} bytes")
-    if data[:8] != BITS_MAGIC:
-        raise BadMagicError(f"expected magic {BITS_MAGIC!r}, found {data[:8]!r}")
+    data = _read_file(path, BITS_MAGIC, 16, "bit")
     (n_bits,) = struct.unpack("<Q", data[8:16])
     return unpack_bits(data[16:], n_bits)
 
@@ -97,29 +107,37 @@ def write_trace(stream: RawStream, path) -> None:
 
 
 def read_trace(path) -> RawStream:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < 17:
-        raise TruncatedFileError(f"trace file shorter than its 17-byte header: {len(data)} bytes")
-    if data[:8] != TRACE_MAGIC:
-        raise BadMagicError(f"expected magic {TRACE_MAGIC!r}, found {data[:8]!r}")
+    data = _read_file(path, TRACE_MAGIC, 17, "trace")
     version = data[8]
     if version != TRACE_VERSION:
         raise BadVersionError(f"unsupported trace version {version}, expected {TRACE_VERSION}")
     (count,) = struct.unpack("<Q", data[9:17])
     body = np.frombuffer(data, dtype=np.uint8, offset=17)
-    if body.size < count:
-        raise TruncatedFileError(
-            f"trace body truncated: expected {count} symbols, got {body.size}"
-        )
-    if body.size > count:
-        raise FormatError(
-            f"trace body has trailing data: expected {count} symbols, got {body.size}"
-        )
-    if body.size and body.max() > 2:
+    _check_body(body.size, count, "trace", "symbols")
+    try:
+        return RawStream(body)  # the one range check on the good path
+    except ValidationError:
         offset = int(np.argmax(body > 2))
         raise BadSymbolError(
-            f"undefined symbol byte 0x{body[offset]:02x} at body offset {offset}"
-            f" (file offset {17 + offset})"
-        )
-    return RawStream(body)
+            f"undefined symbol byte 0x{body[offset]:02x} at body offset {offset} (file offset {17 + offset})"
+        ) from None
+
+
+def format_value(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)  # a float's str is its shortest round-trip repr
+
+
+def render_report(entries) -> str:
+    return "".join(f"{key} = {format_value(value)}\n" for key, value in entries)
+
+
+def emit_report(entries, path=None) -> None:
+    """Render a report; write it atomically when a path is given, otherwise
+    print it to stdout."""
+    text = render_report(entries)
+    if path is None:
+        print(text, end="")
+    else:
+        atomic_write(path, text.encode("utf-8"))

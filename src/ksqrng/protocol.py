@@ -49,7 +49,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .bits import small_uints
+from .bits import RawStream, outcome_frequencies
 from .errors import ValidationError
 from .qutrit import QutritState, apply_unitary, born_probabilities, measurement_unitary, rotation
 from .readout import (
@@ -104,9 +104,19 @@ class TrialRecord:
     symbol: Symbol
 
 
-def _check_seed(seed: int) -> None:
+def _integer(value, name: str) -> int:
+    """``value`` as a Python int; a float or other non-integer raises."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _check_seed(seed: int) -> int:
+    seed = _integer(seed, "seed")
     if not 0 <= seed < 2**64:
         raise ValidationError("seed must fit in 64 bits")
+    return seed
 
 
 @dataclass(frozen=True)
@@ -117,52 +127,11 @@ class ProtocolConfig:
     ideal: bool = False
 
     def __post_init__(self):
+        # kept as Python ints: Philox.advance overflows on numpy integers
+        object.__setattr__(self, "n_trials", _integer(self.n_trials, "n_trials"))
         if self.n_trials < 1:
             raise ValidationError(f"n_trials must be >= 1, got {self.n_trials}")
-        _check_seed(self.seed)
-
-
-class RawStream:
-    """Ordered ternary symbol trace with its tallies."""
-
-    __slots__ = ("symbols", "n0", "n1", "n_discard")
-
-    def __init__(self, symbols):
-        arr = self.symbols = small_uints(symbols, 2, "symbol trace")
-        self.n1 = int(np.count_nonzero(arr == 1))
-        self.n_discard = int(np.count_nonzero(arr == 2))
-        self.n0 = arr.size - self.n1 - self.n_discard
-
-    def __len__(self):
-        return self.symbols.size
-
-    def __eq__(self, other):
-        return isinstance(other, RawStream) and np.array_equal(self.symbols, other.symbols)
-
-    def __repr__(self):
-        return f"RawStream(n={len(self)}, n0={self.n0}, n1={self.n1}, n_discard={self.n_discard})"
-
-
-def outcome_frequencies(n0: int, n1: int, n_discard: int) -> dict[str, float]:
-    """p0 and p1 conditioned on the binary (non-discard) outcomes, so they sum
-    to 1, p_discard over all trials, and their binomial standard errors
-    (NaN where a denominator is zero)."""
-    nb = n0 + n1
-    n = nb + n_discard
-    nan = float("nan")
-    p0 = n0 / nb if nb else nan
-    p1 = n1 / nb if nb else nan
-    se_binary = math.sqrt(p0 * p1 / nb) if nb else nan
-    pd = n_discard / n if n else nan
-    se_discard = math.sqrt(pd * (1.0 - pd) / n) if n else nan
-    return dict(
-        p0=p0,
-        p1=p1,
-        p_discard=pd,
-        p0_stderr=se_binary,
-        p1_stderr=se_binary,
-        p_discard_stderr=se_discard,
-    )
+        object.__setattr__(self, "seed", _check_seed(self.seed))
 
 
 @dataclass(frozen=True)
@@ -199,7 +168,8 @@ class TrialRandom:
     """
 
     def __init__(self, seed: int, trial_index: int):
-        _check_seed(seed)
+        seed = _check_seed(seed)
+        trial_index = _integer(trial_index, "trial_index")
         if trial_index < 0:
             raise ValidationError("trial_index must be nonnegative")
         bg = np.random.Philox(key=seed)
@@ -208,10 +178,7 @@ class TrialRandom:
         self._remaining = WORDS_PER_TRIAL
 
     def random(self, size=None):
-        try:
-            n = 1 if size is None else operator.index(size)
-        except TypeError:
-            raise ValidationError(f"size must be an integer, got {size!r}") from None
+        n = 1 if size is None else _integer(size, "size")
         if not 0 <= n <= self._remaining:  # checked before the budget moves
             raise ValidationError(f"size {n} lies outside [0, {self._remaining}], the trial's unread word budget")
         self._remaining -= n

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ksqrng.bits import RawStream
 from ksqrng.certify import (
     BOUND_HI,
     BOUND_LO,
@@ -14,7 +15,6 @@ from ksqrng.certify import (
     estimate_overlaps,
 )
 from ksqrng.errors import ValidationError
-from ksqrng.protocol import RawStream
 
 
 def stream_with_counts(n0, n1, nd):
@@ -45,6 +45,7 @@ class TestOverlaps:
 
     def test_degenerate(self):
         assert estimate_overlaps(1.0, 0.0) == (1.0, 0.0)
+        assert estimate_overlaps(0.0, 1.0) == (0.0, 1.0)
 
     def test_range_check(self):
         with pytest.raises(ValidationError):
@@ -85,6 +86,7 @@ class TestCertifiedFractions:
 
     def test_raw_deterministic_limit(self):
         assert certified_fraction_raw(1.0, 0.0) == 0.0
+        assert certified_fraction_raw(1.0 + 1e-12, 0.0) == 0.0  # at the rounding allowance
 
     def test_raw_swap_invariance(self):
         for p0 in np.linspace(0.0, 1.0, 101):

@@ -9,8 +9,7 @@ import pytest
 from ksqrng import cli
 from ksqrng.cli import run_cli
 from ksqrng.formats import read_bits, read_trace, write_bits, write_trace
-from ksqrng.bits import BitStream, random_bits
-from ksqrng.protocol import RawStream
+from ksqrng.bits import BitStream, RawStream, random_bits
 
 
 def parse_report(path):

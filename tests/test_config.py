@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
-from ksqrng.config import parse_config
+from ksqrng.config import _PARSERS, parse_config
 from ksqrng.errors import ConfigError
 from ksqrng.protocol import ProtocolConfig
 from ksqrng.readout import IQPoint, NoiseParams
@@ -83,3 +85,42 @@ class TestParseConfig:
         for text, message in cases:
             with pytest.raises(ConfigError, match=message):
                 parse_config(text)
+
+
+def config_or_config_error(text):
+    """``parse_config(text)`` returns a ProtocolConfig or raises ConfigError."""
+    try:
+        assert isinstance(parse_config(text), ProtocolConfig)
+    except ConfigError:
+        pass
+
+
+numbers = hst.one_of(
+    hst.integers().map(str),
+    hst.integers(-5, 2**64 + 5).map(str),
+    hst.floats().map(repr),
+    hst.floats(0.0, 1.0).map(repr),
+)
+values = hst.one_of(
+    numbers,
+    hst.tuples(numbers, numbers).map(", ".join),
+    hst.sampled_from(["true", "false", "", "1,2,3", "0x10", "1_000"]),
+    hst.text(max_size=12).filter(lambda v: "\n" not in v and "\r" not in v),
+)
+
+
+class TestFuzz:
+    @given(hst.text(max_size=120))
+    @settings(max_examples=100, deadline=None)
+    def test_arbitrary_text(self, text):
+        config_or_config_error(text)
+
+    @given(
+        trials=numbers,
+        seed=numbers,
+        extra=hst.dictionaries(hst.sampled_from(sorted(set(_PARSERS) - {"trials", "seed"})), values, max_size=6),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_known_keys_with_any_values(self, trials, seed, extra):
+        lines = [f"trials = {trials}", f"seed = {seed}"] + [f"{k} = {v}" for k, v in extra.items()]
+        config_or_config_error("\n".join(lines))

@@ -2,9 +2,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from ksqrng.bits import BitStream
+from ksqrng.bits import BitStream, RawStream
 from ksqrng.extract import expected_yield, to_bits, von_neumann_extract
-from ksqrng.protocol import RawStream
 
 bit_lists = hst.lists(hst.integers(min_value=0, max_value=1), max_size=400)
 

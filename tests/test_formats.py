@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from ksqrng.bits import BitStream, random_bits
+from ksqrng.bits import BitStream, RawStream, random_bits
 from ksqrng.errors import (
     BadMagicError,
     BadSymbolError,
@@ -20,6 +20,7 @@ from ksqrng.errors import (
 from ksqrng.formats import (
     BITS_MAGIC,
     TRACE_MAGIC,
+    emit_report,
     pack_bits,
     read_bits,
     read_trace,
@@ -27,8 +28,6 @@ from ksqrng.formats import (
     write_bits,
     write_trace,
 )
-from ksqrng.protocol import RawStream
-from ksqrng.reports import emit_report
 
 
 class TestPackBits:
@@ -73,6 +72,7 @@ class TestBitFile:
         path = tmp_path / "empty.bits"
         write_bits(BitStream([]), path)
         assert len(read_bits(path)) == 0
+        assert random_bits(5, 0) == BitStream([])
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.bits"
@@ -136,10 +136,13 @@ class TestTraceFile:
             read_trace(path)
 
     def test_undefined_symbol_byte_reports_offset(self, tmp_path):
+        # the first byte above 2: after a discard byte, and at body offset 0
         path = tmp_path / "sym.trace"
-        path.write_bytes(TRACE_MAGIC + bytes([1]) + struct.pack("<Q", 3) + bytes([0, 3, 1]))
-        with pytest.raises(BadSymbolError, match="0x03.*offset 1"):
-            read_trace(path)
+        for body, offset in (([0, 3, 1], 1), ([2, 0, 255], 2), ([7, 2, 1], 0)):
+            path.write_bytes(TRACE_MAGIC + bytes([1]) + struct.pack("<Q", 3) + bytes(body))
+            match = rf"0x{body[offset]:02x} at body offset {offset} \(file offset {17 + offset}\)"
+            with pytest.raises(BadSymbolError, match=match):
+                read_trace(path)
 
     def test_truncated_body(self, tmp_path):
         path = tmp_path / "trunc.trace"
@@ -165,6 +168,43 @@ class TestTraceFile:
         path.write_bytes(TRACE_MAGIC + bytes([1]) + struct.pack("<Q", 1) + bytes([0, 0]))
         with pytest.raises(FormatError, match="trailing"):
             read_trace(path)
+
+
+def read_or_format_error(reader, path, data):
+    """``reader`` on a file holding ``data`` returns, or raises a FormatError subclass."""
+    path.write_bytes(data)
+    try:
+        reader(path)
+    except FormatError:
+        pass
+
+
+counts = hst.one_of(hst.integers(0, 64), hst.integers(0, 2**64 - 1))
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input"
+
+
+class TestFuzz:
+    @pytest.mark.parametrize("reader", [read_trace, read_bits], ids=["trace", "bits"])
+    @given(data=hst.binary(max_size=64))
+    @settings(max_examples=100, deadline=None)
+    def test_arbitrary_bytes(self, fuzz_file, reader, data):
+        read_or_format_error(reader, fuzz_file, data)
+
+    @given(version=hst.sampled_from([1, 0, 2, 255]), count=counts, body=hst.binary(max_size=64))
+    @settings(max_examples=100, deadline=None)
+    def test_trace_header_with_any_count_and_body(self, fuzz_file, version, count, body):
+        data = TRACE_MAGIC + bytes([version]) + struct.pack("<Q", count) + body
+        read_or_format_error(read_trace, fuzz_file, data)
+
+    @given(count=counts, body=hst.binary(max_size=64))
+    @settings(max_examples=100, deadline=None)
+    def test_bits_header_with_any_count_and_body(self, fuzz_file, count, body):
+        data = BITS_MAGIC + struct.pack("<Q", count) + body
+        read_or_format_error(read_bits, fuzz_file, data)
 
 
 class TestAtomicWrite:

@@ -8,11 +8,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
 from ksqrng import protocol
-from ksqrng.bits import BitStream
+from ksqrng.bits import BitStream, RawStream
 from ksqrng.errors import ValidationError
 from ksqrng.protocol import (
     ProtocolConfig,
-    RawStream,
     Symbol,
     TrialRandom,
     encode_symbol,
@@ -104,6 +103,29 @@ class TestConfig:
         with pytest.raises(ValidationError):
             ProtocolConfig(n_trials=1, seed=2**64)
         ProtocolConfig(n_trials=1, seed=2**64 - 1)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: ProtocolConfig(n_trials=4096, seed=1.5),
+            lambda: ProtocolConfig(n_trials=4096, seed=1.9),
+            lambda: ProtocolConfig(n_trials=2.5, seed=1),
+            lambda: TrialRandom(1.5, 0),
+            lambda: TrialRandom(1, 2.5),
+            lambda: TrialRandom(np.float64(1.0), 0),
+        ],
+        ids=["seed-1.5", "seed-1.9", "trials-2.5", "trial-seed-1.5", "trial-index-2.5", "trial-seed-float64"],
+    )
+    def test_rejects_non_integer_seed_and_counts(self, make):
+        # rejected before any draw: a float seed must not alias the integer
+        # below it, nor a float count reach numpy as a TypeError
+        with pytest.raises(ValidationError, match="must be an integer"):
+            make()
+
+    def test_accepts_numpy_integers(self):
+        config = ProtocolConfig(n_trials=np.int64(64), seed=np.uint64(5))
+        assert run_batch(config)[0] == run_batch(ProtocolConfig(n_trials=64, seed=5))[0]
+        assert np.array_equal(TrialRandom(np.int64(5), np.int64(3)).random(8), TrialRandom(5, 3).random(8))
 
 
 class TestTrialRandom:

@@ -57,6 +57,7 @@ class TestNoiseParams:
             {"iq_sigma": 0.0},
             {"iq_sigma": -1.0},
             {"gate_amp_error": -0.1},
+            {"p_thermal_1": 0.75, "p_thermal_2": 0.25},  # no ground start left
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -154,6 +155,42 @@ class TestApplyRelaxation:
         levels = rng.integers(0, 3, 10_000).astype(np.uint8)
         out = apply_relaxation(levels, *rng.random((2, levels.size)), DEFAULTS)
         assert np.all(out <= levels)
+
+
+class TestTies:
+    """Each step at u == p: the comparisons are strict, u < p, because the
+    kernel's word thresholds in ``protocol`` assume exactly that."""
+
+    # dyadic probabilities, so every sum below is exact
+    NOISE = NoiseParams(p_thermal_1=0.25, p_thermal_2=0.125, p_decay_10=0.25, p_decay_21=0.5)
+
+    def test_thermal_init(self):
+        u = np.array([np.nextafter(0.25, 0.0), 0.25, np.nextafter(0.375, 0.0), 0.375])
+        assert thermal_init(u, self.NOISE).tolist() == [1, 2, 2, 0]
+        assert [int(thermal_init(x, self.NOISE)) for x in u] == [1, 2, 2, 0]
+
+    def test_sample_level(self):
+        u = np.array([np.nextafter(0.25, 0.0), 0.25, np.nextafter(0.75, 0.0), 0.75])
+        assert sample_level(np.array([0.25, 0.5, 0.25]), u).tolist() == [0, 1, 1, 2]
+
+    def test_apply_relaxation(self):
+        below = np.nextafter(0.25, 0.0)
+        cases = [  # (level, u_a, u_b) -> relaxed level
+            ((1, below, 0.9), 0),
+            ((1, 0.25, 0.9), 1),  # u_a == p_decay_10
+            ((2, np.nextafter(0.5, 0.0), 0.9), 1),
+            ((2, 0.5, 0.0), 2),  # u_a == p_decay_21
+            ((2, 0.3, below), 0),
+            ((2, 0.3, 0.25), 1),  # u_b == p_decay_10
+        ]
+        level, u_a, u_b = (np.array(col) for col in zip(*(args for args, _ in cases)))
+        assert apply_relaxation(level.astype(np.uint8), u_a, u_b, self.NOISE).tolist() == [out for _, out in cases]
+
+    def test_sample_level_tolerance_edge(self):
+        # an entry of exactly -1e-9 is inside the tolerance, one step below is not
+        assert sample_level(np.array([0.5 + 1e-9, -1e-9, 0.5]), 0.25) == 0
+        with pytest.raises(ValidationError):
+            sample_level(np.array([0.5 + 1e-9, np.nextafter(-1e-9, -1.0), 0.5]), 0.25)
 
 
 class TestSynthIQ:
