@@ -1,13 +1,30 @@
 """Symbol and bit streams: the ternary outcome trace with its frequencies,
-binary bit sequences and the simulated unbiased bit source."""
+binary bit sequences and the simulated unbiased bit source, with the seed
+and integer checks every seeded entry point shares."""
 
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
 from .errors import ValidationError
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as a Python int; a float or other non-integer raises."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _check_seed(seed: int) -> int:
+    seed = _integer(seed, "seed")
+    if not 0 <= seed < 2**64:
+        raise ValidationError("seed must fit in 64 bits")
+    return seed
 
 
 def small_uints(values, top: int, what: str) -> np.ndarray:
@@ -85,6 +102,8 @@ class BitStream:
 
 def random_bits(seed: int, n_bits: int) -> BitStream:
     """Seeded unbiased bit source (counter-based generator, byte expanded)."""
+    seed = _check_seed(seed)
+    n_bits = _integer(n_bits, "n_bits")
     if n_bits < 0:
         raise ValidationError("n_bits must be nonnegative")
     gen = np.random.Generator(np.random.Philox(key=seed))

@@ -41,11 +41,6 @@ class CertificationReport:
     certified_fraction_final: float
 
 
-def certification_bounds() -> tuple[float, float]:
-    """The closed overlap window [sqrt(5/14), 3/sqrt(14)]."""
-    return BOUND_LO, BOUND_HI
-
-
 def estimate_overlaps(p0: float, p1: float) -> tuple[float, float]:
     """Overlap estimates (sqrt(p0), sqrt(p1)) from outcome frequencies."""
     if not (0.0 <= p0 <= 1.0 and 0.0 <= p1 <= 1.0):

@@ -5,10 +5,18 @@ are ignored. Unknown and duplicate keys are rejected. ``trials`` and
 ``seed`` are required; everything else has defaults. ``bucket_size``,
 ``ss_limit`` and ``ss_witnesses`` are range-checked but not read: ``stats
 --bucket`` and ``consume-ss --limit/--witnesses`` set those values.
+
+Numbers are ASCII. An integer is an optional ``-`` and one or more digits
+``0-9``. A number, and each coordinate of an ``iq_center_*`` pair, is an
+optional ``-``, one or more digits, an optional fraction (``.`` and one or
+more digits) and an optional exponent (``e`` or ``E``, an optional ``+`` or
+``-``, one or more digits): ``5``, ``-0.25``, ``1e-6``. A leading ``+``,
+``_`` separators, digits of other scripts, ``inf`` and ``nan`` are rejected.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import fields
 
 from .errors import ConfigError, ValidationError
@@ -24,27 +32,30 @@ def _parse_bool(key: str, raw: str) -> bool:
     raise ConfigError(f"{key} must be 'true' or 'false', got {raw!r}")
 
 
+_INT = re.compile(r"-?[0-9]+")
+_FLOAT = re.compile(r"-?[0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)?")
+
+
 def _parse_int(key: str, raw: str) -> int:
-    try:
-        return int(raw, 10)
-    except ValueError:
-        raise ConfigError(f"{key} must be an integer, got {raw!r}") from None
+    if not _INT.fullmatch(raw):
+        raise ConfigError(f"{key} must be an integer, got {raw!r}")
+    return int(raw)
 
 
 def _parse_float(key: str, raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"{key} must be a number, got {raw!r}") from None
+    if not _FLOAT.fullmatch(raw):
+        raise ConfigError(f"{key} must be a number, got {raw!r}")
+    return float(raw)
 
 
 def _parse_center(key: str, raw: str) -> IQPoint:
     parts = [p.strip() for p in raw.split(",")]
     if len(parts) != 2:
         raise ConfigError(f"{key} must be 'i,q', got {raw!r}")
+    i, q = (_parse_float(key, part) for part in parts)
     try:
-        return IQPoint(float(parts[0]), float(parts[1]))
-    except (ValueError, ValidationError) as exc:
+        return IQPoint(i, q)
+    except ValidationError as exc:
         raise ConfigError(f"{key}: {exc}") from None
 
 
@@ -84,11 +95,7 @@ def parse_config(text: str) -> ProtocolConfig:
             raise ConfigError(f"missing required configuration key {required!r}")
 
     noise_kwargs = {k: values[k] for k in _NOISE_KEYS if k in values}
-    centers = [values.get(k) for k in _CENTER_KEYS]
-    if any(c is not None for c in centers):
-        noise_kwargs["iq_centers"] = tuple(
-            c if c is not None else d for c, d in zip(centers, _DEFAULT_NOISE.iq_centers)
-        )
+    noise_kwargs["iq_centers"] = tuple(values.get(k, d) for k, d in zip(_CENTER_KEYS, _DEFAULT_NOISE.iq_centers))
     try:
         config = ProtocolConfig(
             n_trials=values["trials"],

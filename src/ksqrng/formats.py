@@ -123,20 +123,15 @@ def read_trace(path) -> RawStream:
         ) from None
 
 
-def format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)  # a float's str is its shortest round-trip repr
-
-
-def render_report(entries) -> str:
-    return "".join(f"{key} = {format_value(value)}\n" for key, value in entries)
-
-
 def emit_report(entries, path=None) -> None:
     """Render a report; write it atomically when a path is given, otherwise
     print it to stdout."""
-    text = render_report(entries)
+    lines = []
+    for key, value in entries:
+        if isinstance(value, bool):
+            value = "true" if value else "false"
+        lines.append(f"{key} = {value}\n")  # a float's str is its shortest round-trip repr
+    text = "".join(lines)
     if path is None:
         print(text, end="")
     else:

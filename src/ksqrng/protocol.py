@@ -42,14 +42,12 @@ accepted noise model takes this one path.
 from __future__ import annotations
 
 import math
-import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from enum import IntEnum
 
 import numpy as np
 
-from .bits import RawStream, outcome_frequencies
+from .bits import RawStream, _check_seed, _integer, outcome_frequencies
 from .errors import ValidationError
 from .qutrit import QutritState, apply_unitary, born_probabilities, measurement_unitary, rotation
 from .readout import (
@@ -84,39 +82,16 @@ _COMPUTATIONAL_BASIS = (
 )
 
 
-class Symbol(IntEnum):
-    ZERO = 0
-    ONE = 1
-    DISCARD = 2
-
-
-def encode_symbol(level) -> Symbol:
-    """Fixed outcome encoding: level 0 -> "0", level 1 -> "1", level 2 is
-    the Sx = 0 trace and is discarded."""
-    return Symbol(int(level))
-
-
 @dataclass(frozen=True)
 class TrialRecord:
     true_level: ReadoutLevel
     classified_level: ReadoutLevel
     iq: IQPoint | None
-    symbol: Symbol
 
-
-def _integer(value, name: str) -> int:
-    """``value`` as a Python int; a float or other non-integer raises."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
-
-
-def _check_seed(seed: int) -> int:
-    seed = _integer(seed, "seed")
-    if not 0 <= seed < 2**64:
-        raise ValidationError("seed must fit in 64 bits")
-    return seed
+    @property
+    def symbol(self) -> int:
+        """The trace byte of this trial: its classified level."""
+        return int(self.classified_level)
 
 
 @dataclass(frozen=True)
@@ -198,7 +173,6 @@ def run_trial(config: ProtocolConfig, rng) -> TrialRecord:
             true_level=level,
             classified_level=level,
             iq=None,
-            symbol=encode_symbol(level),
         )
 
     noise = config.noise
@@ -215,7 +189,6 @@ def run_trial(config: ProtocolConfig, rng) -> TrialRecord:
         true_level=ReadoutLevel(int(relaxed)),
         classified_level=classified,
         iq=IQPoint(float(i), float(q)),
-        symbol=encode_symbol(classified),
     )
 
 
@@ -347,6 +320,7 @@ def run_batch(config: ProtocolConfig, workers: int = 1) -> tuple[RawStream, Batc
     consumes exactly two counter blocks, so consecutive draws continue at
     the next trial. Word thresholds are computed once per call.
     """
+    workers = _integer(workers, "workers")
     if workers < 1:
         raise ValidationError("workers must be >= 1")
     n = config.n_trials

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ksqrng.bits import BitStream, random_bits
-from ksqrng.certify import certification_bounds, certified_fraction_final
+from ksqrng.certify import BOUND_HI, BOUND_LO, certified_fraction_final
 from ksqrng.cli import run_cli
 from ksqrng.errors import (
     BadMagicError,
@@ -97,7 +97,7 @@ def test_criterion_2_noise_calibration(noisy_run):
 
 
 def test_criterion_3_certification_numbers():
-    lo, hi = certification_bounds()
+    lo, hi = BOUND_LO, BOUND_HI
     sqrt_p0, sqrt_p1 = math.sqrt(0.536), math.sqrt(0.464)
     final = certified_fraction_final(0.95)
     ok = (

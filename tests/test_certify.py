@@ -8,7 +8,6 @@ from ksqrng.certify import (
     BOUND_HI,
     BOUND_LO,
     build_report,
-    certification_bounds,
     certified_fraction_final,
     certified_fraction_raw,
     check_certified,
@@ -23,7 +22,7 @@ def stream_with_counts(n0, n1, nd):
 
 class TestBounds:
     def test_values(self):
-        lo, hi = certification_bounds()
+        lo, hi = BOUND_LO, BOUND_HI
         assert abs(lo - 0.597614) < 1e-6
         assert abs(hi - 0.801784) < 1e-6
         assert lo < hi

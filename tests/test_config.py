@@ -74,6 +74,29 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="key = value"):
             parse_config("trials 5\n")
 
+    def test_number_forms(self):
+        cfg = parse_config("trials = 007\nseed = -0\ngate_amp_error = 5E-3\niq_center_0 = 1.5e+0, -0.25\n")
+        assert (cfg.n_trials, cfg.seed, cfg.noise.gate_amp_error) == (7, 0, 0.005)
+        assert cfg.noise.iq_centers[0] == IQPoint(1.5, -0.25)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("trials = 1_000", "trials must be an integer"),
+            ("trials = +12", "trials must be an integer"),
+            ("seed = \u0663", "seed must be an integer"),  # an Arabic-Indic 3
+            ("p_decay_10 = 0_0.5", "p_decay_10 must be a number"),
+            ("p_decay_10 = \u0660.5", "p_decay_10 must be a number"),  # an Arabic-Indic 0
+            ("iq_center_0 = 1_0, 0", "iq_center_0 must be a number"),
+        ],
+        ids=["int-underscore", "int-plus", "int-arabic-indic", "float-underscore", "float-arabic-indic", "center-underscore"],
+    )
+    def test_numbers_are_ascii_decimal_literals(self, line, message):
+        key = line.split()[0]
+        text = "".join(f"{k} = 7\n" for k in ("trials", "seed") if k != key) + line + "\n"
+        with pytest.raises(ConfigError, match=message):
+            parse_config(text)
+
     def test_range_validation(self):
         cases = [
             ("trials = 0\nseed = 1\n", "n_trials must be >= 1"),

@@ -8,20 +8,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
 from ksqrng import protocol
-from ksqrng.bits import BitStream, RawStream
+from ksqrng.bits import BitStream, RawStream, random_bits
 from ksqrng.errors import ValidationError
 from ksqrng.protocol import (
     ProtocolConfig,
-    Symbol,
     TrialRandom,
-    encode_symbol,
     run_batch,
     run_trial,
 )
 from ksqrng.qutrit import QutritState, born_probabilities, measurement_unitary, sx_eigenbasis
 from ksqrng.readout import (
     NoiseParams,
-    ReadoutLevel,
     _radius,
     _sample_levels,
     apply_relaxation,
@@ -31,13 +28,6 @@ from ksqrng.readout import (
     synth_iq,
     thermal_init,
 )
-
-
-class TestEncodeSymbol:
-    def test_fixed_map(self):
-        assert encode_symbol(ReadoutLevel.L0) is Symbol.ZERO
-        assert encode_symbol(ReadoutLevel.L1) is Symbol.ONE
-        assert encode_symbol(ReadoutLevel.L2) is Symbol.DISCARD
 
 
 class TestRawStream:
@@ -103,6 +93,11 @@ class TestConfig:
         with pytest.raises(ValidationError):
             ProtocolConfig(n_trials=1, seed=2**64)
         ProtocolConfig(n_trials=1, seed=2**64 - 1)
+        with pytest.raises(ValidationError, match="seed must fit in 64 bits"):
+            random_bits(2**64, 16)
+        with pytest.raises(ValidationError, match="seed must fit in 64 bits"):
+            random_bits(-1, 16)
+        random_bits(2**64 - 1, 16)
 
     @pytest.mark.parametrize(
         "make",
@@ -113,8 +108,25 @@ class TestConfig:
             lambda: TrialRandom(1.5, 0),
             lambda: TrialRandom(1, 2.5),
             lambda: TrialRandom(np.float64(1.0), 0),
+            lambda: random_bits(1.5, 64),
+            lambda: random_bits(1.9, 64),
+            lambda: random_bits(1, 2.5),
+            lambda: run_batch(ProtocolConfig(n_trials=1 << 16, seed=1), workers=1.5),
+            lambda: run_batch(ProtocolConfig(n_trials=1 << 16, seed=1), workers=np.float64(2.0)),
         ],
-        ids=["seed-1.5", "seed-1.9", "trials-2.5", "trial-seed-1.5", "trial-index-2.5", "trial-seed-float64"],
+        ids=[
+            "seed-1.5",
+            "seed-1.9",
+            "trials-2.5",
+            "trial-seed-1.5",
+            "trial-index-2.5",
+            "trial-seed-float64",
+            "bits-seed-1.5",
+            "bits-seed-1.9",
+            "bits-count-2.5",
+            "workers-1.5",
+            "workers-float64",
+        ],
     )
     def test_rejects_non_integer_seed_and_counts(self, make):
         # rejected before any draw: a float seed must not alias the integer
@@ -124,7 +136,8 @@ class TestConfig:
 
     def test_accepts_numpy_integers(self):
         config = ProtocolConfig(n_trials=np.int64(64), seed=np.uint64(5))
-        assert run_batch(config)[0] == run_batch(ProtocolConfig(n_trials=64, seed=5))[0]
+        assert run_batch(config, workers=np.int64(2))[0] == run_batch(ProtocolConfig(n_trials=64, seed=5))[0]
+        assert random_bits(np.uint64(5), np.int64(64)) == random_bits(5, 64)
         assert np.array_equal(TrialRandom(np.int64(5), np.int64(3)).random(8), TrialRandom(5, 3).random(8))
 
 
@@ -255,16 +268,23 @@ class TestIdealMode:
         rec = run_trial(ProtocolConfig(n_trials=1, seed=3, ideal=True), TrialRandom(3, 0))
         assert rec.iq is None
         assert rec.classified_level == rec.true_level
-        assert rec.symbol == encode_symbol(rec.classified_level)
+        assert rec.symbol == rec.classified_level and type(rec.symbol) is int
 
 
 class TestNoisyMode:
     def test_run_trial_symbol_consistency(self):
-        cfg = ProtocolConfig(n_trials=1, seed=5)
-        for i in range(200):
-            rec = run_trial(cfg, TrialRandom(5, i))
-            assert rec.symbol == encode_symbol(rec.classified_level)
-            assert rec.iq is not None
+        # the symbol is the trace byte: 0 zero, 1 one, 2 discard. Level 2,
+        # the Sx = 0 outcome, is the discard symbol; a trial that starts in
+        # level 2 projects to it half the time.
+        for noise in (NoiseParams(), NoiseParams(p_thermal_1=0.0, p_thermal_2=0.99, p_decay_21=0.0)):
+            cfg = ProtocolConfig(n_trials=1, seed=5, noise=noise)
+            seen = set()
+            for i in range(200):
+                rec = run_trial(cfg, TrialRandom(5, i))
+                assert rec.symbol == rec.classified_level and type(rec.symbol) is int
+                assert rec.iq is not None
+                seen.add(rec.symbol)
+            assert seen == {0, 1, 2}
 
     def test_bias_direction(self):
         # relaxation converts ones to zeros, so p0 > p1 at defaults

@@ -8,6 +8,7 @@ from scipy.special import gammaincc
 from ksqrng.bits import BitStream, random_bits
 from ksqrng.errors import ValidationError
 from ksqrng.stats import (
+    ALPHA,
     approximate_entropy,
     block_frequency,
     bucket_frequency,
@@ -33,6 +34,7 @@ class TestEntropy:
     def test_minimum_length(self):
         with pytest.raises(ValidationError):
             entropy_per_byte(BitStream([0] * 7))
+        assert entropy_per_byte(BitStream([1, 0, 1, 1, 0, 0, 1, 0])) == 0.0  # one byte
 
     def test_byte_permutation_invariance(self):
         bits = random_bits(5, 8 * 1000)
@@ -51,6 +53,11 @@ class TestMonobit:
         result = monobit(BitStream([1, 0, 1, 1, 0, 1, 0, 1, 0, 1]))
         assert result.p_value == pytest.approx(0.527089, abs=1e-5)
 
+    def test_single_bit(self):
+        result = monobit(BitStream([1]))
+        assert result.applicable
+        assert result.p_value == pytest.approx(math.erfc(1 / math.sqrt(2.0)), abs=1e-15)
+
     def test_constant_stream_fails_hard(self):
         result = monobit(BitStream([0] * 100))
         assert result.p_value < 1e-20
@@ -66,6 +73,16 @@ class TestBlockFrequency:
         assert result.p_value == pytest.approx(float(gammaincc(1.5, 0.5)), abs=1e-12)
         assert result.p_value == pytest.approx(0.801252, abs=1e-5)
 
+    def test_smallest_blocks(self):
+        # one-bit blocks: every block is 0 or 1 away from 1/2 by 1/2, so chi2 = n
+        result = block_frequency(BitStream([0, 1, 1, 0, 1]), block_size=1)
+        assert result.statistic == 5.0
+        assert result.p_value == pytest.approx(float(gammaincc(2.5, 2.5)), abs=1e-15)
+        # exactly one block, balanced: chi2 = 0 and p = 1
+        result = block_frequency(BitStream([0, 1] * 64), block_size=128)
+        assert result.applicable
+        assert (result.statistic, result.p_value) == (0.0, 1.0)
+
     def test_not_applicable_when_undersized(self):
         result = block_frequency(BitStream([0, 1]), block_size=128)
         assert not result.applicable
@@ -78,10 +95,20 @@ class TestRuns:
         assert result.statistic == 7.0
         assert result.p_value == pytest.approx(0.147232, abs=1e-5)
 
+    def test_two_bits(self):
+        # v_obs = 2, |v_obs - 2 n pi (1 - pi)| = 1 and the denominator is 1
+        result = runs(BitStream([0, 1]))
+        assert result.statistic == 2.0
+        assert result.p_value == pytest.approx(math.erfc(1.0), abs=1e-15)
+
     def test_precondition_failure_reports_zero(self):
         result = runs(BitStream([0] * 1000 + [1] * 10))
         assert result.p_value == 0.0
         assert not result.passed
+        assert "precondition" in result.note
+        # at equality, |pi - 1/2| = 2 / sqrt(n) = 1/4 exactly, the precondition fails
+        result = runs(BitStream([1] * 16 + [0] * 48))
+        assert result.p_value == 0.0
         assert "precondition" in result.note
 
 
@@ -92,6 +119,7 @@ class TestLongestRun:
     def test_statistic_against_manual_chi_square(self):
         # SP 800-22 regimes: block length, class bounds, class probabilities
         regimes = {
+            128: (8, 1, 4, [0.2148, 0.3672, 0.2305, 0.1875]),
             1024: (8, 1, 4, [0.2148, 0.3672, 0.2305, 0.1875]),
             6272: (128, 4, 9, [0.1174, 0.2430, 0.2493, 0.1752, 0.1027, 0.1124]),
             750_000: (
@@ -101,7 +129,7 @@ class TestLongestRun:
         # the source biased to ones has runs longer than the top class bound
         # in every regime
         rng = np.random.default_rng(17)
-        streams = [random_bits(13, 1024)] + [
+        streams = [random_bits(13, 128), random_bits(13, 1024)] + [
             BitStream((rng.random(n) < 0.9).astype(np.uint8)) for n in (6272, 750_000)
         ]
         for bits in streams:
@@ -181,6 +209,31 @@ class TestBattery:
     def test_minimum_length(self):
         with pytest.raises(ValidationError):
             nist_subset(BitStream([0, 1] * 49))
+        with pytest.raises(ValidationError):
+            nist_subset(random_bits(4, 99))
+        assert len(nist_subset(random_bits(4, 100))) == 5
+
+    @pytest.mark.parametrize(
+        "test, special",
+        [
+            (monobit, "erfc"),
+            (block_frequency, "gammaincc"),
+            (runs, "erfc"),
+            (longest_run_of_ones, "gammaincc"),
+            (approximate_entropy, "gammaincc"),
+        ],
+        ids=lambda v: getattr(v, "__name__", v),
+    )
+    def test_pass_threshold_is_closed(self, monkeypatch, test, special):
+        # a test passes at p == ALPHA and fails one double below it; the
+        # p-value function is patched, since no stream hits 0.01 exactly
+        import scipy.special
+
+        bits = random_bits(0, 1 << 15)
+        for p, passed in ((ALPHA, True), (float(np.nextafter(ALPHA, 0.0)), False)):
+            monkeypatch.setattr(scipy.special, special, lambda *args: p)
+            result = test(bits)
+            assert (result.p_value, result.passed) == (p, passed)
 
     def test_reference_streams_pass_at_least_four_of_five(self):
         for seed in range(20):
@@ -218,6 +271,11 @@ class TestBucketFrequency:
         assert abs(stats.mean - 0.5) < 3 * sigma_bucket / math.sqrt(1000)
         assert abs(stats.stddev - sigma_bucket) < 0.1 * sigma_bucket
 
+    def test_one_bit_buckets(self):
+        stats = bucket_frequency(BitStream([0, 1, 1, 0]), 1)
+        assert (stats.n_buckets, stats.mean) == (4, 0.5)
+        assert stats.stddev == pytest.approx(math.sqrt(1 / 3), abs=1e-15)
+
     def test_incomplete_trailing_bucket_excluded(self):
         bits = BitStream([0] * 100 + [1] * 37)
         stats = bucket_frequency(bits, 100)
@@ -238,6 +296,11 @@ class TestStatsReport:
         assert report.bucket is not None
         assert report.bucket.n_buckets == 4
         assert len(report.tests) == 5
+
+    def test_one_whole_bucket(self):
+        report = build_stats_report(random_bits(3, 1000), bucket_size=1000)
+        assert report.bucket is not None
+        assert report.bucket.n_buckets == 1
 
     def test_bucket_skipped_when_small(self):
         report = build_stats_report(random_bits(3, 1000), bucket_size=999302)
