@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 import operator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,26 +61,47 @@ class RawStream:
         return f"RawStream(n={len(self)}, n0={self.n0}, n1={self.n1}, n_discard={self.n_discard})"
 
 
-def outcome_frequencies(n0: int, n1: int, n_discard: int) -> dict[str, float]:
-    """p0 and p1 conditioned on the binary (non-discard) outcomes, so they sum
-    to 1, p_discard over all trials, and their binomial standard errors
-    (NaN where a denominator is zero)."""
-    nb = n0 + n1
-    n = nb + n_discard
-    nan = float("nan")
-    p0 = n0 / nb if nb else nan
-    p1 = n1 / nb if nb else nan
-    se_binary = math.sqrt(p0 * p1 / nb) if nb else nan
-    pd = n_discard / n if n else nan
-    se_discard = math.sqrt(pd * (1.0 - pd) / n) if n else nan
-    return dict(
-        p0=p0,
-        p1=p1,
-        p_discard=pd,
-        p0_stderr=se_binary,
-        p1_stderr=se_binary,
-        p_discard_stderr=se_discard,
-    )
+@dataclass(frozen=True)
+class Outcomes:
+    """Symbol counts of a trace, p0 and p1 conditioned on the binary
+    (non-discard) outcomes, so they sum to 1, p_discard over all trials, and
+    their binomial standard errors (NaN where a denominator is zero)."""
+
+    n0: int
+    n1: int
+    n_discard: int
+    p0: float
+    p1: float
+    p_discard: float
+    p0_stderr: float
+    p1_stderr: float
+    p_discard_stderr: float
+
+    @classmethod
+    def of(cls, stream: RawStream, **fields):
+        """The outcome block of ``stream``; a subclass takes its own
+        ``fields`` beside it."""
+        n0, n1, nd = stream.n0, stream.n1, stream.n_discard
+        nb = n0 + n1
+        n = nb + nd
+        nan = float("nan")
+        p0 = n0 / nb if nb else nan
+        p1 = n1 / nb if nb else nan
+        se_binary = math.sqrt(p0 * p1 / nb) if nb else nan
+        pd = nd / n if n else nan
+        se_discard = math.sqrt(pd * (1.0 - pd) / n) if n else nan
+        return cls(
+            n0=n0,
+            n1=n1,
+            n_discard=nd,
+            p0=p0,
+            p1=p1,
+            p_discard=pd,
+            p0_stderr=se_binary,
+            p1_stderr=se_binary,
+            p_discard_stderr=se_discard,
+            **fields,
+        )
 
 
 class BitStream:

@@ -14,9 +14,9 @@ a logical bit uncertified only when both of its raw bits were.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
-from .bits import RawStream, outcome_frequencies
+from .bits import Outcomes, RawStream
 from .errors import ValidationError
 
 BOUND_LO = math.sqrt(5.0 / 14.0)
@@ -24,13 +24,10 @@ BOUND_HI = 3.0 / math.sqrt(14.0)
 
 
 @dataclass(frozen=True)
-class CertificationReport:
-    p0: float
-    p1: float
-    p_discard: float
-    p0_stderr: float
-    p1_stderr: float
-    p_discard_stderr: float
+class CertificationReport(Outcomes):
+    """The :class:`Outcomes` of a trace and the certification of each
+    binary outcome."""
+
     overlap_plus: float
     overlap_minus: float
     bound_lo: float
@@ -80,11 +77,11 @@ def build_report(stream: RawStream) -> CertificationReport:
     information and are excluded before estimation."""
     if stream.n0 + stream.n1 == 0:
         raise ValidationError("cannot certify a stream with no binary outcomes")
-    freq = outcome_frequencies(stream.n0, stream.n1, stream.n_discard)
-    ov_plus, ov_minus = estimate_overlaps(freq["p0"], freq["p1"])
-    c_raw = certified_fraction_raw(freq["p0"], freq["p1"])
+    freq = Outcomes.of(stream)
+    ov_plus, ov_minus = estimate_overlaps(freq.p0, freq.p1)
+    c_raw = certified_fraction_raw(freq.p0, freq.p1)
     return CertificationReport(
-        **freq,
+        **asdict(freq),
         overlap_plus=ov_plus,
         overlap_minus=ov_minus,
         bound_lo=BOUND_LO,

@@ -95,14 +95,10 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    stream = read_trace(args.infile)
-    report = certify_mod.build_report(stream)
+    report = certify_mod.build_report(read_trace(args.infile))
     emit_report(
         [
             ("report", "certify"),
-            ("n0", stream.n0),
-            ("n1", stream.n1),
-            ("n_discard", stream.n_discard),
             *dataclasses.asdict(report).items(),
         ],
         args.report,
@@ -158,9 +154,7 @@ def _cmd_stats(args) -> int:
         entries.append(("bucket.n_buckets", report.bucket.n_buckets))
         entries.append(("bucket.mean_zero_frequency", report.bucket.mean))
         entries.append(("bucket.stddev", report.bucket.stddev))
-        entries.append(
-            ("bucket.binomial_stddev", stats_mod.binomial_bucket_stddev(report.bucket_size))
-        )
+        entries.append(("bucket.binomial_stddev", report.bucket.binomial_stddev))
     emit_report(entries, args.report)
     if args.gate:
         applicable = [t for t in report.tests if t.applicable]

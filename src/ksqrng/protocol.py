@@ -28,8 +28,8 @@ trials by comparing words with such thresholds:
 - a ground-state trial whose gate-error radius is below a cap and whose
   Born uniform lies outside the band that radius allows around 1/2 is level
   [u3 >= 1/2] at any gate angle, and relaxes to 0 when u4 < p_decay_10;
-- a trial whose IQ noise uniform is below its level's bound, the uniform
-  of the level's ``readout.decision_radii``, is classified as that level.
+- a trial whose IQ noise uniform is below its level's
+  ``readout.decision_uniforms`` bound is classified as that level.
 
 Only the other rows (3.1% and 0.05% of trials at the defaults) are turned
 into the uniforms ``Generator.random`` gives and take the exact path, which
@@ -47,13 +47,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import RawStream, _check_seed, _integer, outcome_frequencies
+from .bits import Outcomes, RawStream, _check_seed, _integer
 from .errors import ValidationError
 from .qutrit import QutritState, apply_unitary, born_probabilities, measurement_unitary, rotation
 from .readout import (
     IQPoint,
     NoiseParams,
-    ReadoutLevel,
     _radius,
     _sample_levels,
     apply_relaxation,
@@ -84,14 +83,14 @@ _COMPUTATIONAL_BASIS = (
 
 @dataclass(frozen=True)
 class TrialRecord:
-    true_level: ReadoutLevel
-    classified_level: ReadoutLevel
+    true_level: int
+    classified_level: int
     iq: IQPoint | None
 
     @property
     def symbol(self) -> int:
         """The trace byte of this trial: its classified level."""
-        return int(self.classified_level)
+        return self.classified_level
 
 
 @dataclass(frozen=True)
@@ -110,29 +109,10 @@ class ProtocolConfig:
 
 
 @dataclass(frozen=True)
-class BatchSummary:
-    """Symbol counts of a batch with their :func:`outcome_frequencies`."""
+class BatchSummary(Outcomes):
+    """The :class:`Outcomes` of a batch and its trial count."""
 
     n_trials: int
-    n0: int
-    n1: int
-    n_discard: int
-    p0: float
-    p1: float
-    p_discard: float
-    p0_stderr: float
-    p1_stderr: float
-    p_discard_stderr: float
-
-    @classmethod
-    def from_stream(cls, stream: RawStream) -> "BatchSummary":
-        return cls(
-            n_trials=len(stream),
-            n0=stream.n0,
-            n1=stream.n1,
-            n_discard=stream.n_discard,
-            **outcome_frequencies(stream.n0, stream.n1, stream.n_discard),
-        )
 
 
 class TrialRandom:
@@ -168,7 +148,7 @@ def run_trial(config: ProtocolConfig, rng) -> TrialRecord:
             apply_unitary(measurement_unitary(), _COMPUTATIONAL_BASIS[0]),
             _COMPUTATIONAL_BASIS,
         )
-        level = ReadoutLevel(int(sample_level(probs, rng.random())))
+        level = int(sample_level(probs, rng.random()))
         return TrialRecord(
             true_level=level,
             classified_level=level,
@@ -184,10 +164,9 @@ def run_trial(config: ProtocolConfig, rng) -> TrialRecord:
     projected = sample_level(born_probabilities(state, _COMPUTATIONAL_BASIS), w[3])
     relaxed = apply_relaxation(projected, w[4], w[5], noise)
     i, q = synth_iq(relaxed, w[6], w[7], noise)
-    classified = ReadoutLevel(int(classify(i, q, noise)))
     return TrialRecord(
-        true_level=ReadoutLevel(int(relaxed)),
-        classified_level=classified,
+        true_level=int(relaxed),
+        classified_level=int(classify(i, q, noise)),
         iq=IQPoint(float(i), float(q)),
     )
 
@@ -360,4 +339,4 @@ def run_batch(config: ProtocolConfig, workers: int = 1) -> tuple[RawStream, Batc
             list(pool.map(fill, range(threads)))
 
     stream = RawStream(out)
-    return stream, BatchSummary.from_stream(stream)
+    return stream, BatchSummary.of(stream, n_trials=n)

@@ -14,17 +14,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from enum import IntEnum
 
 import numpy as np
 
 from .errors import ValidationError
-
-
-class ReadoutLevel(IntEnum):
-    L0 = 0
-    L1 = 1
-    L2 = 2
 
 
 @dataclass(frozen=True)
@@ -64,7 +57,8 @@ class NoiseParams:
     distance from each centre to its nearest other centre is at least
     max(1e-100, 1e-6 max|coord|). Inside it no readout step overflows or
     underflows a squared distance between centres, and rounding stays within
-    :func:`decision_radii`; parameters outside it raise ``ValidationError``.
+    the radii of :func:`decision_uniforms`; parameters outside it raise
+    ``ValidationError``.
     """
 
     p_thermal_1: float = 0.0016
@@ -194,24 +188,19 @@ def _half_gaps(centres: np.ndarray) -> np.ndarray:
     return gaps.min(axis=1) / 2.0
 
 
-def decision_radii(params: NoiseParams) -> np.ndarray:
-    """Per level L, a noise radius below which ``classify`` returns L.
+def decision_uniforms(params: NoiseParams) -> list[float]:
+    """Per level L, a bound on the IQ noise uniform below which ``classify``
+    returns L.
 
     A point nearer centre L than rho_L, half the distance from L to its
     nearest other centre, is nearer L than any other centre, whatever its
-    angle; the radii are 0.99 rho_L, which covers the rounding of
-    ``synth_iq`` and ``classify`` on the domain of :class:`NoiseParams`.
-    """
-    return _RADIUS_SHRINK * _half_gaps(params.centers_array())
-
-
-def decision_uniforms(params: NoiseParams) -> list[float]:
-    """Per level L, the uniform whose Box-Muller radius times ``iq_sigma``
-    is ``decision_radii(params)[L]``: sqrt(-2 log(1 - u)) sigma < R_L exactly
-    when u < 1 - exp(-(R_L / sigma)^2 / 2). Computed in Python floats, where
-    a ratio that overflows or underflows gives 1 or 0 without a warning."""
+    angle. The radius R_L = 0.99 rho_L covers the rounding of ``synth_iq``
+    and ``classify`` on the domain of :class:`NoiseParams`, and
+    sqrt(-2 log(1 - u)) sigma < R_L exactly when u < 1 - exp(-(R_L /
+    sigma)^2 / 2). Computed in Python floats, where a ratio that overflows or
+    underflows gives 1 or 0 without a warning."""
     bounds = []
-    for radius in decision_radii(params):
+    for radius in _RADIUS_SHRINK * _half_gaps(params.centers_array()):
         ratio = float(radius) / params.iq_sigma
         bounds.append(-math.expm1(-0.5 * ratio * ratio))
     return bounds

@@ -46,6 +46,7 @@ class BucketStats:
     mean: float
     stddev: float
     n_buckets: int
+    binomial_stddev: float  # the spread an unbiased source would give
 
 
 @dataclass(frozen=True)
@@ -205,7 +206,8 @@ def nist_subset(stream: BitStream) -> list[TestResult]:
 
 def bucket_frequency(stream: BitStream, bucket_size: int) -> BucketStats:
     """Mean and sample standard deviation of the per-bucket zero-frequency
-    over complete buckets. A single bucket reports stddev 0."""
+    over complete buckets, beside the binomial standard deviation of an
+    unbiased source. A single bucket reports stddev 0."""
     if bucket_size < 1:
         raise ValidationError("bucket_size must be >= 1")
     n_buckets = len(stream) // bucket_size
@@ -216,12 +218,12 @@ def bucket_frequency(stream: BitStream, bucket_size: int) -> BucketStats:
     buckets = stream.bits[: n_buckets * bucket_size].reshape(n_buckets, bucket_size)
     zero_freq = 1.0 - buckets.mean(axis=1)
     stddev = float(zero_freq.std(ddof=1)) if n_buckets > 1 else 0.0
-    return BucketStats(mean=float(zero_freq.mean()), stddev=stddev, n_buckets=n_buckets)
-
-
-def binomial_bucket_stddev(bucket_size: int) -> float:
-    """Expected per-bucket frequency spread for an unbiased source."""
-    return math.sqrt(0.25 / bucket_size)
+    return BucketStats(
+        mean=float(zero_freq.mean()),
+        stddev=stddev,
+        n_buckets=n_buckets,
+        binomial_stddev=math.sqrt(0.25 / bucket_size),
+    )
 
 
 def build_stats_report(stream: BitStream, bucket_size: int) -> StatsReport:

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import pytest
 from ksqrng import cli
 from ksqrng.cli import run_cli
 from ksqrng.formats import read_bits, read_trace, write_bits, write_trace
-from ksqrng.bits import BitStream, RawStream, random_bits
+from ksqrng.bits import BitStream, Outcomes, RawStream, random_bits
 
 
 def parse_report(path):
@@ -142,13 +143,13 @@ class TestCertify:
         gen, cert = tmp_path / "gen.rpt", tmp_path / "cert.rpt"
         assert run_cli(["generate", "--config", str(config), "--out", str(trace), "--report", str(gen)]) == 0
         assert run_cli(["certify", "--in", str(trace), "--report", str(cert)]) == 0
-        keys = ("p0", "p1", "p_discard", "p0_stderr", "p1_stderr", "p_discard_stderr")
+        keys = [f.name for f in dataclasses.fields(Outcomes)]
 
-        def frequency_lines(path):
+        def outcome_lines(path):
             return [line for line in path.read_text().splitlines() if line.split(" = ")[0] in keys]
 
-        assert len(frequency_lines(gen)) == len(keys)
-        assert frequency_lines(gen) == frequency_lines(cert)
+        assert [line.split(" = ")[0] for line in outcome_lines(gen)] == keys
+        assert outcome_lines(gen) == outcome_lines(cert)
 
     def test_corrupt_trace_exits_3(self, tmp_path):
         bad = tmp_path / "corrupt.trace"
@@ -239,6 +240,20 @@ class TestConsumeSS:
         assert fields["numbers_tested"] == "3"
         assert fields["all_composite"] == "true"
         assert fields["ss.561.verdict"] == "composite"
+
+    def test_gate_fails_on_euler_liar(self, tmp_path, capsys):
+        # ten zero bits make the one witness a = 2, an Euler liar for 561
+        bits = tmp_path / "zeros.bits"
+        write_bits(BitStream(np.zeros(10, dtype=np.uint8)), bits)
+        report = tmp_path / "ss.rpt"
+        code = run_cli(
+            ["consume-ss", "--in", str(bits), "--limit", "562", "--witnesses", "1", "--report", str(report), "--gate"]
+        )
+        assert code == 1
+        assert "gate failed" in capsys.readouterr().err
+        fields = parse_report(report)
+        assert fields["ss.561.verdict"] == "probably_prime"
+        assert fields["all_composite"] == "false"
 
     def test_exhaustion_exits_1(self, tmp_path, capsys):
         bits = tmp_path / "few.bits"

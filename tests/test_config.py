@@ -104,6 +104,7 @@ class TestParseConfig:
             (MINIMAL + "bucket_size = 0\n", "bucket_size must be >= 1, got 0"),
             (MINIMAL + "ss_limit = 2\n", "ss_limit must be >= 3, got 2"),
             (MINIMAL + "ss_witnesses = 0\n", "ss_witnesses must be >= 1, got 0"),
+            (MINIMAL + "iq_center_0 = 1e999, 0\n", "iq_center_0: IQ point components must be finite"),
         ]
         for text, message in cases:
             with pytest.raises(ConfigError, match=message):

@@ -60,6 +60,10 @@ class TestPackBits:
         with pytest.raises(NonzeroPaddingError):
             unpack_bits(b"\xff", 3)
 
+    def test_negative_bit_count(self):
+        with pytest.raises(FormatError, match="negative bit count"):
+            unpack_bits(b"", -1)
+
 
 class TestBitFile:
     def test_round_trip(self, tmp_path):

@@ -128,6 +128,8 @@ class TestSolovayStrassen:
             solovay_strassen(2, source(), max_witnesses=1)
         with pytest.raises(ValidationError):
             solovay_strassen(11, source(), max_witnesses=0)
+        with pytest.raises(ValidationError, match="negative number of bits"):
+            source().take(-1)
 
     def test_modular_exponent_against_naive_oracle(self):
         rng = np.random.default_rng(6)

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
 from ksqrng import protocol
-from ksqrng.bits import BitStream, RawStream, random_bits
+from ksqrng.bits import BitStream, Outcomes, RawStream, random_bits
 from ksqrng.errors import ValidationError
 from ksqrng.protocol import (
     ProtocolConfig,
@@ -23,7 +23,6 @@ from ksqrng.readout import (
     _sample_levels,
     apply_relaxation,
     classify,
-    decision_radii,
     gate_error,
     synth_iq,
     thermal_init,
@@ -134,6 +133,18 @@ class TestConfig:
         with pytest.raises(ValidationError, match="must be an integer"):
             make()
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: TrialRandom(1, -1), "trial_index must be nonnegative"),
+            (lambda: random_bits(1, -1), "n_bits must be nonnegative"),
+        ],
+        ids=["trial-index", "bits-count"],
+    )
+    def test_rejects_negative_counts(self, make, message):
+        with pytest.raises(ValidationError, match=message):
+            make()
+
     def test_accepts_numpy_integers(self):
         config = ProtocolConfig(n_trials=np.int64(64), seed=np.uint64(5))
         assert run_batch(config, workers=np.int64(2))[0] == run_batch(ProtocolConfig(n_trials=64, seed=5))[0]
@@ -234,11 +245,13 @@ class TestRawWords:
         for t, p in ((bounds.thermal, noise.p_thermal_1 + noise.p_thermal_2), (bounds.decay_10, noise.p_decay_10)):
             words = edge_words(t)
             assert np.array_equal(words < t, protocol._uniforms(words) < p)
-        # early decisions: every word decided early fails the float test for the exact path
+        # early decisions: a word below its level's IQ bound is classified
+        # as that level at every noise angle
+        angles = np.linspace(0.0, 1.0 - 2.0**-53, 65)
         for level, t in enumerate(bounds.iq.tolist()):
             words = edge_words(t)
-            u = protocol._uniforms(words[words < t])
-            assert np.all(noise.iq_sigma * _radius(u) < decision_radii(noise)[level])
+            u = protocol._uniforms(words[words < t])[:, None]
+            assert np.all(classify(*synth_iq(level, u, angles, noise), noise) == level)
         lo, hi = bounds.band
         cap = protocol._uniforms(np.uint64(protocol._RADIUS_CAP_WORD - 1))
         band = (protocol._BORN_SLOPE * noise.gate_amp_error) * _radius(cap) + protocol._ABS_MARGIN
@@ -650,11 +663,21 @@ class TestWordTies:
 class TestSummary:
     def test_frequencies_and_errors(self):
         stream = RawStream(np.array([0] * 60 + [1] * 39 + [2], dtype=np.uint8))
-        from ksqrng.protocol import BatchSummary
-
-        s = BatchSummary.from_stream(stream)
-        assert s.n_trials == 100
+        s = protocol.BatchSummary.of(stream, n_trials=len(stream))
+        assert (s.n_trials, s.n0, s.n1, s.n_discard) == (100, 60, 39, 1)
         assert s.p0 == 60 / 99
         assert s.p1 == 39 / 99
         assert s.p_discard == 0.01
-        assert s.p0_stderr == pytest.approx(np.sqrt(s.p0 * s.p1 / 99))
+        assert s.p0_stderr == s.p1_stderr == pytest.approx(np.sqrt(s.p0 * s.p1 / 99))
+        assert s.p_discard_stderr == pytest.approx(np.sqrt(0.01 * 0.99 / 100))
+
+    def test_discards_only(self):
+        s = Outcomes.of(RawStream([2, 2]))
+        assert (s.n0, s.n1, s.n_discard) == (0, 0, 2)
+        assert all(math.isnan(v) for v in (s.p0, s.p1, s.p0_stderr, s.p1_stderr))
+        assert (s.p_discard, s.p_discard_stderr) == (1.0, 0.0)
+
+    def test_empty_trace(self):
+        s = Outcomes.of(RawStream([]))
+        assert (s.n0, s.n1, s.n_discard) == (0, 0, 0)
+        assert all(math.isnan(v) for v in (s.p0, s.p1, s.p_discard, s.p0_stderr, s.p1_stderr, s.p_discard_stderr))

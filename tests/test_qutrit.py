@@ -164,3 +164,16 @@ class TestValidation:
     def test_non_unitary_rejected(self):
         with pytest.raises(ValidationError):
             Unitary3(np.ones((3, 3)))
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: QutritState([1, 0]), "exactly 3 components"),
+            (lambda: Unitary3(np.eye(2)), "must be 3x3"),
+            (lambda: Unitary3(np.diag([1.0, np.nan, 1.0])), "non-finite"),
+        ],
+        ids=["state-2", "unitary-2x2", "unitary-nan"],
+    )
+    def test_wrong_shape_or_nan_rejected(self, make, message):
+        with pytest.raises(ValidationError, match=message):
+            make()

@@ -6,7 +6,6 @@ from ksqrng.errors import ValidationError
 from ksqrng.readout import (
     IQPoint,
     NoiseParams,
-    ReadoutLevel,
     apply_relaxation,
     classify,
     gate_error,
@@ -58,6 +57,8 @@ class TestNoiseParams:
             {"iq_sigma": -1.0},
             {"gate_amp_error": -0.1},
             {"p_thermal_1": 0.75, "p_thermal_2": 0.25},  # no ground start left
+            {"iq_centers": ((1.0, 0.0), (0.0, 1.0))},
+            {"iq_centers": ((float("nan"), 0.0), (0.0, 1.0), (-1.0, 0.0))},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -80,7 +81,7 @@ class TestThermalInit:
         p = NoiseParams(p_thermal_1=0.0, p_thermal_2=0.0)
         levels = thermal_init(gen(1).random(1000), p)
         assert np.all(levels == 0)
-        assert thermal_init(gen(2).random(), p) == ReadoutLevel.L0
+        assert thermal_init(gen(2).random(), p) == 0
 
     def test_ground_frequency_at_defaults(self):
         # binomial 3 sigma around 1 - p_thermal_1 - p_thermal_2 = 0.9982
@@ -136,7 +137,7 @@ class TestSampleLevel:
 class TestApplyRelaxation:
     def test_ground_state_stable(self):
         p = NoiseParams(p_decay_10=1.0, p_decay_21=1.0)
-        assert apply_relaxation(ReadoutLevel.L0, 0.0, 0.0, p) == ReadoutLevel.L0
+        assert apply_relaxation(0, 0.0, 0.0, p) == 0
         out = apply_relaxation(np.zeros(1000, dtype=np.uint8), *gen(12).random((2, 1000)), p)
         assert np.all(out == 0)
 
@@ -196,7 +197,7 @@ class TestTies:
 class TestSynthIQ:
     def test_vanishing_noise_returns_center(self):
         p = NoiseParams(iq_sigma=1e-300)
-        i, q = synth_iq(ReadoutLevel.L1, *gen(16).random(2), p)
+        i, q = synth_iq(1, *gen(16).random(2), p)
         assert abs(i - 0.0) < 1e-250 and q == 1.0
 
     def test_mean_at_center(self):
@@ -212,21 +213,21 @@ class TestSynthIQ:
 
 class TestClassify:
     def test_on_center(self):
-        assert classify(0.0, 1.0, DEFAULTS) == ReadoutLevel.L1
+        assert classify(0.0, 1.0, DEFAULTS) == 1
 
     def test_near_ground_center(self):
         # squared distances at default centers: 0.02 vs 1.62 vs 3.62
-        assert classify(0.9, 0.1, DEFAULTS) == ReadoutLevel.L0
+        assert classify(0.9, 0.1, DEFAULTS) == 0
 
     def test_tie_breaks_to_lowest_index(self):
         # default centres (1, 0), (0, 1), (-1, 0); every point below is
         # exactly equidistant from the tied centres and nearer to them than
         # to any other
         ties = [
-            ((0.5, 0.5), ReadoutLevel.L0),  # 0 = 1
-            ((0.0, -1.0), ReadoutLevel.L0),  # 0 = 2
-            ((-0.5, 0.5), ReadoutLevel.L1),  # 1 = 2
-            ((0.0, 0.0), ReadoutLevel.L0),  # 0 = 1 = 2
+            ((0.5, 0.5), 0),  # 0 = 1
+            ((0.0, -1.0), 0),  # 0 = 2
+            ((-0.5, 0.5), 1),  # 1 = 2
+            ((0.0, 0.0), 0),  # 0 = 1 = 2
         ]
         for (i, q), level in ties:
             assert classify(i, q, DEFAULTS) == level

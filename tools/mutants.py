@@ -5,9 +5,11 @@ For each ``<``, ``<=``, ``>`` and ``>=`` in ``src/ksqrng/<module>.py``, one at
 a time, the script flips the operator's strictness (``<`` and ``<=``, ``>``
 and ``>=``) in a temporary copy of ``src/`` and ``tests/``, runs the module's
 test files there with ``pytest -x`` and counts the mutant killed when they
-fail. It prints every survivor and the counts, and exits 1 when a survivor
-is not in ``tools/equivalent_mutants.txt``, the survivors accepted as
-changing no output. The checkout is never edited. It uses the standard
+fail. A flip is keyed "<module>.py: <function>: <mutant>" by the innermost
+``def`` that holds it. It prints every survivor and the counts, and exits 1
+when a survivor is not in ``tools/equivalent_mutants.txt``, the survivors
+accepted as changing no output, or when an entry there names more than one
+flip of its module. The checkout is never edited. It uses the standard
 library only, and takes minutes, so it is not part of Tier-1.
 
     python tools/mutants.py protocol readout
@@ -44,6 +46,10 @@ class Mutant(NamedTuple):
     end: int
     flipped: bytes
     text: str  # the mutated comparison, e.g. "w3 > lo"
+    function: str  # the innermost enclosing def, or "<module>"
+
+    def key(self, module: str) -> str:
+        return f"{module}.py: {self.function}: {self.text}"
 
 
 def mutants(source: bytes) -> list[Mutant]:
@@ -60,23 +66,36 @@ def mutants(source: bytes) -> list[Mutant]:
         return " ".join(text.decode().split())
 
     found = []
-    for node in ast.walk(ast.parse(source)):
-        if not isinstance(node, ast.Compare):
-            continue
-        operands = [node.left, *node.comparators]
-        for op, left, right in zip(node.ops, operands, operands[1:]):
-            if type(op) not in FLIP:
-                continue
-            lo = offset(left.end_lineno, left.end_col_offset)
-            match = OPERATOR.search(source, lo, offset(right.lineno, right.col_offset))
-            flipped = FLIP[type(op)]
-            text = f"{segment(left)} {flipped.decode()} {segment(right)}"
-            found.append(Mutant(left.end_lineno, match.start(), match.end(), flipped, text))
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            for op, left, right in zip(node.ops, operands, operands[1:]):
+                if type(op) not in FLIP:
+                    continue
+                lo = offset(left.end_lineno, left.end_col_offset)
+                match = OPERATOR.search(source, lo, offset(right.lineno, right.col_offset))
+                flipped = FLIP[type(op)]
+                text = f"{segment(left)} {flipped.decode()} {segment(right)}"
+                found.append(Mutant(left.end_lineno, match.start(), match.end(), flipped, text, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), "<module>")
     return sorted(found, key=lambda m: m.start)
 
 
+def module_keys(module: str) -> list[str]:
+    """The key of every flip of ``src/ksqrng/<module>.py``, in source order."""
+    source = (ROOT / "src" / "ksqrng" / f"{module}.py").read_bytes()
+    return [m.key(module) for m in mutants(source)]
+
+
 def accepted() -> dict[str, str]:
-    """The accepted equivalent mutants, "<module>.py: <mutant>", with their reasons."""
+    """The accepted equivalent mutants, "<module>.py: <function>: <mutant>",
+    with their reasons."""
     out = {}
     for line in EQUIVALENT.read_text().splitlines():
         if line.strip() and not line.startswith("#"):
@@ -100,8 +119,8 @@ def run_tests(workdir: Path, tests: list[str], timeout: float | None) -> tuple[b
 
 
 def survey(module: str, tests: list[str]) -> tuple[int, list[str]]:
-    """Run every mutant of ``module``; return the count and the survivors,
-    each as "<module>.py: <mutant>"."""
+    """Run every mutant of ``module``; return the count and the survivors'
+    keys."""
     with tempfile.TemporaryDirectory(prefix="ksqrng-mutants-") as tmp:
         workdir = Path(tmp)
         for name in ("src", "tests"):
@@ -120,7 +139,7 @@ def survey(module: str, tests: list[str]) -> tuple[int, list[str]]:
             killed = not run_tests(workdir, tests, 10 * seconds + 60)[0]
             print(f"  [{k}/{len(found)}] {'killed' if killed else 'SURVIVED'} line {m.line}: {m.text}", flush=True)
             if not killed:
-                survivors.append(f"{module}.py: {m.text}")
+                survivors.append(m.key(module))
     return len(found), survivors
 
 
@@ -129,6 +148,12 @@ def main(argv=None) -> int:
     parser.add_argument("modules", nargs="+", help="module names under src/ksqrng, e.g. protocol")
     args = parser.parse_args(argv)
     equivalent = accepted()
+    for module in args.modules:
+        keys = module_keys(module)
+        ambiguous = [e for e in equivalent if keys.count(e) > 1]
+        if ambiguous:
+            print(f"{module}.py: entries naming more than one flip: {ambiguous}")
+            return 1
     summary = []
     for module in args.modules:
         tests = TESTS.get(module, [f"test_{module}.py"])
