@@ -14,6 +14,7 @@ import sys
 from . import certify as certify_mod
 from . import extract as extract_mod
 from . import stats as stats_mod
+from .bits import Outcomes
 from .config import load_config
 from .errors import BitSourceExhaustedError, ConfigError, FormatError, ValidationError
 from .formats import emit_report, read_bits, read_trace, write_bits, write_trace
@@ -115,7 +116,7 @@ def _cmd_extract(args) -> int:
     out = extract_mod.von_neumann_extract(binary)
     write_bits(out, args.out)
     n_in, n_out = len(binary), len(out)
-    zero_fraction = trace.n0 / n_in if n_in else float("nan")
+    zero_fraction = Outcomes.of(trace).p0
     emit_report(
         [
             ("report", "extract"),

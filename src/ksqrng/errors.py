@@ -34,12 +34,4 @@ class BadSymbolError(FormatError):
 
 
 class BitSourceExhaustedError(RuntimeError):
-    """A bit source ran out of bits mid-computation.
-
-    Carries the partial accounting so callers can report how far they got.
-    """
-
-    def __init__(self, message, bits_consumed=0, witnesses_used=0):
-        super().__init__(message)
-        self.bits_consumed = bits_consumed
-        self.witnesses_used = witnesses_used
+    """A bit source ran out of bits mid-computation."""

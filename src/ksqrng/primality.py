@@ -58,10 +58,7 @@ class BitSource:
         if k < 0:
             raise ValidationError("cannot take a negative number of bits")
         if self._pos + k > self._bits.size:
-            raise BitSourceExhaustedError(
-                f"bit source exhausted: wanted {k} bits, {self.bits_remaining} left",
-                bits_consumed=self._pos,
-            )
+            raise BitSourceExhaustedError(f"bit source exhausted: wanted {k} bits, {self.bits_remaining} left")
         value = 0
         for b in self._bits[self._pos : self._pos + k]:
             value = (value << 1) | int(b)
@@ -110,14 +107,7 @@ def solovay_strassen(n: int, source: BitSource, max_witnesses: int) -> SSVerdict
     exponent = (n - 1) // 2
     witnesses = 0
     while witnesses < max_witnesses:
-        try:
-            value = source.take(width)
-        except BitSourceExhaustedError as exc:
-            raise BitSourceExhaustedError(
-                f"bit source exhausted while testing {n}",
-                bits_consumed=source.bits_consumed - start,
-                witnesses_used=witnesses,
-            ) from exc
+        value = source.take(width)
         if value > n - 4:
             continue  # rejected chunk; bits still count
         a = value + 2
@@ -165,9 +155,7 @@ def carmichael_harness(limit: int, source: BitSource, max_witnesses: int) -> Har
             verdicts.append(solovay_strassen(n, source, max_witnesses))
         except BitSourceExhaustedError as exc:
             raise BitSourceExhaustedError(
-                f"bit source exhausted at number {n} (index {index} of {len(numbers)})",
-                bits_consumed=exc.bits_consumed,
-                witnesses_used=exc.witnesses_used,
+                f"bit source exhausted at number {n} (index {index} of {len(numbers)})"
             ) from exc
     return HarnessResult(
         verdicts=tuple(verdicts),

@@ -28,8 +28,8 @@ trials by comparing words with such thresholds:
 - a ground-state trial whose gate-error radius is below a cap and whose
   Born uniform lies outside the band that radius allows around 1/2 is level
   [u3 >= 1/2] at any gate angle, and relaxes to 0 when u4 < p_decay_10;
-- a trial whose IQ noise uniform is below its level's
-  ``readout.decision_uniforms`` bound is classified as that level.
+- a trial whose IQ noise uniform is below ``readout.decision_uniform``, one
+  bound for every level, is classified as its relaxed level.
 
 Only the other rows (3.1% and 0.05% of trials at the defaults) are turned
 into the uniforms ``Generator.random`` gives and take the exact path, which
@@ -57,7 +57,7 @@ from .readout import (
     _sample_levels,
     apply_relaxation,
     classify,
-    decision_uniforms,
+    decision_uniform,
     gate_error,
     sample_level,
     synth_iq,
@@ -84,13 +84,8 @@ _COMPUTATIONAL_BASIS = (
 @dataclass(frozen=True)
 class TrialRecord:
     true_level: int
-    classified_level: int
+    symbol: int  # the trace byte: the classified level
     iq: IQPoint | None
-
-    @property
-    def symbol(self) -> int:
-        """The trace byte of this trial: its classified level."""
-        return self.classified_level
 
 
 @dataclass(frozen=True)
@@ -151,7 +146,7 @@ def run_trial(config: ProtocolConfig, rng) -> TrialRecord:
         level = int(sample_level(probs, rng.random()))
         return TrialRecord(
             true_level=level,
-            classified_level=level,
+            symbol=level,
             iq=None,
         )
 
@@ -166,7 +161,7 @@ def run_trial(config: ProtocolConfig, rng) -> TrialRecord:
     i, q = synth_iq(relaxed, w[6], w[7], noise)
     return TrialRecord(
         true_level=int(relaxed),
-        classified_level=int(classify(i, q, noise)),
+        symbol=int(classify(i, q, noise)),
         iq=IQPoint(float(i), float(q)),
     )
 
@@ -198,8 +193,7 @@ class _WordBounds:
     decay_10: int  # 1 -> 0 iff w4 < decay_10
     band: tuple[int, int]  # a ground trial with w1 below the cap, w3 outside [lo, hi) ...
     top: int  # ... and w3 below top is level [u3 >= 1/2]
-    iq: np.ndarray  # per level L, w6 < iq[L] is classified as L
-    iq_min: int
+    iq: int  # w6 < iq is classified as the relaxed level
 
     @classmethod
     def of(cls, noise: NoiseParams) -> "_WordBounds":
@@ -217,15 +211,13 @@ class _WordBounds:
         reach = math.ceil(band * 2.0**53) + 1
         top = _word_threshold(1.0 - _ABS_MARGIN)
         half = 1 << 52
-        # One uniform step below each IQ bound covers expm1's rounding.
-        iq = [_word_threshold(q - 2.0**-53) for q in decision_uniforms(noise)]
+        # One uniform step below the IQ bound covers expm1's rounding.
         return cls(
             thermal=_word_threshold(noise.p_thermal_1 + noise.p_thermal_2),
             decay_10=_word_threshold(noise.p_decay_10),
             band=(max(half - reach, 0) << 11, min((half + reach) << 11, top)),
             top=top,
-            iq=np.array(iq, dtype=np.uint64),
-            iq_min=min(iq),
+            iq=_word_threshold(decision_uniform(noise) - 2.0**-53),
         )
 
 
@@ -237,18 +229,15 @@ def _born_levels(initial, u_a, u_b, u, noise: NoiseParams):
     s = np.sin(theta / 2.0)
     cc = c * c
     ss = s * s
+    sc2 = (s * c) ** 2
 
     # Born probabilities are the squared entries of the initial level's
-    # column of R01(theta) @ R12(theta), (c, s, 0) from the ground state.
-    # Excited initial levels are rare, so sample every row from the ground
-    # column and resample the exceptions. The rows are closed forms, so this
-    # skips sample_level's probability check.
-    levels = _sample_levels(cc, ss, u)
-    idx = np.flatnonzero(initial == 1)  # column (s c, c^2, s)
-    levels[idx] = _sample_levels((s[idx] * c[idx]) ** 2, cc[idx] ** 2, u[idx])
-    idx = np.flatnonzero(initial == 2)  # column (s^2, c s, c)
-    levels[idx] = _sample_levels(ss[idx] ** 2, (c[idx] * s[idx]) ** 2, u[idx])
-    return levels
+    # column of R01(theta) @ R12(theta): (c, s, 0), (s c, c^2, s) and
+    # (s^2, c s, c) from levels 0, 1 and 2. The columns are closed forms, so
+    # this skips sample_level's probability check.
+    p0 = np.choose(initial, (cc, sc2, ss**2))
+    p1 = np.choose(initial, (ss, cc**2, sc2))
+    return _sample_levels(p0, p1, u)
 
 
 def _batch_symbols(words: np.ndarray, noise: NoiseParams, bounds: _WordBounds) -> np.ndarray:
@@ -259,8 +248,9 @@ def _batch_symbols(words: np.ndarray, noise: NoiseParams, bounds: _WordBounds) -
     its relaxed level is [u3 >= 1/2] & [u4 >= p_decay_10], read off its
     words. The other trials take the exact steps on their uniforms: thermal
     start, gate rotation and Born sampling, relaxation. A response whose
-    noise uniform is below its level's ``bounds.iq`` is classified as that
-    level; only the others are synthesised and classified.
+    noise uniform is below ``bounds.iq``, one bound for every level, is
+    classified as its relaxed level; only the others are synthesised and
+    classified.
     """
     w3 = words[:, 3]
     levels = ((w3 >= _HALF_WORD) & (words[:, 4] >= bounds.decay_10)).view(np.uint8)
@@ -276,9 +266,7 @@ def _batch_symbols(words: np.ndarray, noise: NoiseParams, bounds: _WordBounds) -
         projected = _born_levels(thermal_init(u[:, 0], noise), u[:, 1], u[:, 2], u[:, 3], noise)
         levels[idx] = apply_relaxation(projected, u[:, 4], u[:, 5], noise)
 
-    w6 = words[:, 6]
-    idx = np.flatnonzero(w6 >= bounds.iq_min)
-    idx = idx[w6[idx] >= bounds.iq[levels[idx]]]
+    idx = np.flatnonzero(words[:, 6] >= bounds.iq)
     if idx.size:
         u = _uniforms(words[idx, 6:])
         i, q = synth_iq(levels[idx], u[:, 0], u[:, 1], noise)

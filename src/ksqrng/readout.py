@@ -54,10 +54,10 @@ class NoiseParams:
 
     This class owns the readout's float64 domain: every centre coordinate,
     ``iq_sigma`` and ``gate_amp_error`` are at most 1e100, and half the
-    distance from each centre to its nearest other centre is at least
-    max(1e-100, 1e-6 max|coord|). Inside it no readout step overflows or
-    underflows a squared distance between centres, and rounding stays within
-    the radii of :func:`decision_uniforms`; parameters outside it raise
+    smallest distance between two centres is at least max(1e-100, 1e-6
+    max|coord|). Inside it no readout step overflows or underflows a squared
+    distance between centres, and rounding stays within the radius of
+    :func:`decision_uniform`; parameters outside it raise
     ``ValidationError``.
     """
 
@@ -90,7 +90,7 @@ class NoiseParams:
         if size > _MAX_SCALE:  # checked first, so the differences below stay finite
             raise ValidationError(f"iq_centers coordinates must lie within +-{_MAX_SCALE:g}, got {size!r}")
         floor = max(_MIN_HALF_GAP, _HALF_GAP_PER_COORD * size)
-        if _half_gaps(coords).min() < floor:
+        if _half_gap(coords) < floor:
             raise ValidationError(f"iq_centers must lie at least {2 * floor:g} apart")
 
     def centers_array(self) -> np.ndarray:
@@ -180,30 +180,27 @@ def classify(i, q, params: NoiseParams):
     return np.where(d2 < np.minimum(d0, d1), np.uint8(2), (d1 < d0).astype(np.uint8))
 
 
-def _half_gaps(centres: np.ndarray) -> np.ndarray:
-    """Per centre row, half the distance to the nearest other row."""
+def _half_gap(centres: np.ndarray) -> float:
+    """Half the smallest distance between two centre rows."""
     diff = centres[:, None, :] - centres[None, :, :]
     gaps = np.hypot(diff[..., 0], diff[..., 1])
     np.fill_diagonal(gaps, np.inf)
-    return gaps.min(axis=1) / 2.0
+    return float(gaps.min()) / 2.0
 
 
-def decision_uniforms(params: NoiseParams) -> list[float]:
-    """Per level L, a bound on the IQ noise uniform below which ``classify``
-    returns L.
+def decision_uniform(params: NoiseParams) -> float:
+    """A bound on the IQ noise uniform below which ``classify`` returns the
+    level the response was synthesised for, whatever that level.
 
-    A point nearer centre L than rho_L, half the distance from L to its
-    nearest other centre, is nearer L than any other centre, whatever its
-    angle. The radius R_L = 0.99 rho_L covers the rounding of ``synth_iq``
-    and ``classify`` on the domain of :class:`NoiseParams`, and
-    sqrt(-2 log(1 - u)) sigma < R_L exactly when u < 1 - exp(-(R_L /
-    sigma)^2 / 2). Computed in Python floats, where a ratio that overflows or
-    underflows gives 1 or 0 without a warning."""
-    bounds = []
-    for radius in _RADIUS_SHRINK * _half_gaps(params.centers_array()):
-        ratio = float(radius) / params.iq_sigma
-        bounds.append(-math.expm1(-0.5 * ratio * ratio))
-    return bounds
+    A point nearer its centre than rho, half the smallest distance between
+    two centres, is nearer that centre than any other, whatever its angle.
+    The radius R = 0.99 rho covers the rounding of ``synth_iq`` and
+    ``classify`` on the domain of :class:`NoiseParams`, and
+    sqrt(-2 log(1 - u)) sigma < R exactly when u < 1 - exp(-(R / sigma)^2 / 2).
+    Computed in Python floats, where a ratio that overflows or underflows
+    gives 1 or 0 without a warning."""
+    ratio = _RADIUS_SHRINK * _half_gap(params.centers_array()) / params.iq_sigma
+    return -math.expm1(-0.5 * ratio * ratio)
 
 
 def misclassification_rate(params: NoiseParams) -> float:

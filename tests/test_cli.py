@@ -182,6 +182,16 @@ class TestExtract:
         assert fields["output_bits"] == "1"
         assert fields["input_zero_fraction"] == repr(1 / 3)
 
+        # discards only: no binary input, so no zero fraction and no yield model
+        write_trace(RawStream(np.array([2, 2], dtype=np.uint8)), trace)
+        assert run_cli(["extract", "--in", str(trace), "--out", str(bits), "--report", str(report)]) == 0
+        fields = parse_report(report)
+        assert len(read_bits(bits)) == 0
+        assert (fields["input_bits"], fields["pairs"], fields["output_bits"]) == ("0", "0", "0")
+        assert fields["realized_yield"] == "0.0"
+        assert fields["input_zero_fraction"] == "nan"
+        assert fields["expected_yield"] == "nan"
+
     def test_matches_library_extraction(self, workspace):
         from ksqrng.extract import to_bits, von_neumann_extract
 
@@ -214,6 +224,21 @@ class TestStats:
         code = run_cli(["stats", "--in", str(bits), "--report", str(tmp_path / "s.rpt"), "--gate"])
         assert code == 1
         assert "gate failed" in capsys.readouterr().err
+
+    def test_gate_allows_one_failure(self, tmp_path, monkeypatch):
+        from ksqrng import stats
+
+        bits = tmp_path / "r.bits"
+        write_bits(random_bits(99, 100_000), bits)  # every test passes on these bits
+
+        def failing(stream):
+            return stats.TestResult(name="forced", statistic=0.0, p_value=0.0, passed=False)
+
+        args = ["stats", "--in", str(bits), "--report", str(tmp_path / "s.rpt"), "--gate"]
+        monkeypatch.setattr(stats, "monobit", failing)
+        assert run_cli(args) == 0
+        monkeypatch.setattr(stats, "runs", failing)
+        assert run_cli(args) == 1
 
     def test_undersized_bit_file_exits_2(self, tmp_path):
         bits = tmp_path / "tiny.bits"

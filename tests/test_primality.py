@@ -110,18 +110,20 @@ class TestSolovayStrassen:
         assert verdict.verdict == "probably_prime"  # 4^5 = 1 mod 11, (4/11) = 1
         assert verdict.witnesses_used == 1
         assert verdict.bits_consumed == 8
+        # 0111 -> 7 = n - 4, the largest accepted chunk: a = 9
+        verdict = solovay_strassen(11, BitSource(BitStream([0, 1, 1, 1])), max_witnesses=1)
+        assert verdict.verdict == "probably_prime"  # 9^5 = 1 mod 11, (9/11) = 1
+        assert (verdict.witnesses_used, verdict.bits_consumed) == (1, 4)
 
     def test_bits_consumed_deterministic(self):
         a = solovay_strassen(561, source(12), max_witnesses=64)
         b = solovay_strassen(561, source(12), max_witnesses=64)
         assert a == b
 
-    def test_exhaustion_carries_partial_counts(self):
+    def test_exhaustion_raises(self):
         src = BitSource(BitStream([1, 0]))
-        with pytest.raises(BitSourceExhaustedError) as err:
+        with pytest.raises(BitSourceExhaustedError):
             solovay_strassen(11, src, max_witnesses=4)
-        assert err.value.bits_consumed == 0
-        assert err.value.witnesses_used == 0
 
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -130,6 +132,8 @@ class TestSolovayStrassen:
             solovay_strassen(11, source(), max_witnesses=0)
         with pytest.raises(ValidationError, match="negative number of bits"):
             source().take(-1)
+        src = source()
+        assert src.take(0) == 0 and src.bits_consumed == 0
 
     def test_modular_exponent_against_naive_oracle(self):
         rng = np.random.default_rng(6)
@@ -177,9 +181,10 @@ class TestHarness:
         assert [v.number for v in result.verdicts] == [561, 1105, 1729]
 
     def test_totals_match_per_number_counts(self):
-        result = carmichael_harness(10**4, source(21), max_witnesses=32)
-        assert result.total_bits_consumed == sum(v.bits_consumed for v in result.verdicts)
-        assert result.total_witnesses == sum(v.witnesses_used for v in result.verdicts)
+        for max_witnesses in (32, 1):  # 1 is the fewest the harness accepts
+            result = carmichael_harness(10**4, source(21), max_witnesses=max_witnesses)
+            assert result.total_bits_consumed == sum(v.bits_consumed for v in result.verdicts)
+            assert result.total_witnesses == sum(v.witnesses_used for v in result.verdicts)
 
     def test_empty_source_exhausts_at_first_number(self):
         with pytest.raises(BitSourceExhaustedError) as err:

@@ -245,12 +245,13 @@ class TestRawWords:
         for t, p in ((bounds.thermal, noise.p_thermal_1 + noise.p_thermal_2), (bounds.decay_10, noise.p_decay_10)):
             words = edge_words(t)
             assert np.array_equal(words < t, protocol._uniforms(words) < p)
-        # early decisions: a word below its level's IQ bound is classified
-        # as that level at every noise angle
+        # early decisions: a word below the IQ bound is classified as its
+        # level, for every level and every noise angle
         angles = np.linspace(0.0, 1.0 - 2.0**-53, 65)
-        for level, t in enumerate(bounds.iq.tolist()):
-            words = edge_words(t)
-            u = protocol._uniforms(words[words < t])[:, None]
+        assert type(bounds.iq) is int
+        words = edge_words(bounds.iq)
+        u = protocol._uniforms(words[words < bounds.iq])[:, None]
+        for level in range(3):
             assert np.all(classify(*synth_iq(level, u, angles, noise), noise) == level)
         lo, hi = bounds.band
         cap = protocol._uniforms(np.uint64(protocol._RADIUS_CAP_WORD - 1))
@@ -280,8 +281,7 @@ class TestIdealMode:
     def test_run_trial_record(self):
         rec = run_trial(ProtocolConfig(n_trials=1, seed=3, ideal=True), TrialRandom(3, 0))
         assert rec.iq is None
-        assert rec.classified_level == rec.true_level
-        assert rec.symbol == rec.classified_level and type(rec.symbol) is int
+        assert rec.symbol == rec.true_level and type(rec.symbol) is int
 
 
 class TestNoisyMode:
@@ -294,7 +294,7 @@ class TestNoisyMode:
             seen = set()
             for i in range(200):
                 rec = run_trial(cfg, TrialRandom(5, i))
-                assert rec.symbol == rec.classified_level and type(rec.symbol) is int
+                assert type(rec.symbol) is int
                 assert rec.iq is not None
                 seen.add(rec.symbol)
             assert seen == {0, 1, 2}
@@ -623,7 +623,7 @@ class TestWordTies:
             "decay_10": tie_rows(level1, 4, bounds.decay_10),
         }
         for level, base in enumerate((level0, level1, level2)):
-            cases[f"iq-{level}"] = tie_rows(base, 6, int(bounds.iq[level]))
+            cases[f"iq-{level}"] = tie_rows(base, 6, bounds.iq)
         cfg = ProtocolConfig(n_trials=1, seed=0, noise=noise)
         for level, base in enumerate((level0, level1, level2)):
             assert run_trial(cfg, RowRandom(base)).true_level == level

@@ -112,6 +112,9 @@ class TestBornProbabilities:
 
     def test_computational(self):
         assert np.allclose(born_probabilities(E1, (E0, E1, E2)), [0, 1, 0], atol=0)
+        # a basis whose largest overlap residual is exactly TOL is accepted
+        tilted = (E0, QutritState([1e-12, 1, 0]), E2)
+        assert np.allclose(born_probabilities(E1, tilted), [0, 1, 0], atol=0)
 
     def test_rejects_non_orthonormal_basis(self):
         with pytest.raises(ValidationError):
@@ -164,6 +167,11 @@ class TestValidation:
     def test_non_unitary_rejected(self):
         with pytest.raises(ValidationError):
             Unitary3(np.ones((3, 3)))
+
+    def test_residual_at_tolerance_accepted(self):
+        # U^dag U - I has largest entry exactly TOL and det U is exactly 1
+        m = np.array([[1, 1e-12, 0], [0, 1, 0], [0, 0, 1]], dtype=np.complex128)
+        assert np.array_equal(Unitary3(m).matrix, m)
 
     @pytest.mark.parametrize(
         "make, message",
