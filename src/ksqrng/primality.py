@@ -7,6 +7,7 @@ that they are exactly uniform over [2, n-2] and every consumed bit
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -123,9 +124,15 @@ def solovay_strassen(n: int, source: BitSource, max_witnesses: int) -> SSVerdict
 def carmichael_numbers(limit: int) -> list[int]:
     """All Carmichael numbers below ``limit`` by Korselt's criterion:
     squarefree composite n with p - 1 dividing n - 1 for every prime
-    factor p."""
+    factor p. Each ``limit``'s list is computed once; every call returns a
+    fresh copy."""
     if limit < 3:
         raise ValidationError(f"limit must be >= 3, got {limit}")
+    return list(_carmichael_tuple(limit))
+
+
+@functools.cache
+def _carmichael_tuple(limit: int) -> tuple[int, ...]:
     # p - 1 | n - 1 with p | n forces n / p > p, so every prime factor of a
     # Carmichael number n < limit is at most isqrt(limit - 1); a cofactor
     # left in ``rest`` after these primes are divided out fails the test.
@@ -139,7 +146,7 @@ def carmichael_numbers(limit: int) -> list[int]:
         rest[p::p] //= p
         squarefree = rest[p::p] % p != 0
         korselt[p::p] &= squarefree & ((np.arange(p, limit, p) - 1) % (p - 1) == 0)
-    return np.flatnonzero(korselt & (rest == 1)).tolist()
+    return tuple(np.flatnonzero(korselt & (rest == 1)).tolist())
 
 
 def carmichael_harness(limit: int, source: BitSource, max_witnesses: int) -> HarnessResult:

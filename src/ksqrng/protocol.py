@@ -1,21 +1,23 @@
 """End-to-end trial protocol: prepare ground state, rotate into the Sx
 measurement frame, project, relax, read out, classify, emit a symbol.
 
-Randomness is counter-based: trial ``i`` of a run with seed ``s`` owns words
-[8i, 8i + 8) of the Philox(key=s) stream (8 words = 2 Philox blocks), so
-trials are order-independent and a batch can be generated in chunks or
-across workers with bit-identical results.
+Randomness is counter-based. A run with seed ``s`` has eight column
+streams: column ``j`` is Philox(key=s) started at counter [0, 0, j, 0], that
+is advanced by j 2^128 blocks. Word ``j`` of trial ``i`` is word ``i`` of
+column ``j``, so trials are order-independent and a batch can be generated
+in chunks or across workers with bit-identical results.
 
-Per-trial word layout in noisy mode, consumed in order:
+Per-trial word layout in noisy mode, one word per column, consumed in order:
 
-    0     thermal initialization
-    1-2   gate amplitude error (Box-Muller pair, cosine branch used)
-    3     Born-rule outcome sampling
-    4-5   relaxation during readout
-    6-7   IQ response noise (Box-Muller pair)
+    column 0     thermal initialization
+    column 1-2   gate amplitude error (Box-Muller pair, cosine branch used)
+    column 3     Born-rule outcome sampling
+    column 4-5   relaxation during readout
+    column 6-7   IQ response noise (Box-Muller pair)
 
-Ideal mode consumes only word 0 (Born sampling); noise and IQ synthesis are
-bypassed entirely and classification is the identity on the projected level.
+Ideal mode draws only column 0 (Born sampling), so ideal trial ``i`` owns
+word ``i`` of it; noise and IQ synthesis are bypassed entirely and
+classification is the identity on the projected level.
 
 ``run_trial`` computes every step of one trial with the qutrit linear
 algebra from ``Generator.random`` uniforms. It is the independent reference
@@ -31,7 +33,7 @@ trials by comparing words with such thresholds:
 - a trial whose IQ noise uniform is below ``readout.decision_uniform``, one
   bound for every level, is classified as its relaxed level.
 
-Only the other rows (3.1% and 0.05% of trials at the defaults) are turned
+Only the other trials (3.1% and 0.05% of trials at the defaults) are turned
 into the uniforms ``Generator.random`` gives and take the exact path, which
 feeds them to the same ``readout`` steps as ``run_trial``, so every symbol
 is the one computing every step would give. The bounds hold on the
@@ -64,8 +66,8 @@ from .readout import (
     thermal_init,
 )
 
-WORDS_PER_TRIAL = 8
-_BLOCKS_PER_TRIAL = WORDS_PER_TRIAL // 4  # Philox emits 4 words per counter step
+WORDS_PER_TRIAL = 8  # column streams; Philox emits 4 words per counter step
+_COLUMN_LENGTH = 1 << 130  # words per column stream: 2^128 counter steps
 _CHUNK = 1 << 14  # trials per chunk: 1 MiB of words, 128 KiB per float temporary
 
 # Margins of the Born band in _WordBounds.of. Each guarded value is a
@@ -96,7 +98,7 @@ class ProtocolConfig:
     ideal: bool = False
 
     def __post_init__(self):
-        # kept as Python ints: Philox.advance overflows on numpy integers
+        # kept as Python ints: a column stream's counter overflows numpy integers
         object.__setattr__(self, "n_trials", _integer(self.n_trials, "n_trials"))
         if self.n_trials < 1:
             raise ValidationError(f"n_trials must be >= 1, got {self.n_trials}")
@@ -110,29 +112,42 @@ class BatchSummary(Outcomes):
     n_trials: int
 
 
+def _column_stream(seed: int, column: int, trial: int):
+    """Philox bit generator of column stream ``column`` at the start of the
+    4-word block that holds word ``trial`` of that column."""
+    return np.random.Philox(key=seed, counter=column << 128 | trial // 4)
+
+
 class TrialRandom:
-    """Sequential uniform source over one trial's fixed word budget.
+    """Sequential uniform source over one trial's fixed word budget: the
+    ``Generator.random`` uniforms of the trial's word in each column stream,
+    column 0 first.
 
     ``run_trial(config, TrialRandom(seed, i))`` reproduces trial ``i`` of
     ``run_batch`` exactly.
     """
 
     def __init__(self, seed: int, trial_index: int):
-        seed = _check_seed(seed)
+        self._seed = _check_seed(seed)
         trial_index = _integer(trial_index, "trial_index")
         if trial_index < 0:
             raise ValidationError("trial_index must be nonnegative")
-        bg = np.random.Philox(key=seed)
-        bg.advance(_BLOCKS_PER_TRIAL * trial_index)
-        self._gen = np.random.Generator(bg)
+        if trial_index >= _COLUMN_LENGTH:
+            raise ValidationError("trial_index must be below 2^130, the length of a column stream")
+        self._trial = trial_index
         self._remaining = WORDS_PER_TRIAL
 
     def random(self, size=None):
         n = 1 if size is None else _integer(size, "size")
         if not 0 <= n <= self._remaining:  # checked before the budget moves
             raise ValidationError(f"size {n} lies outside [0, {self._remaining}], the trial's unread word budget")
+        first = WORDS_PER_TRIAL - self._remaining
         self._remaining -= n
-        return self._gen.random(size)
+        words = [
+            _column_stream(self._seed, j, self._trial).random_raw(self._trial % 4 + 1)[-1] for j in range(first, first + n)
+        ]
+        u = _uniforms(np.array(words, dtype=np.uint64))
+        return float(u[0]) if size is None else u
 
 
 def run_trial(config: ProtocolConfig, rng) -> TrialRecord:
@@ -235,13 +250,16 @@ def _born_levels(initial, u_a, u_b, u, noise: NoiseParams):
     # column of R01(theta) @ R12(theta): (c, s, 0), (s c, c^2, s) and
     # (s^2, c s, c) from levels 0, 1 and 2. The columns are closed forms, so
     # this skips sample_level's probability check.
-    p0 = np.choose(initial, (cc, sc2, ss**2))
-    p1 = np.choose(initial, (ss, cc**2, sc2))
+    ground = initial == 0
+    level1 = initial == 1
+    p0 = np.where(ground, cc, np.where(level1, sc2, ss**2))
+    p1 = np.where(ground, ss, np.where(level1, cc**2, sc2))
     return _sample_levels(p0, p1, u)
 
 
-def _batch_symbols(words: np.ndarray, noise: NoiseParams, bounds: _WordBounds) -> np.ndarray:
-    """Symbols of the noisy trials whose raw word rows are ``words``.
+def _batch_symbols(words: list[np.ndarray], noise: NoiseParams, bounds: _WordBounds) -> np.ndarray:
+    """Symbols of the noisy trials whose raw words are ``words``, one array
+    per column stream.
 
     A ground-state trial with a capped gate radius and u3 outside the Born
     band of ``_WordBounds.of`` is level [u3 >= 1/2] at any gate angle, so
@@ -252,24 +270,20 @@ def _batch_symbols(words: np.ndarray, noise: NoiseParams, bounds: _WordBounds) -
     classified as its relaxed level; only the others are synthesised and
     classified.
     """
-    w3 = words[:, 3]
-    levels = ((w3 >= _HALF_WORD) & (words[:, 4] >= bounds.decay_10)).view(np.uint8)
+    w3 = words[3]
+    levels = ((w3 >= _HALF_WORD) & (words[4] >= bounds.decay_10)).view(np.uint8)
     lo, hi = bounds.band
     idx = np.flatnonzero(
-        (words[:, 0] < bounds.thermal)
-        | (words[:, 1] >= _RADIUS_CAP_WORD)
-        | ((w3 >= lo) & (w3 < hi))
-        | (w3 >= bounds.top)
+        (words[0] < bounds.thermal) | (words[1] >= _RADIUS_CAP_WORD) | ((w3 >= lo) & (w3 < hi)) | (w3 >= bounds.top)
     )
     if idx.size:
-        u = _uniforms(words[idx])
-        projected = _born_levels(thermal_init(u[:, 0], noise), u[:, 1], u[:, 2], u[:, 3], noise)
-        levels[idx] = apply_relaxation(projected, u[:, 4], u[:, 5], noise)
+        u = [_uniforms(c[idx]) for c in words[:6]]
+        projected = _born_levels(thermal_init(u[0], noise), u[1], u[2], u[3], noise)
+        levels[idx] = apply_relaxation(projected, u[4], u[5], noise)
 
-    idx = np.flatnonzero(words[:, 6] >= bounds.iq)
+    idx = np.flatnonzero(words[6] >= bounds.iq)
     if idx.size:
-        u = _uniforms(words[idx, 6:])
-        i, q = synth_iq(levels[idx], u[:, 0], u[:, 1], noise)
+        i, q = synth_iq(levels[idx], _uniforms(words[6][idx]), _uniforms(words[7][idx]), noise)
         levels[idx] = classify(i, q, noise)
     return levels
 
@@ -282,10 +296,11 @@ def run_batch(config: ProtocolConfig, workers: int = 1) -> tuple[RawStream, Batc
     only decides who computes them. The trials are cut into ``_CHUNK``-trial
     chunks (sized so one chunk's words and temporaries stay in L2 cache), and
     ``min(workers, chunks)`` threads each take a contiguous run of chunks.
-    A thread advances one Philox stream to its first trial and draws each
-    chunk as raw words, releasing them before the next draw: a trial
-    consumes exactly two counter blocks, so consecutive draws continue at
-    the next trial. Word thresholds are computed once per call.
+    A thread starts one Philox generator per column stream the mode reads
+    (one ideal, eight noisy) at its first trial, and draws each chunk as a
+    contiguous run of raw words from each, releasing them before the next
+    draw, so consecutive draws continue at the next trial. Word thresholds
+    are computed once per call.
     """
     workers = _integer(workers, "workers")
     if workers < 1:
@@ -296,12 +311,14 @@ def run_batch(config: ProtocolConfig, workers: int = 1) -> tuple[RawStream, Batc
         # sample_level on the ideal Born triple is [u0 >= p0] + [u0 >= p0 + p1];
         # p0 + p1 is exactly 1, above every uniform, so the level is [u0 >= p0]
         t0 = _word_threshold((np.abs(measurement_unitary().matrix[:, 0]) ** 2)[0])
+        columns = 1
 
         def symbols(words):
-            return (words[:, 0] >= t0).view(np.uint8)
+            return (words[0] >= t0).view(np.uint8)
 
     else:
         bounds = _WordBounds.of(config.noise)
+        columns = WORDS_PER_TRIAL
 
         def symbols(words):
             return _batch_symbols(words, config.noise, bounds)
@@ -312,11 +329,11 @@ def run_batch(config: ProtocolConfig, workers: int = 1) -> tuple[RawStream, Batc
     def fill(t):
         start = t * n_chunks // threads * _CHUNK
         stop = min(n, (t + 1) * n_chunks // threads * _CHUNK)
-        bg = np.random.Philox(key=config.seed)
-        bg.advance(_BLOCKS_PER_TRIAL * start)
+        # start is a multiple of _CHUNK, so of 4: each generator's next word is word start
+        gens = [_column_stream(config.seed, j, start) for j in range(columns)]
         for lo in range(start, stop, _CHUNK):
             m = min(_CHUNK, stop - lo)
-            words = bg.random_raw(WORDS_PER_TRIAL * m).reshape(m, WORDS_PER_TRIAL)
+            words = [bg.random_raw(m) for bg in gens]
             out[lo : lo + m] = symbols(words)
             del words  # freed before the next draw: one chunk of words per thread
 

@@ -42,44 +42,44 @@ def output_digests(tmp_path, config: str, ideal: bool, workers: int) -> dict[str
 
 DIGESTS = {
     ("calibrated", "noisy"): {
-        "trace": "b11d22f16bfe4d8a165b2aa66dfe0087916184b77c864a11d8b46509eb738b1d",
-        "gen.rpt": "77c9c68c29ce7255cebd0fba98a73c1e9909a8c207d2b731abf9c480f2a0a518",
-        "cert.rpt": "c17089d3fcbfc2ffbf90f2b780018ce2f4567e749645547e14f511d0aa2d22b9",
-        "bits": "a3a0228338139da68bab43584fce0e49c6a767b999995c16a25127dcfe31b215",
-        "ext.rpt": "ef386d05fd85100b2c6cc77d9c515ddffe6bcec090e5c9521738fa106671772c",
-        "stat.rpt": "bad0f288e1fa817adb2688efd2d3729498deb115be5a7326648fe771a630dfcf",
-        "ss.rpt": "da685c810e509ca4412b8637ff8578a8d78bb71c59c720d116df42560e03dd96",
-        "ss-10000.rpt": "c1eedfbee0784d627b9ce2f2fbbd4bfb9fdf48671c045aceacfd275c6022e238",
+        "trace": "f4bb54afdbefdc9b622858589e98020f492de1a9281bd2db96eb8481c2274706",
+        "gen.rpt": "505959889207d87d279a186acaed6284808dca99cfc3489610bb1df660539c94",
+        "cert.rpt": "56fe5dce0f5ae88fb61cd5f33f46432f261e4b95d182046ccb68029854cbb69f",
+        "bits": "284c4fcd9749f86e9917a67e5354188b61f5170d3777648497146b5cca7597de",
+        "ext.rpt": "10f3067356f84266df12181d8fe42acc119d836174c28f83a4a3a9c89bc6a792",
+        "stat.rpt": "5b4b63ab01bceec628e57082911dc578a50f76af84704df1c863ea698b882f67",
+        "ss.rpt": "60cbd73df4f2c6d9938aa322b72db0e0882a3dceeedf22b994f5ae518e4faa8c",
+        "ss-10000.rpt": "85f932bd91fb982b1d22130d47c27403d800f43b9912465bb6980b0ee006d4da",
     },
     ("calibrated", "ideal"): {
-        "trace": "efa1aba4414c2e89abd8c7abb37a87751134623a26082a750768b6e97afcb7ae",
-        "gen.rpt": "0ff0d4e25c4ccd1de53a04ba5792219d96decf58fb55216c7f92ab083e767487",
-        "cert.rpt": "cd98095315c39a247a09dbf24d1554157fb9e13158f73bbffceea13b8a12924c",
-        "bits": "32b171c352d00409168d9bb888b808323e2ecceeb59230768bc0e709bc869224",
-        "ext.rpt": "59b1b9dc2fa96c47b66d449118fbc30fd772b4250e67dd5b4f70d48b6cf1dbc9",
-        "stat.rpt": "1d7ae63f5a8e82ba33789529b9165bc82b0b33e597acd10b2d46139012477631",
-        "ss.rpt": "a810dc544c3c5d60613ae9c78a6b200c26d2f30f3f0175599c9072f89ecee173",
-        "ss-10000.rpt": "4b617ee5e9add7eec1ffdd9d3db1de3885f4d4628f45c3486875dc1d16aca1c5",
+        "trace": "849d96a6a01d8c5df963643579f598f8129e8670be3262fe12e4163bd97c838b",
+        "gen.rpt": "e67efbf487a4a101a9959a8b09721cddec428098bebf75f7f419d45bb964cc24",
+        "cert.rpt": "89741115f526eb4e9f649325c2c720c50679a6d891af7ffd054be4c77367e70d",
+        "bits": "eda5cd5e7fb0d0f0704a40dbc048de4426c1fd16e163480ad36efd2a58451669",
+        "ext.rpt": "92aad92e1da9b4f1b78864efba249e9b2aed2359d39d96fddbd8bd99fdbd2fdd",
+        "stat.rpt": "ed1cf67a2fc2b9bd156c5d60e6dd8de8d69e256052f728973438ad9be65c8f5c",
+        "ss.rpt": "fd8811a527f5fdd189cdaba15897b23474bbf888d8d7ecff798ec4b2d318dbab",
+        "ss-10000.rpt": "6cc54c8f7129767bddb3c88171b18d7dcc10a112d0a8c7cda4c74b66557cbf15",
     },
     ("criterion-8", "noisy"): {
-        "trace": "89c9757d858b5d913f6db47aa97647e138477531468db799abc46ade79e1a23b",
-        "gen.rpt": "f6443db87be96bc930e9f7cea12dbee103f76b13b47a45832b2f71dc72e5fcf1",
-        "cert.rpt": "7c014e6de4665396788480ee7cda4c760920c76c79bae7a2a945ed6fe279fd12",
-        "bits": "64e16dc3611146ac3863b0a21cfc96e290cea004f7397f55a7cab43b0982fdfe",
-        "ext.rpt": "b737dcbbabc4d03a727584022195e08b5cc324bef7a1cc37411e73297c877776",
-        "stat.rpt": "cdf5df927a88e3b47bbb0dced6bc8d6dfc23f734fbb7ecc105074abc55465668",
-        "ss.rpt": "29b54df34d6569049bb75b5af4deb37be8eae423d65a7f9677d24cb1d78cafe4",
-        "ss-10000.rpt": "1279516c22cded4bdb0c9e6c8e39c97f6ec1755f559e63ff212a245577200f01",
+        "trace": "04548f60f7b589fc5bc169a1669d3ff3957f6822e23eb1f2d741a4d0b66ee4e4",
+        "gen.rpt": "e98332510f7b0108c935bc250071293252612e7dee149d45c46a4e155e8d1035",
+        "cert.rpt": "c47d002d338db2df5cd0c37dd1078b738b85eb3af3fd93b87f5c98a5f5083345",
+        "bits": "2e211ce3010ee6960037df1a93b3400905c0e87fe1ed4167cc97fafb080dfc38",
+        "ext.rpt": "13c65f249eee52eddd744ef7fbaa8c1b61706ac522c9e91099fbfd389fbf0a48",
+        "stat.rpt": "1993e66a3a11bf2acb88bc23b0be1711496c8a8ba2b4ae27718a5bdeef6b9e2b",
+        "ss.rpt": "8f341fc6a173fbacdcd629af43b2878dac24d5e21a2a727db8b9739d1b732887",
+        "ss-10000.rpt": "e92334936c5686f27098987db97c9787b034e310dbb057c552fb2239945bfa53",
     },
     ("criterion-8", "ideal"): {
-        "trace": "54cc8d0f64a05e5108fe602194986fd073448f0c3bc7eac63f475e68d964f5e8",
-        "gen.rpt": "79292533d987057491406c18e135bac9bb32418fd363a44ca7bf7006b714f62f",
-        "cert.rpt": "730430ff3c26beed8c41527a1efc5627ad5196db578294ae56f35585eb24744a",
-        "bits": "4ee5c8175da5988998712498ef87135995b93a3fa85755c19f182f8706b66f2e",
-        "ext.rpt": "54a9032429d3793369c49d1f2b67b148da1b33f9154ad18f2836ffbc291fc728",
-        "stat.rpt": "71b0c2de757ca18aa5e27932316ff2eadea6fb3fbd470e740705d1f4aaa781c9",
-        "ss.rpt": "4ad616def6b35a0ead646455a398e5498fc241fada5b421191ab849e39ffe46c",
-        "ss-10000.rpt": "3bd9281487436ec2be218450f296dff8b4afd4505abb4c68c39f56ffb4398e0c",
+        "trace": "d3f786264a423862cd652a25d7a5671ff57fe299e0ec4cf6de11b6b68269ad54",
+        "gen.rpt": "5b71a27da81f70b87038832b23f339b493895472e0c78f7dfdd6846579723fac",
+        "cert.rpt": "5ea38c7535e5c72a5146768af423115fc4e6ebf09d5286285eb60612d1be2d10",
+        "bits": "a22277a9065d7f261e5d67597504b0a6d077edd406b7c63a25cca86c423f7e4f",
+        "ext.rpt": "3fae052b562aa8c61d81c14d27084d0bf27e6fcc210dfc5b5936ba425fe8d267",
+        "stat.rpt": "3891cd723bd5b714bd72b143a547a51b9f03fb2530de01e4cb33f97ccb3f0285",
+        "ss.rpt": "454b8cb743007842ab0f4e0eeeaa1d732a8fb289740e59859d1a290a52297a3a",
+        "ss-10000.rpt": "c620e41ec8d1fb348bbccebc41bbe1da9d169277dc579eca5699aad19bd3456b",
     },
 }
 

@@ -172,6 +172,14 @@ class TestCarmichaelNumbers:
         with pytest.raises(ValidationError):
             carmichael_numbers(2)
 
+    def test_returned_list_is_a_fresh_copy(self):
+        first = carmichael_numbers(2000)
+        first.append(7)
+        first[0] = 0
+        second = carmichael_numbers(2000)
+        assert second == [561, 1105, 1729]
+        assert second is not carmichael_numbers(2000)
+
 
 class TestHarness:
     def test_three_verdicts_below_2000(self):

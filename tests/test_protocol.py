@@ -183,10 +183,49 @@ class TestTrialRandom:
         assert rng.random(0).size == 0
 
     def test_matches_contiguous_stream(self):
-        full = np.random.Generator(np.random.Philox(key=77)).random(40)
-        for i in range(5):
+        # word j of trial i is word i of column stream j, a contiguous
+        # Philox stream from counter [0, 0, j, 0]
+        columns = [np.random.Generator(np.random.Philox(key=77, counter=[0, 0, j, 0])).random(9) for j in range(8)]
+        for i in range(9):
             words = TrialRandom(77, i).random(8)
-            assert np.array_equal(words, full[8 * i : 8 * i + 8])
+            assert np.array_equal(words, [column[i] for column in columns])
+
+    @pytest.mark.parametrize("offset", range(4))
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=hst.integers(0, 2**64 - 1),
+        block=hst.one_of(
+            hst.integers(0, 1 << 20),
+            hst.builds(lambda k, d: max(k * (protocol._CHUNK // 4) + d, 0), hst.integers(0, 64), hst.integers(-1, 0)),
+            hst.integers(2**38, 2**64 - 1),  # trial indices of 2^40 and more
+        ),
+    )
+    def test_matches_philox_counter(self, offset, seed, block):
+        # trial i reads position i % 4 of the Philox block at counter
+        # [i // 4, 0, j, 0] in each column j, uniforms in column order (as a
+        # list, numpy casts a counter word of 2^63 or more through float64)
+        i = 4 * block + offset
+        expected = [
+            np.random.Generator(np.random.Philox(key=seed, counter=np.array([i // 4, 0, j, 0], dtype=np.uint64)))
+            .random(i % 4 + 1)[-1]
+            for j in range(8)
+        ]
+        rng = TrialRandom(seed, i)
+        first = rng.random()
+        assert type(first) is float
+        assert [first, *rng.random(7).tolist()] == expected
+
+    def test_last_trial_of_a_column(self):
+        # a column stream is 2^128 Philox blocks of 4 words long
+        last = 2**130 - 1
+        expected = [
+            np.random.Generator(np.random.Philox(key=3, counter=np.array([2**64 - 1, 2**64 - 1, j, 0], dtype=np.uint64)))
+            .random(4)[-1]
+            for j in range(8)
+        ]
+        assert TrialRandom(3, last).random(8).tolist() == expected
+        with pytest.raises(ValidationError, match="below 2\\^130"):
+            TrialRandom(3, last + 1)
 
 
 def edge_words(threshold):
@@ -202,14 +241,12 @@ class TestRawWords:
 
     @pytest.mark.parametrize("trial", [0, 1, 12_345, (1 << 14) - 3])
     def test_uniforms_match_generator(self, trial):
-        def philox():
-            bg = np.random.Philox(key=2718)
-            bg.advance(protocol._BLOCKS_PER_TRIAL * trial)
-            return bg
+        def philox():  # column stream 5 from the block that holds word ``trial``
+            return np.random.Philox(key=2718, counter=[trial // 4, 0, 5, 0])
 
         bg = philox()
-        raw = np.concatenate([bg.random_raw(8 * 5), bg.random_raw(8 * 7)])  # consecutive draws, as chunks are
-        expected = np.random.Generator(philox()).random(8 * 12)
+        raw = np.concatenate([bg.random_raw(5), bg.random_raw(7)])  # consecutive draws, as chunks are
+        expected = np.random.Generator(philox()).random(12)
         assert np.array_equal(protocol._uniforms(raw).view(np.uint64), expected.view(np.uint64))
 
     def test_extreme_words(self):
@@ -374,8 +411,8 @@ class TestChunking:
     @pytest.mark.parametrize(
         "ideal, digest",
         [
-            (False, "c92f517a299f17baeb088d3fc206beb666c3f9b6be4beb2eeb9d729750048146"),
-            (True, "ba3d285e2a747b21464aaf73dbe2947af01482f302707644f0be2a28a426e359"),
+            (False, "caece05370183b0e902a7bf2830fd7d4d97e3c9d01b767bae765b189d4e08ea2"),
+            (True, "4677acd5ad0c17083d3815e086b1cfa688450bcdeaca78052d79c2b8a0b09d00"),
         ],
         ids=["noisy", "ideal"],
     )
@@ -431,8 +468,8 @@ def reference_symbols(words, noise):
     """The all-trials noisy kernel: every trial takes the gate rotation, Born
     sampling from its initial level's column, relaxation, IQ synthesis and
     classification, with nothing decided early."""
-    initial = thermal_init(words[:, 0], noise)
-    theta = (np.pi / 2.0) * (1.0 + gate_error(words[:, 1], words[:, 2], noise))
+    initial = thermal_init(words[0], noise)
+    theta = (np.pi / 2.0) * (1.0 + gate_error(words[1], words[2], noise))
     c = np.cos(theta / 2.0)
     s = np.sin(theta / 2.0)
     cc = c * c
@@ -440,63 +477,64 @@ def reference_symbols(words, noise):
     # columns of R01(theta) @ R12(theta): (c, s, 0), (s c, c^2, s), (s^2, c s, c)
     p0 = np.select([initial == 1, initial == 2], [(s * c) ** 2, ss**2], cc)
     p1 = np.select([initial == 1, initial == 2], [cc**2, (c * s) ** 2], ss)
-    projected = _sample_levels(p0, p1, words[:, 3])
-    relaxed = apply_relaxation(projected, words[:, 4], words[:, 5], noise)
-    i, q = synth_iq(relaxed, words[:, 6], words[:, 7], noise)
+    projected = _sample_levels(p0, p1, words[3])
+    relaxed = apply_relaxation(projected, words[4], words[5], noise)
+    i, q = synth_iq(relaxed, words[6], words[7], noise)
     return classify(i, q, noise)
 
 
 def trial_words(seed, n):
-    return np.random.Generator(np.random.Philox(key=seed)).random((n, 8))
+    """The uniforms of trials [0, n), one row per column stream."""
+    return np.stack([np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, j, 0])).random(n) for j in range(8)])
 
 
 # noise model keywords, and the SHA-256 of the 2^16 symbols run_batch writes for them at seed 52
 EARLY_DECISION_CONFIGS = {
-    "defaults": ({}, "9e8ea8a1114aa4a304ab7bab20fd4029f6a6562eed8488cca20d20d25cf47c3d"),
-    "sigma-0.12": (dict(iq_sigma=0.12), "107ef2a677dd60801a15b79668df68de8718a6bb4745ea432479bf4975980cc7"),
-    "sigma-0.36": (dict(iq_sigma=0.36), "7e3bcaa0a2c556127ded74111484bb3e5a9a4600a221d51ffc5e456408ea7daf"),
-    "sigma-1": (dict(iq_sigma=1.0), "f450741803ffe52a16ab0e20490d37dd51d8c7f3b4bb6cdad17f16304474e936"),
-    "gate-0": (dict(gate_amp_error=0.0), "2a33e9d57816f36b1893ecb9017a5ed5aea700da7e3497b79e24af63abd97665"),
-    "gate-0.2": (dict(gate_amp_error=0.2), "10dc842f44070b87744a534ef5064a8dff5781d3d09d46260e56bb71aa520d91"),
+    "defaults": ({}, "4b0ae1c4ea8e933afd7b44308dc493caa935a7660adda111717ae83eab1439b3"),
+    "sigma-0.12": (dict(iq_sigma=0.12), "04638dc87efe60d356cf60996ad4b71eb1ec7f97d10ba30dfa0c050c5b536f01"),
+    "sigma-0.36": (dict(iq_sigma=0.36), "05f12742901602e47db2b7c4e7379dc249b954588cdd395a3c273989b450809c"),
+    "sigma-1": (dict(iq_sigma=1.0), "5b3458e84ee9e4792aabb43b70f1f8e12e7158124bb07f2e742552f3d682b8e2"),
+    "gate-0": (dict(gate_amp_error=0.0), "deecf83f763c24de03c91180410cd6b614e2b53ed49b6f150c0fbd7ae3f78497"),
+    "gate-0.2": (dict(gate_amp_error=0.2), "aa2d858abcad925b760db62fd8c2f43cbd041ce5172546da109a63399d21b6de"),
     "thermal-0.3": (
         dict(p_thermal_1=0.3, p_thermal_2=0.3),
-        "892cb435fdeac6bad9c61858588148ca47ccf3d27ba755e144167afd330ad8b2",
+        "2e9f1ec7515f474f36bb859c0e82e97ed9d4b211fb8b05f5526d9b0f0caf57ee",
     ),
     # the edges of the float64 domain NoiseParams accepts
     "coord-ceiling": (
         dict(iq_centers=((1e100, 0.0), (0.0, 1e100), (-1e100, 0.0)), iq_sigma=1e99),
-        "107ef2a677dd60801a15b79668df68de8718a6bb4745ea432479bf4975980cc7",
+        "04638dc87efe60d356cf60996ad4b71eb1ec7f97d10ba30dfa0c050c5b536f01",
     ),
     "sigma-ceiling": (dict(iq_sigma=1e100), "de2f256064a0af797747c2b97505dc0b9f3df0de4f489eac731c23ae9ca9cc31"),
-    "gate-ceiling": (dict(gate_amp_error=1e100), "d0060981272fc55e691e794ec23c3ab11aef4208b660d1d575eb23e4d5a8d731"),
+    "gate-ceiling": (dict(gate_amp_error=1e100), "67c744df1542d75cb030395dd62f89fe4b9c5612e8b35d65f03a080885319007"),
     "all-ceilings": (
         dict(iq_centers=((1e100, 0.0), (0.0, 1e100), (-1e100, 0.0)), iq_sigma=1e100, gate_amp_error=1e100),
-        "1cedfe13b1357330e068d88eb0c82b54338edd33b682c266472cdaf94d9703b5",
+        "d69b82e607a4bb57b7a24f37c9103d8ddff7d3a053f284c2d5cddd3bf366b199",
     ),
     # half gaps of exactly 1e-100, and of exactly 1e-6 max|coord|
     "gap-floor": (
         dict(iq_centers=((1e-100, 0.0), (-1e-100, 0.0), (0.0, 1e-99)), iq_sigma=3e-101),
-        "7fa8795ff7942431188a692f6e9138c25858dc78e5d0dc0de88812f2b85a948b",
+        "7c9f219d45e06bb9b32f171fc25b1bf9242517ade0096f0ae1900676dc3e99ac",
     ),
     "gap-per-coord": (
         dict(iq_centers=((1e6, 0.0), (1e6 - 2.0, 0.0), (-1e6, 0.0)), iq_sigma=0.3),
-        "7fa8795ff7942431188a692f6e9138c25858dc78e5d0dc0de88812f2b85a948b",
+        "7c9f219d45e06bb9b32f171fc25b1bf9242517ade0096f0ae1900676dc3e99ac",
     ),
     # the ends of each word threshold in run_batch
-    "decay10-0": (dict(p_decay_10=0.0), "05fad97109b8970a7c0b59d8dbb1016b96ce3a59edf91e1ab93e82b0265609bb"),
-    "decay10-1": (dict(p_decay_10=1.0), "9930d4881193524377f360ec83d3af1d1285bd6ab37651d5c6bd35e03f3a1d95"),
+    "decay10-0": (dict(p_decay_10=0.0), "30521ca84abf7f6a23e01d371ed0fc50e417d62b9f965dd3d73a6ad8f94bba8d"),
+    "decay10-1": (dict(p_decay_10=1.0), "a78943fa2c2b33d31af433789093a885d564ea277576f8fb62990f4044697a43"),
     "decay21-1": (
         dict(p_decay_21=1.0, p_thermal_1=0.3, p_thermal_2=0.3),
-        "98a974d52547a92aa6d1634bafb0daec1119d5bc3474420ebc79d9f97c12a39c",
+        "a4e0b4ea290b420d33e5db82880b6744c07955656754b2dd4bc66f9b743c725f",
     ),
     "thermal-0.999": (
         dict(p_thermal_1=0.5, p_thermal_2=0.499),
-        "56d3118b19821dba307e95a60a9e3ff2bebba23fba0a0482b4e9243f4fa7a62e",
+        "43f2229454653e2231c71a0e55ceb48e23d784a9653004ea05250649714e28c3",
     ),
     # the Born band at the radius cap holds [0, 1]
-    "band-covers-all": (dict(gate_amp_error=0.5), "7d96fbecf88d60aa004ee3015ff9d4e3119e94dee5557c9e3b3fd0fc3918c0dd"),
+    "band-covers-all": (dict(gate_amp_error=0.5), "c4c9b7ef18e605985e06f56ad7f041289a57c777f559feb2cbfa5e958195a85e"),
     # R / sigma overflows, so every level's bound is 1
-    "iq-bound-1": (dict(iq_sigma=5e-324), "107ef2a677dd60801a15b79668df68de8718a6bb4745ea432479bf4975980cc7"),
+    "iq-bound-1": (dict(iq_sigma=5e-324), "04638dc87efe60d356cf60996ad4b71eb1ec7f97d10ba30dfa0c050c5b536f01"),
     # (R / sigma)^2 underflows
     "iq-bound-0": (
         dict(iq_centers=((1e-100, 0.0), (-1e-100, 0.0), (0.0, 1e-99)), iq_sigma=1e100),
@@ -556,17 +594,22 @@ class RowRandom:
         return self._u[0] if size is None else self._u[:size]
 
 
-class RowSource:
-    """A Philox stand-in for ``run_batch`` whose raw words are ``rows``."""
+class ColumnSource:
+    """A Philox stand-in for ``run_batch`` whose column stream j holds the
+    raw words ``columns[j]``."""
 
-    def __init__(self, rows):
-        self._words = np.array(rows, dtype=np.uint64).ravel()
+    def __init__(self, columns):
+        self._columns = np.array(columns, dtype=np.uint64)
 
-    def __call__(self, key):
-        return self
+    def __call__(self, key, counter):
+        column, start = divmod(counter, 1 << 128)
+        assert start == 0
+        return ColumnWords(self._columns[column])
 
-    def advance(self, delta):
-        assert delta == 0
+
+class ColumnWords:
+    def __init__(self, words):
+        self._words = words
 
     def random_raw(self, size):
         assert size == self._words.size
@@ -595,7 +638,7 @@ class TestWordTies:
 
     @staticmethod
     def batch(monkeypatch, rows, **cfg):
-        monkeypatch.setattr(np.random, "Philox", RowSource(rows))
+        monkeypatch.setattr(np.random, "Philox", ColumnSource(np.array(rows, dtype=np.uint64).T))
         return run_batch(ProtocolConfig(n_trials=len(rows), seed=0, **cfg))[0].symbols.tolist()
 
     @pytest.mark.parametrize(
