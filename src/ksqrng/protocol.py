@@ -66,14 +66,14 @@ from .readout import (
     thermal_init,
 )
 
-WORDS_PER_TRIAL = 8  # column streams; Philox emits 4 words per counter step
+WORDS_PER_TRIAL = 8  # column streams, one word of each per trial
 _COLUMN_LENGTH = 1 << 130  # words per column stream: 2^128 counter steps
 _CHUNK = 1 << 14  # trials per chunk: 1 MiB of words, 128 KiB per float temporary
 
 # Margins of the Born band in _WordBounds.of. Each guarded value is a
 # few float64 operations from its exact value, each off by at most 2^-53
 # (1.1e-16) relative, so every margin is wider than the rounding by 10^6 or more.
-_ABS_MARGIN = 1e-9  # on c^2 and c^2 + s^2, which lie in [0, 1]
+_ABS_MARGIN = 1e-9  # on c^2, which lies in [0, 1]
 _BORN_SLOPE = (math.pi / 4.0) * (1.0 + 1e-9)  # pi/4, widened for rounding in the bound
 
 _COMPUTATIONAL_BASIS = (
@@ -113,9 +113,12 @@ class BatchSummary(Outcomes):
 
 
 def _column_stream(seed: int, column: int, trial: int):
-    """Philox bit generator of column stream ``column`` at the start of the
-    4-word block that holds word ``trial`` of that column."""
-    return np.random.Philox(key=seed, counter=column << 128 | trial // 4)
+    """Philox bit generator of column stream ``column`` whose next word is
+    word ``trial`` of that column. Philox emits 4 words per counter step, so
+    it starts at the step that holds the word and draws the ones before it."""
+    bg = np.random.Philox(key=seed, counter=column << 128 | trial // 4)
+    bg.random_raw(trial % 4)
+    return bg
 
 
 class TrialRandom:
@@ -143,9 +146,7 @@ class TrialRandom:
             raise ValidationError(f"size {n} lies outside [0, {self._remaining}], the trial's unread word budget")
         first = WORDS_PER_TRIAL - self._remaining
         self._remaining -= n
-        words = [
-            _column_stream(self._seed, j, self._trial).random_raw(self._trial % 4 + 1)[-1] for j in range(first, first + n)
-        ]
+        words = [_column_stream(self._seed, j, self._trial).random_raw() for j in range(first, first + n)]
         u = _uniforms(np.array(words, dtype=np.uint64))
         return float(u[0]) if size is None else u
 
@@ -206,32 +207,28 @@ class _WordBounds:
 
     thermal: int  # an excited start iff w0 < thermal
     decay_10: int  # 1 -> 0 iff w4 < decay_10
-    band: tuple[int, int]  # a ground trial with w1 below the cap, w3 outside [lo, hi) ...
-    top: int  # ... and w3 below top is level [u3 >= 1/2]
+    band: tuple[int, int]  # a ground trial with w1 below the cap and w3 outside [lo, hi) is level [u3 >= 1/2]
     iq: int  # w6 < iq is classified as the relaxed level
 
     @classmethod
     def of(cls, noise: NoiseParams) -> "_WordBounds":
-        # The Born level from the ground state is [u3 >= c^2] + [u3 >= c^2 + s^2]
-        # with c^2 = cos^2(theta/2) = (1 - sin(pi e / 2)) / 2, so |c^2 - 1/2|
+        # The ground state has p2 = 0, so its Born level is [u3 >= c^2] with
+        # c^2 = cos^2(theta/2) = (1 - sin(pi e / 2)) / 2, and |c^2 - 1/2|
         # <= (pi/4)|e| <= (pi/4) gate_amp_error r for the gate error e on
         # Box-Muller radius r. Below the radius cap this band lies inside the
         # band at the cap, which _BORN_SLOPE and _ABS_MARGIN widen for rounding
         # in the bound and in c^2, a further 1e-9 for rounding in _radius, and
         # [lo, hi) holds in 2^-53 steps plus one. A ground trial with u3
-        # outside [lo, hi) and below top = 1 - 1e-9 < c^2 + s^2 is therefore
-        # level [u3 >= 1/2] at any gate angle.
+        # outside [lo, hi) is therefore level [u3 >= 1/2] at any gate angle.
         cap = float(_radius(_uniforms(np.uint64(_RADIUS_CAP_WORD - 1))))
         band = (_BORN_SLOPE * noise.gate_amp_error * cap + _ABS_MARGIN) * (1.0 + 1e-9)
         reach = math.ceil(band * 2.0**53) + 1
-        top = _word_threshold(1.0 - _ABS_MARGIN)
         half = 1 << 52
         # One uniform step below the IQ bound covers expm1's rounding.
         return cls(
             thermal=_word_threshold(noise.p_thermal_1 + noise.p_thermal_2),
             decay_10=_word_threshold(noise.p_decay_10),
-            band=(max(half - reach, 0) << 11, min((half + reach) << 11, top)),
-            top=top,
+            band=(max(half - reach, 0) << 11, min(half + reach, 1 << 53) << 11),
             iq=_word_threshold(decision_uniform(noise) - 2.0**-53),
         )
 
@@ -244,7 +241,6 @@ def _born_levels(initial, u_a, u_b, u, noise: NoiseParams):
     s = np.sin(theta / 2.0)
     cc = c * c
     ss = s * s
-    sc2 = (s * c) ** 2
 
     # Born probabilities are the squared entries of the initial level's
     # column of R01(theta) @ R12(theta): (c, s, 0), (s c, c^2, s) and
@@ -252,9 +248,9 @@ def _born_levels(initial, u_a, u_b, u, noise: NoiseParams):
     # this skips sample_level's probability check.
     ground = initial == 0
     level1 = initial == 1
-    p0 = np.where(ground, cc, np.where(level1, sc2, ss**2))
-    p1 = np.where(ground, ss, np.where(level1, cc**2, sc2))
-    return _sample_levels(p0, p1, u)
+    p0 = np.where(ground, cc, np.where(level1, (s * c) ** 2, ss**2))
+    p2 = np.where(ground, 0.0, np.where(level1, ss, cc))
+    return _sample_levels(p0, p2, u)
 
 
 def _batch_symbols(words: list[np.ndarray], noise: NoiseParams, bounds: _WordBounds) -> np.ndarray:
@@ -273,9 +269,7 @@ def _batch_symbols(words: list[np.ndarray], noise: NoiseParams, bounds: _WordBou
     w3 = words[3]
     levels = ((w3 >= _HALF_WORD) & (words[4] >= bounds.decay_10)).view(np.uint8)
     lo, hi = bounds.band
-    idx = np.flatnonzero(
-        (words[0] < bounds.thermal) | (words[1] >= _RADIUS_CAP_WORD) | ((w3 >= lo) & (w3 < hi)) | (w3 >= bounds.top)
-    )
+    idx = np.flatnonzero((words[0] < bounds.thermal) | (words[1] >= _RADIUS_CAP_WORD) | ((w3 >= lo) & (w3 < hi)))
     if idx.size:
         u = [_uniforms(c[idx]) for c in words[:6]]
         projected = _born_levels(thermal_init(u[0], noise), u[1], u[2], u[3], noise)
@@ -308,8 +302,8 @@ def run_batch(config: ProtocolConfig, workers: int = 1) -> tuple[RawStream, Batc
     n = config.n_trials
     out = np.empty(n, dtype=np.uint8)
     if config.ideal:
-        # sample_level on the ideal Born triple is [u0 >= p0] + [u0 >= p0 + p1];
-        # p0 + p1 is exactly 1, above every uniform, so the level is [u0 >= p0]
+        # sample_level on the ideal Born triple draws level 2 when u0 >= 1 - p2;
+        # p2 is exactly 0, so no uniform reaches it and the level is [u0 >= p0]
         t0 = _word_threshold((np.abs(measurement_unitary().matrix[:, 0]) ** 2)[0])
         columns = 1
 
@@ -329,13 +323,10 @@ def run_batch(config: ProtocolConfig, workers: int = 1) -> tuple[RawStream, Batc
     def fill(t):
         start = t * n_chunks // threads * _CHUNK
         stop = min(n, (t + 1) * n_chunks // threads * _CHUNK)
-        # start is a multiple of _CHUNK, so of 4: each generator's next word is word start
         gens = [_column_stream(config.seed, j, start) for j in range(columns)]
         for lo in range(start, stop, _CHUNK):
             m = min(_CHUNK, stop - lo)
-            words = [bg.random_raw(m) for bg in gens]
-            out[lo : lo + m] = symbols(words)
-            del words  # freed before the next draw: one chunk of words per thread
+            out[lo : lo + m] = symbols([bg.random_raw(m) for bg in gens])
 
     if threads == 1:
         fill(0)

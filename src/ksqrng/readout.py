@@ -125,23 +125,26 @@ def gate_error(u_a, u_b, params: NoiseParams):
     return params.gate_amp_error * (r * np.cos(ang))
 
 
-def _sample_levels(p0, p1, u):
+def _sample_levels(p0, p2, u):
     """Born-rule levels of uniforms ``u`` for level probabilities ``p0`` and
-    ``p1`` (level 2 takes the rest), without checking them."""
+    ``p2`` (level 1 takes the rest), without checking them: level 0 when
+    u < p0, level 2 when u >= 1 - p2, else level 1. Level 2 is tested first,
+    should rounding put 1 - p2 below p0."""
     u = np.asarray(u)
-    return (u >= p0).astype(np.uint8) + (u >= p0 + p1)
+    return np.where(u >= 1.0 - p2, np.uint8(2), u >= p0)
 
 
 def sample_level(probs, u):
-    """Born-rule sampling: level 0 when u < p0, level 1 when u < p0 + p1,
-    else level 2. ``probs`` is one triple or an (n, 3) array with one row per
-    uniform; it must be nonnegative and sum to 1 within 1e-9."""
+    """Born-rule sampling: level 0 when u < p0, level 2 when u >= 1 - p2,
+    else level 1. Every uniform is below 1, so a state with p2 = 0 is never
+    drawn as level 2. ``probs`` is one triple or an (n, 3) array with one row
+    per uniform; it must be nonnegative and sum to 1 within 1e-9."""
     probs = np.asarray(probs, dtype=np.float64)
     flat = probs.reshape(-1, 3)
     sums = flat.sum(axis=1)
     if np.any(flat < -1e-9) or np.any(np.abs(sums - 1.0) > 1e-9):
         raise ValidationError("probabilities must be nonnegative and sum to 1 within 1e-9")
-    return _sample_levels(probs[..., 0], probs[..., 1], u)
+    return _sample_levels(probs[..., 0], probs[..., 2], u)
 
 
 def apply_relaxation(level, u_a, u_b, params: NoiseParams):

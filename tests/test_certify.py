@@ -66,6 +66,11 @@ class TestCheckCertified:
         assert not check_certified(np.nextafter(BOUND_LO, 0.0))
         assert not check_certified(np.nextafter(BOUND_HI, 1.0))
 
+    @pytest.mark.parametrize("overlap", [-0.1, 1.5, float("nan")], ids=["negative", "above-1", "nan"])
+    def test_range_check(self, overlap):
+        with pytest.raises(ValidationError, match="overlap must lie in"):
+            check_certified(overlap)
+
     def test_window_matches_probability_interval(self):
         # certified in overlap exactly when the outcome probability lies in
         # [5/14, 9/14]
@@ -110,6 +115,8 @@ class TestCertifiedFractions:
             certified_fraction_final(1.5)
         with pytest.raises(ValidationError):
             certified_fraction_raw(0.8, 0.4)
+        with pytest.raises(ValidationError, match="without binary outcomes"):
+            certified_fraction_raw(0.0, 0.0)
 
 
 class TestBuildReport:

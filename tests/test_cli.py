@@ -303,6 +303,14 @@ class TestUsage:
         assert run_cli(["generate", "--frobnicate"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv, code", [(["--help"], 0), (["generate", "--frobnicate"], 2)], ids=["help", "bad-flag"])
+    def test_main_exits_with_run_cli_code(self, monkeypatch, capsys, argv, code):
+        monkeypatch.setattr(sys, "argv", ["ksqrng", *argv])
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        assert exc.value.code == code
+        capsys.readouterr()
+
 
 class TestFullPipelineDeterminism:
     def test_report_bytes_stable_end_to_end(self, tmp_path):

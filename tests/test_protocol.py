@@ -75,6 +75,10 @@ class TestStreamValues:
         assert stream_type([True, False]) == stream_type(np.array([1, 0], dtype=np.uint8))
         assert stream_type(np.arange(top + 1)) == stream_type(np.arange(top + 1, dtype=np.uint8))
 
+    def test_repr(self, stream_type, top):
+        expected = {RawStream: "RawStream(n=3, n0=1, n1=1, n_discard=1)", BitStream: "BitStream(length=3)"}
+        assert repr(stream_type([0, 1, top])) == expected[stream_type]
+
     def test_uint8_input_is_not_copied(self, stream_type, top):
         values = np.zeros(4, dtype=np.uint8)
         stream = stream_type(values)
@@ -294,8 +298,8 @@ class TestRawWords:
         cap = protocol._uniforms(np.uint64(protocol._RADIUS_CAP_WORD - 1))
         band = (protocol._BORN_SLOPE * noise.gate_amp_error) * _radius(cap) + protocol._ABS_MARGIN
         words = np.concatenate([edge_words(lo), edge_words(hi)])
-        u = protocol._uniforms(words[(words < lo) | ((words >= hi) & (words < bounds.top))])
-        assert np.all((np.abs(u - 0.5) > band) & (u <= 1.0 - protocol._ABS_MARGIN))
+        u = protocol._uniforms(words[(words < lo) | (words >= hi)])
+        assert np.all(np.abs(u - 0.5) > band)
 
 
 class TestIdealMode:
@@ -476,8 +480,8 @@ def reference_symbols(words, noise):
     ss = s * s
     # columns of R01(theta) @ R12(theta): (c, s, 0), (s c, c^2, s), (s^2, c s, c)
     p0 = np.select([initial == 1, initial == 2], [(s * c) ** 2, ss**2], cc)
-    p1 = np.select([initial == 1, initial == 2], [cc**2, (c * s) ** 2], ss)
-    projected = _sample_levels(p0, p1, words[3])
+    p2 = np.select([initial == 1, initial == 2], [ss, cc], 0.0)
+    projected = _sample_levels(p0, p2, words[3])
     relaxed = apply_relaxation(projected, words[4], words[5], noise)
     i, q = synth_iq(relaxed, words[6], words[7], noise)
     return classify(i, q, noise)
@@ -595,15 +599,14 @@ class RowRandom:
 
 
 class ColumnSource:
-    """A Philox stand-in for ``run_batch`` whose column stream j holds the
-    raw words ``columns[j]``."""
+    """A ``_column_stream`` stand-in for ``run_batch`` whose column stream j
+    holds the raw words ``columns[j]``."""
 
     def __init__(self, columns):
         self._columns = np.array(columns, dtype=np.uint64)
 
-    def __call__(self, key, counter):
-        column, start = divmod(counter, 1 << 128)
-        assert start == 0
+    def __call__(self, seed, column, trial):
+        assert trial == 0
         return ColumnWords(self._columns[column])
 
 
@@ -638,7 +641,7 @@ class TestWordTies:
 
     @staticmethod
     def batch(monkeypatch, rows, **cfg):
-        monkeypatch.setattr(np.random, "Philox", ColumnSource(np.array(rows, dtype=np.uint64).T))
+        monkeypatch.setattr(protocol, "_column_stream", ColumnSource(np.array(rows, dtype=np.uint64).T))
         return run_batch(ProtocolConfig(n_trials=len(rows), seed=0, **cfg))[0].symbols.tolist()
 
     @pytest.mark.parametrize(
@@ -662,7 +665,6 @@ class TestWordTies:
             "band-lo": tie_rows(level1, 3, lo),
             "half": tie_rows(level1, 3, protocol._HALF_WORD),
             "band-hi": tie_rows(level1, 3, hi),
-            "top": tie_rows(level1, 3, bounds.top),
             "decay_10": tie_rows(level1, 4, bounds.decay_10),
         }
         for level, base in enumerate((level0, level1, level2)):
@@ -676,22 +678,21 @@ class TestWordTies:
 
     def test_top_without_rotation(self, monkeypatch):
         # a gate error of -1 turns the rotation off, so a ground start stays
-        # level 0 even at u3 = 1 - 1e-9; the word at top must not be read as 1
+        # level 0 even at the largest u3, 1 - 2^-53: its p2 is 0, so it is
+        # never drawn as level 2, and its p0 is 1
         noise = NoiseParams(gate_amp_error=0.5)
-        bounds = protocol._WordBounds.of(noise)
         radius_2 = protocol._word_threshold(-math.expm1(-2.0))  # Box-Muller radius 2
-        row = [TOP_WORD, radius_2, 1 << 63, 0, TOP_WORD, TOP_WORD, 0, 0]  # cos(2 pi u2) = -1
-        rows = tie_rows(row, 3, bounds.top)
+        row = [TOP_WORD, radius_2, 1 << 63, TOP_WORD, TOP_WORD, TOP_WORD, 0, 0]  # cos(2 pi u2) = -1
         cfg = ProtocolConfig(n_trials=1, seed=0, noise=noise)
-        expected = [int(run_trial(cfg, RowRandom(row)).symbol) for row in rows]
-        assert expected == [0, 0]
-        assert self.batch(monkeypatch, rows, noise=noise) == expected
+        assert int(run_trial(cfg, RowRandom(row)).symbol) == 0
+        assert self.batch(monkeypatch, [row], noise=noise) == [0]
 
     def test_ideal_threshold(self, monkeypatch):
-        # the ideal triple's p0 + p1 is exactly 1, so the level is [u0 >= p0]
+        # the ideal triple's p2 is exactly 0, so the level is [u0 >= p0]
         # alone; p0 is one ulp above 1/2, so its threshold is one uniform step
         # above _HALF_WORD
-        p0, p1, _ = np.abs(measurement_unitary().matrix[:, 0]) ** 2
+        p0, p1, p2 = np.abs(measurement_unitary().matrix[:, 0]) ** 2
+        assert p2 == 0.0
         assert p0 + p1 == 1.0
         assert protocol._word_threshold(p0 + p1) == 2**64
         t0 = protocol._word_threshold(p0)

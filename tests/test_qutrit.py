@@ -179,8 +179,10 @@ class TestValidation:
             (lambda: QutritState([1, 0]), "exactly 3 components"),
             (lambda: Unitary3(np.eye(2)), "must be 3x3"),
             (lambda: Unitary3(np.diag([1.0, np.nan, 1.0])), "non-finite"),
+            # U^dag U - I is 9.8e-13, inside TOL, but |det U| - 1 is 1.47e-12
+            (lambda: Unitary3(np.diag([1 + 4.9e-13] * 3)), "determinant modulus"),
         ],
-        ids=["state-2", "unitary-2x2", "unitary-nan"],
+        ids=["state-2", "unitary-2x2", "unitary-nan", "unitary-det"],
     )
     def test_wrong_shape_or_nan_rejected(self, make, message):
         with pytest.raises(ValidationError, match=message):

@@ -58,6 +58,11 @@ class TestMonobit:
         assert result.applicable
         assert result.p_value == pytest.approx(math.erfc(1 / math.sqrt(2.0)), abs=1e-15)
 
+    def test_empty_stream_not_applicable(self):
+        result = monobit(BitStream([]))
+        assert not result.applicable and not result.passed
+        assert result.note == "empty stream"
+
     def test_constant_stream_fails_hard(self):
         result = monobit(BitStream([0] * 100))
         assert result.p_value < 1e-20
@@ -83,6 +88,10 @@ class TestBlockFrequency:
         assert result.applicable
         assert (result.statistic, result.p_value) == (0.0, 1.0)
 
+    def test_rejects_empty_blocks(self):
+        with pytest.raises(ValidationError, match="block_size must be >= 1"):
+            block_frequency(BitStream([0, 1]), block_size=0)
+
     def test_not_applicable_when_undersized(self):
         result = block_frequency(BitStream([0, 1]), block_size=128)
         assert not result.applicable
@@ -100,6 +109,11 @@ class TestRuns:
         result = runs(BitStream([0, 1]))
         assert result.statistic == 2.0
         assert result.p_value == pytest.approx(math.erfc(1.0), abs=1e-15)
+
+    def test_one_bit_not_applicable(self):
+        result = runs(BitStream([1]))
+        assert not result.applicable and not result.passed
+        assert math.isnan(result.p_value)
 
     def test_precondition_failure_reports_zero(self):
         result = runs(BitStream([0] * 1000 + [1] * 10))
@@ -198,6 +212,10 @@ class TestApproximateEntropy:
 
     def test_not_applicable_when_short(self):
         assert not approximate_entropy(random_bits(1, 1000), m=10).applicable
+
+    def test_rejects_zero_pattern_length(self):
+        with pytest.raises(ValidationError, match="m must be >= 1"):
+            approximate_entropy(random_bits(1, 1 << 10), m=0)
 
     def test_periodic_stream_fails(self):
         result = approximate_entropy(BitStream([0, 1] * 20_000), m=2)
