@@ -39,6 +39,12 @@ feeds them to the same ``readout`` steps as ``run_trial``, so every symbol
 is the one computing every step would give. The bounds hold on the
 float64 domain that ``readout.NoiseParams`` owns and enforces, so every
 accepted noise model takes this one path.
+
+Words are drawn and compared per chunk of ``_CHUNK`` trials, but the
+undecided rows, their trial indices and words, are kept and resolved once
+per block of ``_BLOCK`` chunks, so the exact path's few dozen numpy calls
+run once per block, not once per chunk. Each symbol is still a function of
+its trial's own words.
 """
 
 from __future__ import annotations
@@ -69,6 +75,7 @@ from .readout import (
 WORDS_PER_TRIAL = 8  # column streams, one word of each per trial
 _COLUMN_LENGTH = 1 << 130  # words per column stream: 2^128 counter steps
 _CHUNK = 1 << 14  # trials per chunk: 1 MiB of words, 128 KiB per float temporary
+_BLOCK = 8  # chunks per block: noisy mode resolves its undecided rows once per block
 
 # Margins of the Born band in _WordBounds.of. Each guarded value is a
 # few float64 operations from its exact value, each off by at most 2^-53
@@ -112,11 +119,25 @@ class BatchSummary(Outcomes):
     n_trials: int
 
 
-def _column_stream(seed: int, column: int, trial: int):
+def _column_stream(seed: int, column: int, trial: int, bg=None):
     """Philox bit generator of column stream ``column`` whose next word is
-    word ``trial`` of that column. Philox emits 4 words per counter step, so
-    it starts at the step that holds the word and draws the ones before it."""
-    bg = np.random.Philox(key=seed, counter=column << 128 | trial // 4)
+    word ``trial`` of that column: a new one, or ``bg``, any Philox, set to
+    the new one's state (a third of the cost of building one). Philox emits
+    4 words per counter step, so it starts at the step that holds the word,
+    with its 4-word buffer empty, and draws the ones before it."""
+    counter = column << 128 | trial // 4
+    if bg is None:
+        bg = np.random.Philox(key=seed, counter=counter)
+    else:
+        mask = (1 << 64) - 1
+        bg.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": [counter >> s & mask for s in (0, 64, 128, 192)], "key": [seed & mask, seed >> 64]},
+            "buffer": [0] * 4,
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
     bg.random_raw(trial % 4)
     return bg
 
@@ -139,6 +160,7 @@ class TrialRandom:
             raise ValidationError("trial_index must be below 2^130, the length of a column stream")
         self._trial = trial_index
         self._remaining = WORDS_PER_TRIAL
+        self._bg = None  # one Philox, moved from column to column
 
     def random(self, size=None):
         n = 1 if size is None else _integer(size, "size")
@@ -146,7 +168,10 @@ class TrialRandom:
             raise ValidationError(f"size {n} lies outside [0, {self._remaining}], the trial's unread word budget")
         first = WORDS_PER_TRIAL - self._remaining
         self._remaining -= n
-        words = [_column_stream(self._seed, j, self._trial).random_raw() for j in range(first, first + n)]
+        words = []
+        for j in range(first, first + n):
+            self._bg = _column_stream(self._seed, j, self._trial, self._bg)
+            words.append(self._bg.random_raw())
         u = _uniforms(np.array(words, dtype=np.uint64))
         return float(u[0]) if size is None else u
 
@@ -253,33 +278,55 @@ def _born_levels(initial, u_a, u_b, u, noise: NoiseParams):
     return _sample_levels(p0, p2, u)
 
 
-def _batch_symbols(words: list[np.ndarray], noise: NoiseParams, bounds: _WordBounds) -> np.ndarray:
-    """Symbols of the noisy trials whose raw words are ``words``, one array
-    per column stream.
+def _batch_symbols(words: list[np.ndarray], bounds: _WordBounds, first: int):
+    """Levels of the noisy trials whose raw words are ``words``, one array
+    per column stream, and the rows their word thresholds leave undecided.
 
     A ground-state trial with a capped gate radius and u3 outside the Born
     band of ``_WordBounds.of`` is level [u3 >= 1/2] at any gate angle, so
     its relaxed level is [u3 >= 1/2] & [u4 >= p_decay_10], read off its
-    words. The other trials take the exact steps on their uniforms: thermal
-    start, gate rotation and Born sampling, relaxation. A response whose
-    noise uniform is below ``bounds.iq``, one bound for every level, is
-    classified as its relaxed level; only the others are synthesised and
-    classified.
+    words. The other trials are the exact-tier rows. A response whose noise
+    uniform is below ``bounds.iq``, one bound for every level, is classified
+    as its relaxed level; the others are the IQ-tier rows. Each tier's rows
+    are returned as [trial indices, words...], indices counted from
+    ``first`` for the first trial of ``words``: words 0-5 for the exact
+    tier, words 6-7 for the IQ tier. :func:`_resolve` computes their
+    symbols.
     """
     w3 = words[3]
     levels = ((w3 >= _HALF_WORD) & (words[4] >= bounds.decay_10)).view(np.uint8)
     lo, hi = bounds.band
-    idx = np.flatnonzero((words[0] < bounds.thermal) | (words[1] >= _RADIUS_CAP_WORD) | ((w3 >= lo) & (w3 < hi)))
-    if idx.size:
-        u = [_uniforms(c[idx]) for c in words[:6]]
-        projected = _born_levels(thermal_init(u[0], noise), u[1], u[2], u[3], noise)
-        levels[idx] = apply_relaxation(projected, u[4], u[5], noise)
+    exact = np.flatnonzero((words[0] < bounds.thermal) | (words[1] >= _RADIUS_CAP_WORD) | ((w3 >= lo) & (w3 < hi)))
+    iq = np.flatnonzero(words[6] >= bounds.iq)
+    return levels, ([exact + first, *(c[exact] for c in words[:6])], [iq + first, words[6][iq], words[7][iq]])
 
-    idx = np.flatnonzero(words[6] >= bounds.iq)
-    if idx.size:
-        i, q = synth_iq(levels[idx], _uniforms(words[6][idx]), _uniforms(words[7][idx]), noise)
-        levels[idx] = classify(i, q, noise)
-    return levels
+
+def _rows(tier):
+    """One tier's rows of every chunk of a block, concatenated: their trial
+    indices and the uniforms of their words."""
+    index, *words = zip(*tier)
+    return np.concatenate(index), [_uniforms(np.concatenate(w)) for w in words]
+
+
+def _resolve(out: np.ndarray, pending: list, noise: NoiseParams) -> None:
+    """Write into ``out`` the symbols of the undecided rows of
+    ``pending``, the two row tiers ``_batch_symbols`` returned for each
+    chunk of a block.
+
+    The exact-tier rows take the exact steps on their uniforms: thermal
+    start, gate rotation and Born sampling, relaxation. Then the IQ-tier
+    rows synthesise and classify a response from the relaxed levels in
+    ``out``, whichever tier wrote them.
+    """
+    exact, iq = zip(*pending)
+    index, u = _rows(exact)
+    if index.size:
+        projected = _born_levels(thermal_init(u[0], noise), u[1], u[2], u[3], noise)
+        out[index] = apply_relaxation(projected, u[4], u[5], noise)
+    index, u = _rows(iq)
+    if index.size:
+        i, q = synth_iq(out[index], u[0], u[1], noise)
+        out[index] = classify(i, q, noise)
 
 
 def run_batch(config: ProtocolConfig, workers: int = 1) -> tuple[RawStream, BatchSummary]:
@@ -294,7 +341,9 @@ def run_batch(config: ProtocolConfig, workers: int = 1) -> tuple[RawStream, Batc
     (one ideal, eight noisy) at its first trial, and draws each chunk as a
     contiguous run of raw words from each, releasing them before the next
     draw, so consecutive draws continue at the next trial. Word thresholds
-    are computed once per call.
+    are computed once per call. In noisy mode each chunk keeps the rows its
+    thresholds leave undecided, and a thread resolves them once per block of
+    ``_BLOCK`` chunks, so each numpy call of the exact steps covers a block.
     """
     workers = _integer(workers, "workers")
     if workers < 1:
@@ -307,26 +356,37 @@ def run_batch(config: ProtocolConfig, workers: int = 1) -> tuple[RawStream, Batc
         t0 = _word_threshold((np.abs(measurement_unitary().matrix[:, 0]) ** 2)[0])
         columns = 1
 
-        def symbols(words):
-            return (words[0] >= t0).view(np.uint8)
+        def symbols(words, first):
+            return (words[0] >= t0).view(np.uint8), None
+
+        def resolve(pending):
+            pass
 
     else:
         bounds = _WordBounds.of(config.noise)
         columns = WORDS_PER_TRIAL
 
-        def symbols(words):
-            return _batch_symbols(words, config.noise, bounds)
+        def symbols(words, first):
+            return _batch_symbols(words, bounds, first)
+
+        def resolve(pending):
+            _resolve(out, pending, config.noise)
 
     n_chunks = -(-n // _CHUNK)
     threads = min(workers, n_chunks)
+    block = _BLOCK * _CHUNK
 
     def fill(t):
         start = t * n_chunks // threads * _CHUNK
         stop = min(n, (t + 1) * n_chunks // threads * _CHUNK)
         gens = [_column_stream(config.seed, j, start) for j in range(columns)]
-        for lo in range(start, stop, _CHUNK):
-            m = min(_CHUNK, stop - lo)
-            out[lo : lo + m] = symbols([bg.random_raw(m) for bg in gens])
+        for first in range(start, stop, block):
+            pending = []
+            for lo in range(first, min(first + block, stop), _CHUNK):
+                m = min(_CHUNK, stop - lo)
+                out[lo : lo + m], rows = symbols([bg.random_raw(m) for bg in gens], lo)
+                pending.append(rows)
+            resolve(pending)
 
     if threads == 1:
         fill(0)

@@ -219,6 +219,15 @@ class TestTrialRandom:
         assert type(first) is float
         assert [first, *rng.random(7).tolist()] == expected
 
+    @pytest.mark.parametrize("trial", [0, 3, 4, 2**64 + 5, 2**130 - 1])
+    def test_moved_generator_matches_new(self, trial):
+        # TrialRandom moves one Philox from column to column; a moved
+        # generator of another key draws as a new one, across Philox blocks
+        for column in (0, 7):
+            moved = protocol._column_stream(2**64 - 1, column, trial, np.random.Philox(key=9))
+            new = protocol._column_stream(2**64 - 1, column, trial)
+            assert np.array_equal(moved.random_raw(9), new.random_raw(9))
+
     def test_last_trial_of_a_column(self):
         # a column stream is 2^128 Philox blocks of 4 words long
         last = 2**130 - 1
@@ -393,19 +402,47 @@ class TestDeterminism:
             assert int(rec.symbol) == int(stream.symbols[i])
 
 
+class SerialPool:
+    """A ``ThreadPoolExecutor`` stand-in that runs the jobs in this thread,
+    one after another."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
 class TestChunking:
-    @pytest.mark.parametrize("ideal", [False, True], ids=["noisy", "ideal"])
+    @pytest.mark.parametrize(
+        "kw",
+        # at iq_sigma 0.36 and p_decay_10 0.4 every whole 2^10-trial chunk of these
+        # runs holds exact-tier and IQ-tier rows (19 and 134 at least)
+        [{}, dict(noise=NoiseParams(iq_sigma=0.36, p_decay_10=0.4)), dict(ideal=True)],
+        ids=["noisy", "wide", "ideal"],
+    )
     @pytest.mark.parametrize("n", [1, (1 << 14) - 1, (1 << 14) + 1, 70_001])
-    def test_chunk_size_invariance(self, monkeypatch, n, ideal):
-        cfg = ProtocolConfig(n_trials=n, seed=41, ideal=ideal)
+    def test_chunk_size_invariance(self, monkeypatch, n, kw):
+        # undecided rows are resolved once per block of _BLOCK chunks within
+        # a thread's trials, so blocks of 1, 3 and more chunks than the run
+        # has put block edges at chunk edges, between them and past the end
+        cfg = ProtocolConfig(n_trials=n, seed=41, **kw)
         reference = None
         for chunk in (1 << 10, 1 << 14, 1 << 18):
             monkeypatch.setattr(protocol, "_CHUNK", chunk)
-            for workers in (1, 2, 3):
-                symbols = run_batch(cfg, workers=workers)[0].symbols
-                if reference is None:
-                    reference = symbols
-                assert np.array_equal(symbols, reference), (chunk, workers)
+            for block in (1, 3, 1 << 10):
+                monkeypatch.setattr(protocol, "_BLOCK", block)
+                for workers in (1, 2, 3):
+                    symbols = run_batch(cfg, workers=workers)[0].symbols
+                    if reference is None:
+                        reference = symbols
+                    assert np.array_equal(symbols, reference), (chunk, block, workers)
             edges = {0, n - 1}
             for boundary in range(chunk, n, chunk):
                 edges |= {boundary - 1, boundary}
@@ -427,23 +464,12 @@ class TestChunking:
     def test_threads_capped_at_chunk_count(self, monkeypatch):
         requested = []
 
-        class SerialPool:
-            """Records the pool size and runs the jobs in this thread."""
-
+        class RecordingPool(SerialPool):
             def __init__(self, max_workers):
                 requested.append(max_workers)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
         monkeypatch.setattr(protocol, "_CHUNK", 1 << 10)
-        monkeypatch.setattr(protocol, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(protocol, "ThreadPoolExecutor", RecordingPool)
         cfg = ProtocolConfig(n_trials=3 * (1 << 10) - 5, seed=42)  # 3 chunks
         wide, _ = run_batch(cfg, workers=64)
         assert requested == [3]
@@ -466,6 +492,29 @@ class TestChunking:
             tracemalloc.stop()
         chunk_bytes = protocol._CHUNK * protocol.WORDS_PER_TRIAL * 8
         assert peak <= 2 * n + 2 * (chunk_bytes + chunk_bytes // 4)
+
+    def test_held_rows_bounded_per_block(self, monkeypatch):
+        # p_thermal_1 = 0.5 sends half the trials to the exact tier, and at
+        # gate_amp_error 0.5 the Born band holds [0, 1], so every row is
+        # held until its block is resolved. The threads run one after the
+        # other, so the peak is one thread's block: doubling n (from one
+        # block per thread to two) adds only the output and the RawStream
+        # tallies, 2 B/trial, not the held rows or their float temporaries
+        monkeypatch.setattr(protocol, "ThreadPoolExecutor", SerialPool)
+        noise = NoiseParams(p_thermal_1=0.5, gate_amp_error=0.5)
+        n = 2 * protocol._BLOCK * protocol._CHUNK
+        peaks = []
+        run_batch(ProtocolConfig(n_trials=n, seed=63, noise=noise), workers=2)
+        for trials in (n, 2 * n):
+            tracemalloc.start()
+            try:
+                run_batch(ProtocolConfig(n_trials=trials, seed=63, noise=noise), workers=2)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        chunk_bytes = protocol._CHUNK * protocol.WORDS_PER_TRIAL * 8
+        assert peaks[0] > protocol._BLOCK * chunk_bytes * 6 // 8  # a block's words 0-5 were held
+        assert peaks[1] - peaks[0] <= 2 * n + chunk_bytes // 4
 
 
 def reference_symbols(words, noise):
@@ -686,6 +735,16 @@ class TestWordTies:
         cfg = ProtocolConfig(n_trials=1, seed=0, noise=noise)
         assert int(run_trial(cfg, RowRandom(row)).symbol) == 0
         assert self.batch(monkeypatch, [row], noise=noise) == [0]
+
+    def test_block_without_undecided_rows(self, monkeypatch):
+        # a ground start, no gate error, u3 = 3/4, no relaxation and no IQ
+        # noise is decided on its words, so its block resolves no row
+        def fail(*args):
+            raise AssertionError("an exact or IQ step ran on a block with no undecided row")
+
+        monkeypatch.setattr(protocol, "_born_levels", fail)
+        monkeypatch.setattr(protocol, "synth_iq", fail)
+        assert self.batch(monkeypatch, [[TOP_WORD, 0, 0, 3 << 62, TOP_WORD, TOP_WORD, 0, 0]]) == [1]
 
     def test_ideal_threshold(self, monkeypatch):
         # the ideal triple's p2 is exactly 0, so the level is [u0 >= p0]
