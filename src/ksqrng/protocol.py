@@ -1,11 +1,12 @@
 """End-to-end trial protocol: prepare ground state, rotate into the Sx
 measurement frame, project, relax, read out, classify, emit a symbol.
 
-Randomness is counter-based. A run with seed ``s`` has eight column
-streams: column ``j`` is Philox(key=s) started at counter [0, 0, j, 0], that
-is advanced by j 2^128 blocks. Word ``j`` of trial ``i`` is word ``i`` of
-column ``j``, so trials are order-independent and a batch can be generated
-in chunks or across workers with bit-identical results.
+A run with seed ``s`` has eight column streams: column ``j`` is the
+PCG64DXSM stream spawned from seed ``s`` with spawn key ``(j,)``, the same
+stream as ``SeedSequence(s).spawn(8)[j]``. Word ``j`` of trial ``i`` is word
+``i`` of column ``j``, reached with ``advance(i)``, so trials are
+order-independent and a batch can be generated in chunks or across workers
+with bit-identical results.
 
 Per-trial word layout in noisy mode, one word per column, consumed in order:
 
@@ -73,7 +74,7 @@ from .readout import (
 )
 
 WORDS_PER_TRIAL = 8  # column streams, one word of each per trial
-_COLUMN_LENGTH = 1 << 130  # words per column stream: 2^128 counter steps
+_COLUMN_LENGTH = 1 << 128  # words per column stream: the period of PCG64DXSM
 _CHUNK = 1 << 14  # trials per chunk: 1 MiB of words, 128 KiB per float temporary
 _BLOCK = 8  # chunks per block: noisy mode resolves its undecided rows once per block
 
@@ -105,7 +106,7 @@ class ProtocolConfig:
     ideal: bool = False
 
     def __post_init__(self):
-        # kept as Python ints: a column stream's counter overflows numpy integers
+        # kept as Python ints: a trial index of 2^64 or more overflows numpy integers
         object.__setattr__(self, "n_trials", _integer(self.n_trials, "n_trials"))
         if self.n_trials < 1:
             raise ValidationError(f"n_trials must be >= 1, got {self.n_trials}")
@@ -119,27 +120,10 @@ class BatchSummary(Outcomes):
     n_trials: int
 
 
-def _column_stream(seed: int, column: int, trial: int, bg=None):
-    """Philox bit generator of column stream ``column`` whose next word is
-    word ``trial`` of that column: a new one, or ``bg``, any Philox, set to
-    the new one's state (a third of the cost of building one). Philox emits
-    4 words per counter step, so it starts at the step that holds the word,
-    with its 4-word buffer empty, and draws the ones before it."""
-    counter = column << 128 | trial // 4
-    if bg is None:
-        bg = np.random.Philox(key=seed, counter=counter)
-    else:
-        mask = (1 << 64) - 1
-        bg.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": [counter >> s & mask for s in (0, 64, 128, 192)], "key": [seed & mask, seed >> 64]},
-            "buffer": [0] * 4,
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-    bg.random_raw(trial % 4)
-    return bg
+def _column_stream(seed: int, column: int, trial: int):
+    """PCG64DXSM bit generator of column stream ``column`` whose next word
+    is word ``trial`` of that column."""
+    return np.random.PCG64DXSM(np.random.SeedSequence(seed, spawn_key=(column,))).advance(trial)
 
 
 class TrialRandom:
@@ -157,10 +141,9 @@ class TrialRandom:
         if trial_index < 0:
             raise ValidationError("trial_index must be nonnegative")
         if trial_index >= _COLUMN_LENGTH:
-            raise ValidationError("trial_index must be below 2^130, the length of a column stream")
+            raise ValidationError("trial_index must be below 2^128, the length of a column stream")
         self._trial = trial_index
         self._remaining = WORDS_PER_TRIAL
-        self._bg = None  # one Philox, moved from column to column
 
     def random(self, size=None):
         n = 1 if size is None else _integer(size, "size")
@@ -168,10 +151,7 @@ class TrialRandom:
             raise ValidationError(f"size {n} lies outside [0, {self._remaining}], the trial's unread word budget")
         first = WORDS_PER_TRIAL - self._remaining
         self._remaining -= n
-        words = []
-        for j in range(first, first + n):
-            self._bg = _column_stream(self._seed, j, self._trial, self._bg)
-            words.append(self._bg.random_raw())
+        words = [_column_stream(self._seed, j, self._trial).random_raw() for j in range(first, first + n)]
         u = _uniforms(np.array(words, dtype=np.uint64))
         return float(u[0]) if size is None else u
 
@@ -208,7 +188,7 @@ def run_trial(config: ProtocolConfig, rng) -> TrialRecord:
 
 
 def _uniforms(words):
-    """The float64 uniforms ``Generator.random`` makes of raw Philox words:
+    """The float64 uniforms ``Generator.random`` makes of raw PCG64DXSM words:
     each word's top 53 bits times 2^-53, so [0, 1 - 2^-53]."""
     return (words >> 11) * 2.0**-53
 
@@ -337,7 +317,7 @@ def run_batch(config: ProtocolConfig, workers: int = 1) -> tuple[RawStream, Batc
     only decides who computes them. The trials are cut into ``_CHUNK``-trial
     chunks (sized so one chunk's words and temporaries stay in L2 cache), and
     ``min(workers, chunks)`` threads each take a contiguous run of chunks.
-    A thread starts one Philox generator per column stream the mode reads
+    A thread starts one PCG64DXSM generator per column stream the mode reads
     (one ideal, eight noisy) at its first trial, and draws each chunk as a
     contiguous run of raw words from each, releasing them before the next
     draw, so consecutive draws continue at the next trial. Word thresholds

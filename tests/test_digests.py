@@ -42,44 +42,44 @@ def output_digests(tmp_path, config: str, ideal: bool, workers: int) -> dict[str
 
 DIGESTS = {
     ("calibrated", "noisy"): {
-        "trace": "f4bb54afdbefdc9b622858589e98020f492de1a9281bd2db96eb8481c2274706",
-        "gen.rpt": "505959889207d87d279a186acaed6284808dca99cfc3489610bb1df660539c94",
-        "cert.rpt": "56fe5dce0f5ae88fb61cd5f33f46432f261e4b95d182046ccb68029854cbb69f",
-        "bits": "284c4fcd9749f86e9917a67e5354188b61f5170d3777648497146b5cca7597de",
-        "ext.rpt": "10f3067356f84266df12181d8fe42acc119d836174c28f83a4a3a9c89bc6a792",
-        "stat.rpt": "5b4b63ab01bceec628e57082911dc578a50f76af84704df1c863ea698b882f67",
-        "ss.rpt": "60cbd73df4f2c6d9938aa322b72db0e0882a3dceeedf22b994f5ae518e4faa8c",
-        "ss-10000.rpt": "85f932bd91fb982b1d22130d47c27403d800f43b9912465bb6980b0ee006d4da",
+        "trace": "ac9fba992d9bf1ddd791b685dc96450720c6944272de5ca3dc559641ab88e6bf",
+        "gen.rpt": "770e2bc978ddece080317e0260e46c44851ff8a49643134534a3eaefa992b9bb",
+        "cert.rpt": "9286af38b58d22b2bc6e048744299c72243b5747dbc5b7d1904e7918eca8ca12",
+        "bits": "68b64c840e77e5d6043b4ed25fceb2af0d6d2c71ff4ce958dec0eb4788d5c621",
+        "ext.rpt": "2175cc7f317fa94a953629a70c0757327ff8d04bd616e609f1e8c9220eeadfd7",
+        "stat.rpt": "4f4e4e6c817d6bd652ca75742b26eb1adbfb2164972963129236d45dfd245b1f",
+        "ss.rpt": "41e53b780df675bb5b4934a70166ee30f417ff8144828d506602ba630fa41901",
+        "ss-10000.rpt": "359c12eced81106cdd22ccab544536aa564d2285c92cd52c6cb9b4350cb204d8",
     },
     ("calibrated", "ideal"): {
-        "trace": "849d96a6a01d8c5df963643579f598f8129e8670be3262fe12e4163bd97c838b",
-        "gen.rpt": "e67efbf487a4a101a9959a8b09721cddec428098bebf75f7f419d45bb964cc24",
-        "cert.rpt": "89741115f526eb4e9f649325c2c720c50679a6d891af7ffd054be4c77367e70d",
-        "bits": "eda5cd5e7fb0d0f0704a40dbc048de4426c1fd16e163480ad36efd2a58451669",
-        "ext.rpt": "92aad92e1da9b4f1b78864efba249e9b2aed2359d39d96fddbd8bd99fdbd2fdd",
-        "stat.rpt": "ed1cf67a2fc2b9bd156c5d60e6dd8de8d69e256052f728973438ad9be65c8f5c",
-        "ss.rpt": "fd8811a527f5fdd189cdaba15897b23474bbf888d8d7ecff798ec4b2d318dbab",
-        "ss-10000.rpt": "6cc54c8f7129767bddb3c88171b18d7dcc10a112d0a8c7cda4c74b66557cbf15",
+        "trace": "349de725f68f649ba26c07ebfd117a1403b86cdd8b5d169d4c34fdbf26c840d1",
+        "gen.rpt": "192c45a4828c9dd814dad5c9221441e4fd43af676d96a08237d17f43cbaa4fdc",
+        "cert.rpt": "83eba62e27581cb088c17a3736fd138783f7d8f04501a88181fb74474872798b",
+        "bits": "f3794be7418cb85d56a8b8b9c9cf51e5f5edc609a6788fddcb60a2539ec036d6",
+        "ext.rpt": "399d720771bcddf903ec299b2409d03f7047f704dfbcebcf53312b1ab9ccebdd",
+        "stat.rpt": "712695d1eb698a885e46ea4fbddefb8e8ace35bd9700e6043ab3748b2a6c30e0",
+        "ss.rpt": "d18d2b35d1d0945704391e5f9ed89ac8925d2c7a8d897dcbb571af992636330f",
+        "ss-10000.rpt": "530dd82eaaf66155ad9cb3263ec31455281f33fea0cac02ded400542f55ee88c",
     },
     ("criterion-8", "noisy"): {
-        "trace": "04548f60f7b589fc5bc169a1669d3ff3957f6822e23eb1f2d741a4d0b66ee4e4",
-        "gen.rpt": "e98332510f7b0108c935bc250071293252612e7dee149d45c46a4e155e8d1035",
-        "cert.rpt": "c47d002d338db2df5cd0c37dd1078b738b85eb3af3fd93b87f5c98a5f5083345",
-        "bits": "2e211ce3010ee6960037df1a93b3400905c0e87fe1ed4167cc97fafb080dfc38",
-        "ext.rpt": "13c65f249eee52eddd744ef7fbaa8c1b61706ac522c9e91099fbfd389fbf0a48",
-        "stat.rpt": "1993e66a3a11bf2acb88bc23b0be1711496c8a8ba2b4ae27718a5bdeef6b9e2b",
-        "ss.rpt": "8f341fc6a173fbacdcd629af43b2878dac24d5e21a2a727db8b9739d1b732887",
-        "ss-10000.rpt": "e92334936c5686f27098987db97c9787b034e310dbb057c552fb2239945bfa53",
+        "trace": "7b0e867c8c3ccc090cf2f24d235de45733d60e487a4c54828b756937864dbf77",
+        "gen.rpt": "98a072948aefb14e169a6c168e16ba80319c78c12cd2448f326a1b8fb7fb1113",
+        "cert.rpt": "2e3abc18488b3e50ce778f0be346390b5680267d80d25552a47d54ed662a08c8",
+        "bits": "c482c16acfc18ca280691667c0d60d3423b6e9fa549e8cca7ecf16c3edaab342",
+        "ext.rpt": "81070944c40d8027a696c4ba073a1658d17eff8be23fd2ecddc9223414462c51",
+        "stat.rpt": "cf4f0155d7a9b0d3e78addd4cd0316bdf875f0953d7cc6110d878a76ce109414",
+        "ss.rpt": "9ea394d8f687b5b1761470b668d3fcd23805d5929bbcdad4cda6d32ce0869efb",
+        "ss-10000.rpt": "3cd2357d99ede57a8085124af9147c06740d3419d55f59b4b31c65866fc50c53",
     },
     ("criterion-8", "ideal"): {
-        "trace": "d3f786264a423862cd652a25d7a5671ff57fe299e0ec4cf6de11b6b68269ad54",
-        "gen.rpt": "5b71a27da81f70b87038832b23f339b493895472e0c78f7dfdd6846579723fac",
-        "cert.rpt": "5ea38c7535e5c72a5146768af423115fc4e6ebf09d5286285eb60612d1be2d10",
-        "bits": "a22277a9065d7f261e5d67597504b0a6d077edd406b7c63a25cca86c423f7e4f",
-        "ext.rpt": "3fae052b562aa8c61d81c14d27084d0bf27e6fcc210dfc5b5936ba425fe8d267",
-        "stat.rpt": "3891cd723bd5b714bd72b143a547a51b9f03fb2530de01e4cb33f97ccb3f0285",
-        "ss.rpt": "454b8cb743007842ab0f4e0eeeaa1d732a8fb289740e59859d1a290a52297a3a",
-        "ss-10000.rpt": "c620e41ec8d1fb348bbccebc41bbe1da9d169277dc579eca5699aad19bd3456b",
+        "trace": "3808dc15d3850b596166de6e0ccf9601014307e05f78c6e6fc905e40dda5985f",
+        "gen.rpt": "a53736655a47e545e7286a5e44be8fdef902fdb884a13141d11b6062c395d7c6",
+        "cert.rpt": "41876ff18a7ce43dbf970711f7787974708c1743306f3defb6b64c74a93eaccd",
+        "bits": "85a8bd03416d02346e020d23203038eb93f57088aef7083001687563ac1bda54",
+        "ext.rpt": "01bcb997dd6e091259977a490b3a1fa854c8734d3308fc037e619fa7ec5ab97c",
+        "stat.rpt": "a30562627a92a770771f6d9e1baf2f7adb6e5874fdc395ca43a39fdbb37e5be3",
+        "ss.rpt": "f6fb0c3157f97a70c5cf37881fdb53f485fc08b5c50bd612fb50b5f58884455b",
+        "ss-10000.rpt": "340506e8422661037320af10c9eb6d023e7ec64340a97a195d58d89f75d9ec51",
     },
 }
 

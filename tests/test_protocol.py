@@ -156,6 +156,12 @@ class TestConfig:
         assert np.array_equal(TrialRandom(np.int64(5), np.int64(3)).random(8), TrialRandom(5, 3).random(8))
 
 
+def spawned_column(seed, j):
+    """Column stream ``j`` of ``seed`` built through ``SeedSequence.spawn``,
+    a second path to the seeding of ``protocol._column_stream``."""
+    return np.random.PCG64DXSM(np.random.SeedSequence(seed).spawn(8)[j])
+
+
 class TestTrialRandom:
     def test_budget_exhaustion(self):
         rng = TrialRandom(1, 0)
@@ -188,57 +194,56 @@ class TestTrialRandom:
 
     def test_matches_contiguous_stream(self):
         # word j of trial i is word i of column stream j, a contiguous
-        # Philox stream from counter [0, 0, j, 0]
-        columns = [np.random.Generator(np.random.Philox(key=77, counter=[0, 0, j, 0])).random(9) for j in range(8)]
+        # PCG64DXSM stream spawned from the seed
+        columns = [np.random.Generator(spawned_column(77, j)).random(9) for j in range(8)]
         for i in range(9):
             words = TrialRandom(77, i).random(8)
             assert np.array_equal(words, [column[i] for column in columns])
 
-    @pytest.mark.parametrize("offset", range(4))
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(
         seed=hst.integers(0, 2**64 - 1),
-        block=hst.one_of(
+        trial=hst.one_of(
             hst.integers(0, 1 << 20),
-            hst.builds(lambda k, d: max(k * (protocol._CHUNK // 4) + d, 0), hst.integers(0, 64), hst.integers(-1, 0)),
-            hst.integers(2**38, 2**64 - 1),  # trial indices of 2^40 and more
+            hst.builds(lambda k, d: max(k * protocol._CHUNK + d, 0), hst.integers(0, 64), hst.integers(-1, 0)),
+            hst.integers(2**64, 2**128 - 1),  # trial indices of 2^64 and more
         ),
     )
-    def test_matches_philox_counter(self, offset, seed, block):
-        # trial i reads position i % 4 of the Philox block at counter
-        # [i // 4, 0, j, 0] in each column j, uniforms in column order (as a
-        # list, numpy casts a counter word of 2^63 or more through float64)
-        i = 4 * block + offset
-        expected = [
-            np.random.Generator(np.random.Philox(key=seed, counter=np.array([i // 4, 0, j, 0], dtype=np.uint64)))
-            .random(i % 4 + 1)[-1]
-            for j in range(8)
-        ]
-        rng = TrialRandom(seed, i)
+    def test_matches_spawned_stream(self, seed, trial):
+        # trial i reads word i of each spawned column j, uniforms in column order
+        expected = [np.random.Generator(spawned_column(seed, j).advance(trial)).random() for j in range(8)]
+        rng = TrialRandom(seed, trial)
         first = rng.random()
         assert type(first) is float
         assert [first, *rng.random(7).tolist()] == expected
 
-    @pytest.mark.parametrize("trial", [0, 3, 4, 2**64 + 5, 2**130 - 1])
-    def test_moved_generator_matches_new(self, trial):
-        # TrialRandom moves one Philox from column to column; a moved
-        # generator of another key draws as a new one, across Philox blocks
-        for column in (0, 7):
-            moved = protocol._column_stream(2**64 - 1, column, trial, np.random.Philox(key=9))
-            new = protocol._column_stream(2**64 - 1, column, trial)
-            assert np.array_equal(moved.random_raw(9), new.random_raw(9))
-
     def test_last_trial_of_a_column(self):
-        # a column stream is 2^128 Philox blocks of 4 words long
-        last = 2**130 - 1
-        expected = [
-            np.random.Generator(np.random.Philox(key=3, counter=np.array([2**64 - 1, 2**64 - 1, j, 0], dtype=np.uint64)))
-            .random(4)[-1]
-            for j in range(8)
-        ]
+        # a column stream is 2^128 words long, the period of PCG64DXSM:
+        # word 2^128 would be word 0 again
+        last = 2**128 - 1
+        expected = [np.random.Generator(spawned_column(3, j).advance(last)).random() for j in range(8)]
         assert TrialRandom(3, last).random(8).tolist() == expected
-        with pytest.raises(ValidationError, match="below 2\\^130"):
+        for j in (0, 7):
+            assert spawned_column(3, j).advance(last).random_raw(2)[1] == spawned_column(3, j).random_raw()
+        with pytest.raises(ValidationError, match="below 2\\^128"):
             TrialRandom(3, last + 1)
+
+    @pytest.mark.parametrize("trial", [1, 3, (1 << 14) - 1, 1 << 14, 3 * (1 << 14) + 5])
+    def test_stream_started_mid_column_continues_it(self, trial):
+        # a run_batch thread starts its column streams at its first trial;
+        # the words must be those a stream from trial 0 reaches there
+        for column in (0, 7):
+            whole = protocol._column_stream(2**64 - 1, column, 0).random_raw(trial + 9)
+            assert np.array_equal(protocol._column_stream(2**64 - 1, column, trial).random_raw(9), whole[trial:])
+
+    @pytest.mark.parametrize("seed", [0, 77, 2**64 - 2])
+    def test_columns_are_distinct(self, seed):
+        # a spawn-key mix-up would alias two columns of a seed, or a column
+        # of the seed with one of the next seed
+        heads = {
+            protocol._column_stream(s, j, 0).random_raw(1 << 10).tobytes() for s in (seed, seed + 1) for j in range(8)
+        }
+        assert len(heads) == 16
 
 
 def edge_words(threshold):
@@ -249,17 +254,17 @@ def edge_words(threshold):
 
 
 class TestRawWords:
-    """run_batch draws raw Philox words and compares them with per-run
+    """run_batch draws raw PCG64DXSM words and compares them with per-run
     thresholds; each must decide as the uniform Generator.random gives."""
 
     @pytest.mark.parametrize("trial", [0, 1, 12_345, (1 << 14) - 3])
     def test_uniforms_match_generator(self, trial):
-        def philox():  # column stream 5 from the block that holds word ``trial``
-            return np.random.Philox(key=2718, counter=[trial // 4, 0, 5, 0])
+        def column():  # column stream 5 from word ``trial``
+            return spawned_column(2718, 5).advance(trial)
 
-        bg = philox()
+        bg = column()
         raw = np.concatenate([bg.random_raw(5), bg.random_raw(7)])  # consecutive draws, as chunks are
-        expected = np.random.Generator(philox()).random(12)
+        expected = np.random.Generator(column()).random(12)
         assert np.array_equal(protocol._uniforms(raw).view(np.uint64), expected.view(np.uint64))
 
     def test_extreme_words(self):
@@ -338,15 +343,20 @@ class TestNoisyMode:
     def test_run_trial_symbol_consistency(self):
         # the symbol is the trace byte: 0 zero, 1 one, 2 discard. Level 2,
         # the Sx = 0 outcome, is the discard symbol; a trial that starts in
-        # level 2 projects to it half the time.
+        # level 2 projects to it half the time. At the defaults 0.078% of
+        # trials are discards, so the trials run until all three symbols are
+        # seen, up to 2^14 (a seed's first 2^14 trials miss a discard with
+        # odds of about 3e-6)
         for noise in (NoiseParams(), NoiseParams(p_thermal_1=0.0, p_thermal_2=0.99, p_decay_21=0.0)):
             cfg = ProtocolConfig(n_trials=1, seed=5, noise=noise)
             seen = set()
-            for i in range(200):
+            for i in range(1 << 14):
                 rec = run_trial(cfg, TrialRandom(5, i))
                 assert type(rec.symbol) is int
                 assert rec.iq is not None
                 seen.add(rec.symbol)
+                if len(seen) == 3:
+                    break
             assert seen == {0, 1, 2}
 
     def test_bias_direction(self):
@@ -452,8 +462,8 @@ class TestChunking:
     @pytest.mark.parametrize(
         "ideal, digest",
         [
-            (False, "caece05370183b0e902a7bf2830fd7d4d97e3c9d01b767bae765b189d4e08ea2"),
-            (True, "4677acd5ad0c17083d3815e086b1cfa688450bcdeaca78052d79c2b8a0b09d00"),
+            (False, "fe81d6ea32be20fed5583a44e787d08a4844fdec6c6d730dd09d9cdace373fee"),
+            (True, "e84257ad39010ea56610f295955ab13283d0367b8765aa16eaafdc2ffc7035da"),
         ],
         ids=["noisy", "ideal"],
     )
@@ -538,56 +548,56 @@ def reference_symbols(words, noise):
 
 def trial_words(seed, n):
     """The uniforms of trials [0, n), one row per column stream."""
-    return np.stack([np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, j, 0])).random(n) for j in range(8)])
+    return np.stack([np.random.Generator(spawned_column(seed, j)).random(n) for j in range(8)])
 
 
 # noise model keywords, and the SHA-256 of the 2^16 symbols run_batch writes for them at seed 52
 EARLY_DECISION_CONFIGS = {
-    "defaults": ({}, "4b0ae1c4ea8e933afd7b44308dc493caa935a7660adda111717ae83eab1439b3"),
-    "sigma-0.12": (dict(iq_sigma=0.12), "04638dc87efe60d356cf60996ad4b71eb1ec7f97d10ba30dfa0c050c5b536f01"),
-    "sigma-0.36": (dict(iq_sigma=0.36), "05f12742901602e47db2b7c4e7379dc249b954588cdd395a3c273989b450809c"),
-    "sigma-1": (dict(iq_sigma=1.0), "5b3458e84ee9e4792aabb43b70f1f8e12e7158124bb07f2e742552f3d682b8e2"),
-    "gate-0": (dict(gate_amp_error=0.0), "deecf83f763c24de03c91180410cd6b614e2b53ed49b6f150c0fbd7ae3f78497"),
-    "gate-0.2": (dict(gate_amp_error=0.2), "aa2d858abcad925b760db62fd8c2f43cbd041ce5172546da109a63399d21b6de"),
+    "defaults": ({}, "edb27a9bcbc77981543ee6eed6da995cb29b7b292e64812062a8a3b2a236675c"),
+    "sigma-0.12": (dict(iq_sigma=0.12), "aafd83609b504e44fdbc288ec6ad3e56dbe16175cae1e97d7b9ad3531e8c3cdc"),
+    "sigma-0.36": (dict(iq_sigma=0.36), "3f8943b7ece2a7412898ab7e9ec4644f4eb03a4b1b04f57e5839e30ffeda5dc0"),
+    "sigma-1": (dict(iq_sigma=1.0), "78fc053e9b66bc86ba9b72902fb1232b62ee3a2855c6fa06f624d12895cf32fc"),
+    "gate-0": (dict(gate_amp_error=0.0), "76051b8d9eca493b6b52788c3d4f43c79a2743991589cbcabfd161a60ca9a2b4"),
+    "gate-0.2": (dict(gate_amp_error=0.2), "9f26f4a7f84d21a12305a0dc828d4a078bf920ce0feeac7744faef0348cc8d52"),
     "thermal-0.3": (
         dict(p_thermal_1=0.3, p_thermal_2=0.3),
-        "2e9f1ec7515f474f36bb859c0e82e97ed9d4b211fb8b05f5526d9b0f0caf57ee",
+        "7f1987816587dff57418bcd434bdab66c6a94cf76f2e4fcf3b1c46593501b7af",
     ),
     # the edges of the float64 domain NoiseParams accepts
     "coord-ceiling": (
         dict(iq_centers=((1e100, 0.0), (0.0, 1e100), (-1e100, 0.0)), iq_sigma=1e99),
-        "04638dc87efe60d356cf60996ad4b71eb1ec7f97d10ba30dfa0c050c5b536f01",
+        "aafd83609b504e44fdbc288ec6ad3e56dbe16175cae1e97d7b9ad3531e8c3cdc",
     ),
     "sigma-ceiling": (dict(iq_sigma=1e100), "de2f256064a0af797747c2b97505dc0b9f3df0de4f489eac731c23ae9ca9cc31"),
-    "gate-ceiling": (dict(gate_amp_error=1e100), "67c744df1542d75cb030395dd62f89fe4b9c5612e8b35d65f03a080885319007"),
+    "gate-ceiling": (dict(gate_amp_error=1e100), "4b3ae802adb956f578698f753af758f98ef7dbc970fa1d7cdaa8f985a6a64c7d"),
     "all-ceilings": (
         dict(iq_centers=((1e100, 0.0), (0.0, 1e100), (-1e100, 0.0)), iq_sigma=1e100, gate_amp_error=1e100),
-        "d69b82e607a4bb57b7a24f37c9103d8ddff7d3a053f284c2d5cddd3bf366b199",
+        "3cfe6c1463256a701ebd084d470d6b8378a63237080eaff4d3fd0d4f01d2f901",
     ),
     # half gaps of exactly 1e-100, and of exactly 1e-6 max|coord|
     "gap-floor": (
         dict(iq_centers=((1e-100, 0.0), (-1e-100, 0.0), (0.0, 1e-99)), iq_sigma=3e-101),
-        "7c9f219d45e06bb9b32f171fc25b1bf9242517ade0096f0ae1900676dc3e99ac",
+        "eabdeb1f9fb9043d0a132f6e31c080d80246b32bf7fe249c79b7a4726a682635",
     ),
     "gap-per-coord": (
         dict(iq_centers=((1e6, 0.0), (1e6 - 2.0, 0.0), (-1e6, 0.0)), iq_sigma=0.3),
-        "7c9f219d45e06bb9b32f171fc25b1bf9242517ade0096f0ae1900676dc3e99ac",
+        "eabdeb1f9fb9043d0a132f6e31c080d80246b32bf7fe249c79b7a4726a682635",
     ),
     # the ends of each word threshold in run_batch
-    "decay10-0": (dict(p_decay_10=0.0), "30521ca84abf7f6a23e01d371ed0fc50e417d62b9f965dd3d73a6ad8f94bba8d"),
-    "decay10-1": (dict(p_decay_10=1.0), "a78943fa2c2b33d31af433789093a885d564ea277576f8fb62990f4044697a43"),
+    "decay10-0": (dict(p_decay_10=0.0), "05e59b02730e8d7cf57c3f63aae52922f2281f91825dfd732a2a8e06bb8f3175"),
+    "decay10-1": (dict(p_decay_10=1.0), "ad218e292e4db9fe277dba925a66c8f5463bfa5d9c3c8b86615c29983b6aef9c"),
     "decay21-1": (
         dict(p_decay_21=1.0, p_thermal_1=0.3, p_thermal_2=0.3),
-        "a4e0b4ea290b420d33e5db82880b6744c07955656754b2dd4bc66f9b743c725f",
+        "6bb16bad0da364d4985aa36f86d8f79371519839faa17a5b918d91fc8c221e79",
     ),
     "thermal-0.999": (
         dict(p_thermal_1=0.5, p_thermal_2=0.499),
-        "43f2229454653e2231c71a0e55ceb48e23d784a9653004ea05250649714e28c3",
+        "bc77d2c66b7d34e8dbb632074bcf61a35c70942a55bc5b5b99c42642129ad313",
     ),
     # the Born band at the radius cap holds [0, 1]
-    "band-covers-all": (dict(gate_amp_error=0.5), "c4c9b7ef18e605985e06f56ad7f041289a57c777f559feb2cbfa5e958195a85e"),
+    "band-covers-all": (dict(gate_amp_error=0.5), "6f6e59400b84ef9f1551f107e924964cd7d0b64bb4e6634e8042eedc68607908"),
     # R / sigma overflows, so every level's bound is 1
-    "iq-bound-1": (dict(iq_sigma=5e-324), "04638dc87efe60d356cf60996ad4b71eb1ec7f97d10ba30dfa0c050c5b536f01"),
+    "iq-bound-1": (dict(iq_sigma=5e-324), "aafd83609b504e44fdbc288ec6ad3e56dbe16175cae1e97d7b9ad3531e8c3cdc"),
     # (R / sigma)^2 underflows
     "iq-bound-0": (
         dict(iq_centers=((1e-100, 0.0), (-1e-100, 0.0), (0.0, 1e-99)), iq_sigma=1e100),
