@@ -200,17 +200,23 @@ class TestTrialRandom:
             words = TrialRandom(77, i).random(8)
             assert np.array_equal(words, [column[i] for column in columns])
 
-    @settings(max_examples=100, deadline=None)
+    @pytest.mark.parametrize("offset", range(4))
+    @settings(max_examples=25, deadline=None)
     @given(
         seed=hst.integers(0, 2**64 - 1),
-        trial=hst.one_of(
-            hst.integers(0, 1 << 20),
-            hst.builds(lambda k, d: max(k * protocol._CHUNK + d, 0), hst.integers(0, 64), hst.integers(-1, 0)),
-            hst.integers(2**64, 2**128 - 1),  # trial indices of 2^64 and more
+        block=hst.one_of(
+            hst.integers(0, 1 << 18),
+            hst.builds(lambda k, d: max(k * (protocol._CHUNK // 4) + d, 0), hst.integers(0, 64), hst.integers(-1, 0)),
+            hst.integers(2**62, 2**126 - 1),  # trial indices of 2^64 and more
         ),
     )
-    def test_matches_spawned_stream(self, seed, trial):
-        # trial i reads word i of each spawned column j, uniforms in column order
+    def test_matches_philox_counter(self, offset, seed, block):
+        # trial i = 4 * block + offset reads word i of each spawned column j,
+        # the word at counter position advance(i), uniforms in column order.
+        # The name and the four offsets date from Philox columns, whose
+        # 4-word blocks put each trial at position i % 4; PCG64DXSM has no
+        # blocks, and the offsets keep every residue of i mod 4 covered.
+        trial = 4 * block + offset
         expected = [np.random.Generator(spawned_column(seed, j).advance(trial)).random() for j in range(8)]
         rng = TrialRandom(seed, trial)
         first = rng.random()
