@@ -47,8 +47,10 @@ class RawStream:
 
     def __init__(self, symbols):
         arr = self.symbols = small_uints(symbols, 2, "symbol trace")
-        self.n1 = int(np.count_nonzero(arr == 1))
-        self.n_discard = int(np.count_nonzero(arr == 2))
+        # count_nonzero of a uint8 array needs no temporary; only a trace
+        # that holds a discard (its maximum is 2) pays for a comparison
+        self.n_discard = int(np.count_nonzero(arr == 2)) if arr.size and arr.max() == 2 else 0
+        self.n1 = int(np.count_nonzero(arr)) - self.n_discard
         self.n0 = arr.size - self.n1 - self.n_discard
 
     def __len__(self):

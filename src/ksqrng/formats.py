@@ -36,16 +36,18 @@ TRACE_VERSION = 1
 BITS_MAGIC = b"KSQBITS1"
 
 
-def atomic_write(path, data: bytes) -> None:
-    """Write ``data`` to a temporary file beside ``path``, then rename it over
-    ``path``; on any failure the temporary file is removed and ``path`` keeps
-    its old contents. The file is created with mode 0666 less the umask."""
+def atomic_write(path, *buffers) -> None:
+    """Write the ``buffers`` (bytes or C-contiguous arrays) in order to a
+    temporary file beside ``path``, then rename it over ``path``; on any
+    failure the temporary file is removed and ``path`` keeps its old
+    contents. The file is created with mode 0666 less the umask."""
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f".ksqrng-{secrets.token_hex(8)}")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for data in buffers:
+                fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -92,7 +94,7 @@ def unpack_bits(body: bytes, n_bits: int) -> BitStream:
 
 def write_bits(stream: BitStream, path) -> None:
     header = BITS_MAGIC + struct.pack("<Q", len(stream))
-    atomic_write(path, header + pack_bits(stream))
+    atomic_write(path, header, pack_bits(stream))
 
 
 def read_bits(path) -> BitStream:
@@ -103,7 +105,9 @@ def read_bits(path) -> BitStream:
 
 def write_trace(stream: RawStream, path) -> None:
     header = TRACE_MAGIC + bytes([TRACE_VERSION]) + struct.pack("<Q", len(stream))
-    atomic_write(path, header + stream.symbols.tobytes())
+    # the symbols go to the file as they are, unless a strided view needs
+    # its one contiguous copy
+    atomic_write(path, header, np.ascontiguousarray(stream.symbols))
 
 
 def read_trace(path) -> RawStream:

@@ -50,6 +50,7 @@ its trial's own words.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -126,6 +127,15 @@ def _column_stream(seed: int, column: int, trial: int):
     return np.random.PCG64DXSM(np.random.SeedSequence(seed, spawn_key=(column,))).advance(trial)
 
 
+@functools.lru_cache(maxsize=1024)
+def _column_start(seed: int, column: int) -> tuple[int, int]:
+    """The PCG64DXSM (state, increment) of column stream ``column`` at word
+    0, as immutable ints: the seed expansion a :class:`TrialRandom` would
+    otherwise repeat for every word it draws."""
+    state = _column_stream(seed, column, 0).state["state"]
+    return state["state"], state["inc"]
+
+
 class TrialRandom:
     """Sequential uniform source over one trial's fixed word budget: the
     ``Generator.random`` uniforms of the trial's word in each column stream,
@@ -144,6 +154,18 @@ class TrialRandom:
             raise ValidationError("trial_index must be below 2^128, the length of a column stream")
         self._trial = trial_index
         self._remaining = WORDS_PER_TRIAL
+        self._bg = np.random.PCG64DXSM(0)  # set to each column's state before it draws
+
+    def _word(self, column: int) -> int:
+        """Word ``trial`` of column stream ``column``."""
+        state, inc = _column_start(self._seed, column)
+        self._bg.state = {
+            "bit_generator": "PCG64DXSM",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return self._bg.advance(self._trial).random_raw()
 
     def random(self, size=None):
         n = 1 if size is None else _integer(size, "size")
@@ -151,7 +173,7 @@ class TrialRandom:
             raise ValidationError(f"size {n} lies outside [0, {self._remaining}], the trial's unread word budget")
         first = WORDS_PER_TRIAL - self._remaining
         self._remaining -= n
-        words = [_column_stream(self._seed, j, self._trial).random_raw() for j in range(first, first + n)]
+        words = [self._word(j) for j in range(first, first + n)]
         u = _uniforms(np.array(words, dtype=np.uint64))
         return float(u[0]) if size is None else u
 

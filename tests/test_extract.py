@@ -1,11 +1,23 @@
+import tracemalloc
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from ksqrng import extract
 from ksqrng.bits import BitStream, RawStream
 from ksqrng.extract import expected_yield, to_bits, von_neumann_extract
 
 bit_lists = hst.lists(hst.integers(min_value=0, max_value=1), max_size=400)
+
+BLOCK_BITS = 2 * extract._BLOCK_PAIRS
+
+
+def pair_loop(bits):
+    """The first bit of each unequal disjoint pair, one pair at a time."""
+    bits = list(bits)
+    return [bits[k] for k in range(0, len(bits) - 1, 2) if bits[k] != bits[k + 1]]
 
 
 class TestVonNeumann:
@@ -40,11 +52,52 @@ class TestVonNeumann:
     @given(bit_lists)
     @settings(max_examples=200, deadline=None)
     def test_matches_pair_loop(self, bits):
-        expected = []
-        for k in range(0, len(bits) - 1, 2):
-            if bits[k] != bits[k + 1]:
-                expected.append(bits[k])
-        assert von_neumann_extract(BitStream(bits)).bits.tolist() == expected
+        assert von_neumann_extract(BitStream(bits)).bits.tolist() == pair_loop(bits)
+
+    @given(bits=bit_lists, block_pairs=hst.integers(1, 9))
+    @settings(max_examples=200, deadline=None)
+    def test_block_size_does_not_change_output(self, bits, block_pairs):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(extract, "_BLOCK_PAIRS", block_pairs)
+            assert von_neumann_extract(BitStream(bits)).bits.tolist() == pair_loop(bits)
+
+    @pytest.mark.parametrize("n", [BLOCK_BITS - 1, BLOCK_BITS, BLOCK_BITS + 1, BLOCK_BITS + 2])
+    def test_block_edges_match_pair_loop(self, n):
+        # one block less a bit, one whole block, and one or two bits into
+        # the next; the final bit pairs with no other at odd n
+        bits = np.random.default_rng(n).integers(0, 2, n, dtype=np.uint8)
+        out = von_neumann_extract(BitStream(bits))
+        assert out.bits.tolist() == pair_loop(bits.tolist())
+        assert out.bits.flags.c_contiguous
+
+    def test_multi_block_biased_input_matches_pair_loop(self):
+        rng = np.random.default_rng(11)
+        n = int(rng.integers(3 * BLOCK_BITS, 5 * BLOCK_BITS))
+        bits = (rng.random(n) >= 0.7).astype(np.uint8)
+        assert von_neumann_extract(BitStream(bits)).bits.tolist() == pair_loop(bits.tolist())
+
+    def test_strided_stream_matches_pair_loop(self):
+        # a non-contiguous view: every third bit of a longer array, over
+        # several blocks, with a trailing unpaired bit
+        whole = np.random.default_rng(12).integers(0, 2, 3 * (2 * BLOCK_BITS + 3), dtype=np.uint8)
+        stream = BitStream(whole[1::3])
+        assert not stream.bits.flags.c_contiguous
+        assert len(stream) % 2 == 1
+        assert von_neumann_extract(stream).bits.tolist() == pair_loop(stream.bits.tolist())
+
+    def test_peak_is_output_plus_one_block(self):
+        # the output, then per block a bool mask and np.compress's int64
+        # index of the kept pairs; a whole-stream pass holds a mask of every
+        # pair beside the output
+        bits = np.random.default_rng(13).integers(0, 2, 1 << 22, dtype=np.uint8)
+        stream = BitStream(bits)
+        tracemalloc.start()
+        try:
+            out = von_neumann_extract(stream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= len(out) + 9 * extract._BLOCK_PAIRS + (1 << 16)
 
     def test_not_idempotent(self):
         rng = np.random.default_rng(2)
@@ -82,3 +135,13 @@ class TestToBits:
 
     def test_all_discards(self):
         assert len(to_bits(RawStream(np.array([2, 2], dtype=np.uint8)))) == 0
+
+    def test_trace_without_discards_is_not_copied(self):
+        stream = RawStream(np.array([0, 1, 1, 0, 1], dtype=np.uint8))
+        bits = to_bits(stream).bits
+        assert np.shares_memory(bits, stream.symbols)
+        assert bits.tolist() == [0, 1, 1, 0, 1]
+
+    def test_trace_with_discards_is_copied(self):
+        stream = RawStream(np.array([0, 1, 2, 0], dtype=np.uint8))
+        assert not np.shares_memory(to_bits(stream).bits, stream.symbols)

@@ -167,6 +167,31 @@ class TestTraceFile:
             tracemalloc.stop()
         assert peak <= 3 * n
 
+    def test_write_allocates_no_copy_of_the_trace(self, tmp_path):
+        # the symbols go to the file as they are: no tobytes() copy and no
+        # header-plus-body concatenation
+        n = 1 << 20
+        stream = RawStream((np.arange(n) % 3).astype(np.uint8))
+        path = tmp_path / "big.trace"
+        tracemalloc.start()
+        try:
+            write_trace(stream, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= n // 64
+        assert read_trace(path) == stream
+
+    def test_round_trip_strided(self, tmp_path):
+        # a non-contiguous symbol array cannot be written as it is
+        symbols = (np.arange(2001) % 3).astype(np.uint8)[::2]
+        stream = RawStream(symbols)
+        assert not stream.symbols.flags.c_contiguous
+        path = tmp_path / "strided.trace"
+        write_trace(stream, path)
+        assert path.read_bytes() == TRACE_MAGIC + bytes([1]) + struct.pack("<Q", 1001) + symbols.tobytes()
+        assert read_trace(path) == stream
+
     def test_trailing_data(self, tmp_path):
         path = tmp_path / "trail.trace"
         path.write_bytes(TRACE_MAGIC + bytes([1]) + struct.pack("<Q", 1) + bytes([0, 0]))
@@ -229,6 +254,37 @@ class TestAtomicWrite:
         monkeypatch.setattr(os, "replace", failing_replace)
         with pytest.raises(OSError, match="rename refused"):
             self.WRITERS[kind](target)
+        assert target.read_bytes() == b"old contents"
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    @pytest.mark.parametrize("kind", ["trace", "bits"])
+    def test_failed_second_buffer_keeps_old_file(self, tmp_path, monkeypatch, kind):
+        # the header is written, then writing the body fails
+        target = tmp_path / "out"
+        target.write_bytes(b"old contents")
+        real_fdopen = os.fdopen
+        writes = []
+
+        class FailingSecondWrite:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                writes.append(len(memoryview(data)))
+                if len(writes) == 2:
+                    raise OSError("disk full")
+                return self.fh.write(data)
+
+        monkeypatch.setattr(os, "fdopen", lambda fd, mode: FailingSecondWrite(real_fdopen(fd, mode)))
+        with pytest.raises(OSError, match="disk full"):
+            self.WRITERS[kind](target)
+        assert writes == [17 if kind == "trace" else 16, 3 if kind == "trace" else 1]
         assert target.read_bytes() == b"old contents"
         assert [p.name for p in tmp_path.iterdir()] == ["out"]
 

@@ -40,7 +40,8 @@ class TestRawStream:
         with pytest.raises(ValidationError):
             RawStream(np.array([0, 3], dtype=np.uint8))
 
-    def test_tallies_allocate_at_most_two_bytes_per_trial(self):
+    def test_tallies_allocate_at_most_one_byte_per_trial(self):
+        # one bool temporary for the discards; ones need none
         n = 1 << 20
         symbols = (np.arange(n) % 3).astype(np.uint8)
         tracemalloc.start()
@@ -50,7 +51,19 @@ class TestRawStream:
         finally:
             tracemalloc.stop()
         assert (stream.n0, stream.n1, stream.n_discard) == (349526, 349525, 349525)
-        assert peak <= 2 * n
+        assert peak <= n + (1 << 12)
+
+    def test_tallies_without_discards_allocate_nothing_per_trial(self):
+        n = 1 << 20
+        symbols = (np.arange(n) % 5 == 1).astype(np.uint8)
+        tracemalloc.start()
+        try:
+            stream = RawStream(symbols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (stream.n0, stream.n1, stream.n_discard) == (n - 209715, 209715, 0)
+        assert peak <= 1 << 12
 
 
 @pytest.mark.parametrize("stream_type, top", [(RawStream, 2), (BitStream, 1)], ids=["RawStream", "BitStream"])
@@ -233,6 +246,30 @@ class TestTrialRandom:
             assert spawned_column(3, j).advance(last).random_raw(2)[1] == spawned_column(3, j).random_raw()
         with pytest.raises(ValidationError, match="below 2\\^128"):
             TrialRandom(3, last + 1)
+
+    def test_cached_column_state_cannot_be_changed(self):
+        # the start states are cached as a bounded table of ints; a
+        # generator's state dict is a fresh copy, so changing it, or moving
+        # the generator, leaves the table as it was
+        expected = TrialRandom(9, 5).random(8)
+        start = protocol._column_start(9, 0)
+        assert type(start) is tuple and all(type(v) is int for v in start)
+        assert protocol._column_start.cache_info().maxsize is not None
+        rng = TrialRandom(9, 5)
+        rng.random(3)
+        state = rng._bg.state
+        state["state"]["state"] ^= 1
+        rng._bg.advance(12345)
+        assert protocol._column_start(9, 0) == start
+        assert np.array_equal(TrialRandom(9, 5).random(8), expected)
+
+    def test_interleaved_sources_draw_their_own_words(self):
+        a, b = TrialRandom(9, 5), TrialRandom(10, 6)
+        drawn = {id(a): [], id(b): []}
+        for rng in (a, b, b, a, a, b, a, b, b, a, b, a, a, b, a, b):
+            drawn[id(rng)].append(rng.random())
+        assert drawn[id(a)] == TrialRandom(9, 5).random(8).tolist()
+        assert drawn[id(b)] == TrialRandom(10, 6).random(8).tolist()
 
     @pytest.mark.parametrize("trial", [1, 3, (1 << 14) - 1, 1 << 14, 3 * (1 << 14) + 5])
     def test_stream_started_mid_column_continues_it(self, trial):

@@ -11,9 +11,9 @@ when a survivor is not in ``tools/equivalent_mutants.txt``, the survivors
 accepted as changing no output, or when an entry there names more than one
 flip of its module. The checkout is never edited. It uses the standard
 library only, and takes minutes, so it is not part of Tier-1; CI runs it on
-protocol and readout as a job of its own.
+protocol, readout, extract, bits and formats as a job of its own.
 
-    python tools/mutants.py protocol readout
+    python tools/mutants.py protocol readout extract bits formats
 """
 
 from __future__ import annotations
