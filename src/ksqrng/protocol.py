@@ -6,7 +6,9 @@ PCG64DXSM stream spawned from seed ``s`` with spawn key ``(j,)``, the same
 stream as ``SeedSequence(s).spawn(8)[j]``. Word ``j`` of trial ``i`` is word
 ``i`` of column ``j``, reached with ``advance(i)``, so trials are
 order-independent and a batch can be generated in chunks or across workers
-with bit-identical results.
+with bit-identical results. ``_column_stream`` builds every column stream,
+for ``run_batch`` and for its reference ``TrialRandom`` alike: it is the one
+seam between the seed and the words.
 
 Per-trial word layout in noisy mode, one word per column, consumed in order:
 
@@ -50,7 +52,6 @@ its trial's own words.
 
 from __future__ import annotations
 
-import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -112,6 +113,11 @@ class ProtocolConfig:
         if self.n_trials < 1:
             raise ValidationError(f"n_trials must be >= 1, got {self.n_trials}")
         object.__setattr__(self, "seed", _check_seed(self.seed))
+        if not isinstance(self.noise, NoiseParams):
+            raise ValidationError(f"noise must be a NoiseParams, got {type(self.noise).__name__}")
+        if not isinstance(self.ideal, (bool, np.bool_)):  # a truthy "false" would run the ideal protocol
+            raise ValidationError(f"ideal must be a bool, got {type(self.ideal).__name__}")
+        object.__setattr__(self, "ideal", bool(self.ideal))
 
 
 @dataclass(frozen=True)
@@ -127,19 +133,11 @@ def _column_stream(seed: int, column: int, trial: int):
     return np.random.PCG64DXSM(np.random.SeedSequence(seed, spawn_key=(column,))).advance(trial)
 
 
-@functools.lru_cache(maxsize=1024)
-def _column_start(seed: int, column: int) -> tuple[int, int]:
-    """The PCG64DXSM (state, increment) of column stream ``column`` at word
-    0, as immutable ints: the seed expansion a :class:`TrialRandom` would
-    otherwise repeat for every word it draws."""
-    state = _column_stream(seed, column, 0).state["state"]
-    return state["state"], state["inc"]
-
-
 class TrialRandom:
     """Sequential uniform source over one trial's fixed word budget: the
     ``Generator.random`` uniforms of the trial's word in each column stream,
-    column 0 first.
+    column 0 first. Each word comes from a fresh ``_column_stream``, the
+    stream builder ``run_batch`` reads too, so the two share one seam.
 
     ``run_trial(config, TrialRandom(seed, i))`` reproduces trial ``i`` of
     ``run_batch`` exactly.
@@ -154,18 +152,6 @@ class TrialRandom:
             raise ValidationError("trial_index must be below 2^128, the length of a column stream")
         self._trial = trial_index
         self._remaining = WORDS_PER_TRIAL
-        self._bg = np.random.PCG64DXSM(0)  # set to each column's state before it draws
-
-    def _word(self, column: int) -> int:
-        """Word ``trial`` of column stream ``column``."""
-        state, inc = _column_start(self._seed, column)
-        self._bg.state = {
-            "bit_generator": "PCG64DXSM",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        return self._bg.advance(self._trial).random_raw()
 
     def random(self, size=None):
         n = 1 if size is None else _integer(size, "size")
@@ -173,7 +159,7 @@ class TrialRandom:
             raise ValidationError(f"size {n} lies outside [0, {self._remaining}], the trial's unread word budget")
         first = WORDS_PER_TRIAL - self._remaining
         self._remaining -= n
-        words = [self._word(j) for j in range(first, first + n)]
+        words = [_column_stream(self._seed, j, self._trial).random_raw() for j in range(first, first + n)]
         u = _uniforms(np.array(words, dtype=np.uint64))
         return float(u[0]) if size is None else u
 
@@ -351,29 +337,15 @@ def run_batch(config: ProtocolConfig, workers: int = 1) -> tuple[RawStream, Batc
     if workers < 1:
         raise ValidationError("workers must be >= 1")
     n = config.n_trials
+    if n > np.iinfo(np.intp).max:  # np.empty raises ValueError, not MemoryError, past it
+        raise ValidationError(f"n_trials {n} exceeds {np.iinfo(np.intp).max}, the largest array numpy can index")
     out = np.empty(n, dtype=np.uint8)
     if config.ideal:
         # sample_level on the ideal Born triple draws level 2 when u0 >= 1 - p2;
         # p2 is exactly 0, so no uniform reaches it and the level is [u0 >= p0]
         t0 = _word_threshold((np.abs(measurement_unitary().matrix[:, 0]) ** 2)[0])
-        columns = 1
-
-        def symbols(words, first):
-            return (words[0] >= t0).view(np.uint8), None
-
-        def resolve(pending):
-            pass
-
     else:
         bounds = _WordBounds.of(config.noise)
-        columns = WORDS_PER_TRIAL
-
-        def symbols(words, first):
-            return _batch_symbols(words, bounds, first)
-
-        def resolve(pending):
-            _resolve(out, pending, config.noise)
-
     n_chunks = -(-n // _CHUNK)
     threads = min(workers, n_chunks)
     block = _BLOCK * _CHUNK
@@ -381,14 +353,18 @@ def run_batch(config: ProtocolConfig, workers: int = 1) -> tuple[RawStream, Batc
     def fill(t):
         start = t * n_chunks // threads * _CHUNK
         stop = min(n, (t + 1) * n_chunks // threads * _CHUNK)
-        gens = [_column_stream(config.seed, j, start) for j in range(columns)]
+        gens = [_column_stream(config.seed, j, start) for j in range(1 if config.ideal else WORDS_PER_TRIAL)]
         for first in range(start, stop, block):
             pending = []
             for lo in range(first, min(first + block, stop), _CHUNK):
                 m = min(_CHUNK, stop - lo)
-                out[lo : lo + m], rows = symbols([bg.random_raw(m) for bg in gens], lo)
-                pending.append(rows)
-            resolve(pending)
+                if config.ideal:
+                    out[lo : lo + m] = gens[0].random_raw(m) >= t0
+                else:
+                    out[lo : lo + m], rows = _batch_symbols([bg.random_raw(m) for bg in gens], bounds, lo)
+                    pending.append(rows)
+            if pending:
+                _resolve(out, pending, config.noise)
 
     if threads == 1:
         fill(0)

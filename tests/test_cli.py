@@ -103,6 +103,23 @@ class TestGenerate:
         assert capsys.readouterr().err == "out of memory: Unable to allocate 9.09 TiB for an array\n"
         assert not (tmp / "x.trace").exists()
 
+    @pytest.mark.parametrize(
+        "trials, message",
+        [
+            (2**63, f"invalid input: n_trials {2**63} exceeds {2**63 - 1}, the largest array numpy can index"),
+            (2**63 - 1, "out of memory: "),
+        ],
+        ids=["2^63", "2^63-1"],
+    )
+    def test_unindexable_trial_count_exits_2(self, workspace, capsys, trials, message):
+        tmp, config = workspace
+        config.write_text(f"trials = {trials}\nseed = 1\n")
+        code = run_cli(["generate", "--config", str(config), "--out", str(tmp / "x.trace")])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(message)
+        assert not (tmp / "x.trace").exists()
+
     def test_missing_config_file_exits_3(self, workspace):
         tmp, _ = workspace
         assert run_cli(["generate", "--config", str(tmp / "nope.cfg"), "--out", str(tmp / "x")]) == 3

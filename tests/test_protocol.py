@@ -162,6 +162,39 @@ class TestConfig:
         with pytest.raises(ValidationError, match=message):
             make()
 
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            (dict(ideal="false"), "ideal must be a bool, got str"),
+            (dict(ideal=1), "ideal must be a bool, got int"),
+            (dict(ideal=None), "ideal must be a bool, got NoneType"),
+            (dict(noise=None), "noise must be a NoiseParams, got NoneType"),
+            (dict(noise={}), "noise must be a NoiseParams, got dict"),
+        ],
+        ids=["ideal-str", "ideal-int", "ideal-none", "noise-none", "noise-dict"],
+    )
+    def test_rejects_mistyped_mode_and_noise(self, kw, message):
+        # a truthy "false" must not run the ideal protocol, nor a missing
+        # noise model fail later inside the kernel
+        with pytest.raises(ValidationError, match=message):
+            ProtocolConfig(n_trials=1, seed=1, **kw)
+
+    def test_accepts_numpy_bool(self):
+        config = ProtocolConfig(n_trials=64, seed=5, ideal=np.True_)
+        assert config.ideal is True
+        assert run_batch(config)[0] == run_batch(ProtocolConfig(n_trials=64, seed=5, ideal=True))[0]
+
+    @pytest.mark.parametrize("n", [2**63, 10**30], ids=["2^63", "10^30"])
+    def test_rejects_counts_numpy_cannot_index(self, n):
+        # rejected before np.empty, which raises ValueError past 2^63 - 1
+        with pytest.raises(ValidationError, match=f"n_trials {n} exceeds {2**63 - 1}"):
+            run_batch(ProtocolConfig(n_trials=n, seed=1))
+
+    def test_largest_indexable_count_is_out_of_memory(self):
+        # 2^63 - 1 trials pass the count check; numpy refuses the 8 EiB at once
+        with pytest.raises(MemoryError):
+            run_batch(ProtocolConfig(n_trials=2**63 - 1, seed=1))
+
     def test_accepts_numpy_integers(self):
         config = ProtocolConfig(n_trials=np.int64(64), seed=np.uint64(5))
         assert run_batch(config, workers=np.int64(2))[0] == run_batch(ProtocolConfig(n_trials=64, seed=5))[0]
@@ -246,22 +279,6 @@ class TestTrialRandom:
             assert spawned_column(3, j).advance(last).random_raw(2)[1] == spawned_column(3, j).random_raw()
         with pytest.raises(ValidationError, match="below 2\\^128"):
             TrialRandom(3, last + 1)
-
-    def test_cached_column_state_cannot_be_changed(self):
-        # the start states are cached as a bounded table of ints; a
-        # generator's state dict is a fresh copy, so changing it, or moving
-        # the generator, leaves the table as it was
-        expected = TrialRandom(9, 5).random(8)
-        start = protocol._column_start(9, 0)
-        assert type(start) is tuple and all(type(v) is int for v in start)
-        assert protocol._column_start.cache_info().maxsize is not None
-        rng = TrialRandom(9, 5)
-        rng.random(3)
-        state = rng._bg.state
-        state["state"]["state"] ^= 1
-        rng._bg.advance(12345)
-        assert protocol._column_start(9, 0) == start
-        assert np.array_equal(TrialRandom(9, 5).random(8), expected)
 
     def test_interleaved_sources_draw_their_own_words(self):
         a, b = TrialRandom(9, 5), TrialRandom(10, 6)
@@ -689,36 +706,28 @@ class TestEarlyDecisions:
         assert np.array_equal(stream.symbols, reference_symbols(trial_words(seed, 4096), noise))
 
 
-class RowRandom:
-    """An rng stand-in that hands ``run_trial`` the uniforms
-    ``Generator.random`` makes of one raw word row."""
-
-    def __init__(self, row):
-        self._u = protocol._uniforms(np.array(row, dtype=np.uint64))
-
-    def random(self, size=None):
-        return self._u[0] if size is None else self._u[:size]
-
-
 class ColumnSource:
-    """A ``_column_stream`` stand-in for ``run_batch`` whose column stream j
-    holds the raw words ``columns[j]``."""
+    """A ``_column_stream`` stand-in whose column stream j holds the raw
+    words ``columns[j]``, started at any trial."""
 
     def __init__(self, columns):
         self._columns = np.array(columns, dtype=np.uint64)
 
     def __call__(self, seed, column, trial):
-        assert trial == 0
-        return ColumnWords(self._columns[column])
+        return ColumnWords(self._columns[column][trial:])
 
 
 class ColumnWords:
+    """The unread words of one stand-in column stream."""
+
     def __init__(self, words):
         self._words = words
 
-    def random_raw(self, size):
-        assert size == self._words.size
-        return self._words
+    def random_raw(self, size=None):
+        n = 1 if size is None else size
+        assert n <= self._words.size, "drew past the end of a stand-in column"
+        words, self._words = self._words[:n], self._words[n:]
+        return int(words[0]) if size is None else words
 
 
 def tie_rows(base, word, threshold):
@@ -742,9 +751,19 @@ class TestWordTies:
     run_trial computes from the same words."""
 
     @staticmethod
-    def batch(monkeypatch, rows, **cfg):
+    def config(monkeypatch, rows, **cfg):
+        """A config of ``len(rows)`` trials whose column streams, for
+        ``run_batch`` and ``TrialRandom`` alike, hold the raw word rows
+        ``rows``: trial i reads row i."""
         monkeypatch.setattr(protocol, "_column_stream", ColumnSource(np.array(rows, dtype=np.uint64).T))
-        return run_batch(ProtocolConfig(n_trials=len(rows), seed=0, **cfg))[0].symbols.tolist()
+        return ProtocolConfig(n_trials=len(rows), seed=0, **cfg)
+
+    def batch(self, monkeypatch, rows, **cfg):
+        """The symbols ``run_batch`` writes for ``rows``, and those
+        ``run_trial(config, TrialRandom(0, i))`` computes from them."""
+        config = self.config(monkeypatch, rows, **cfg)
+        expected = [int(run_trial(config, TrialRandom(0, i)).symbol) for i in range(len(rows))]
+        return run_batch(config)[0].symbols.tolist(), expected
 
     @pytest.mark.parametrize(
         "kw",
@@ -771,12 +790,11 @@ class TestWordTies:
         }
         for level, base in enumerate((level0, level1, level2)):
             cases[f"iq-{level}"] = tie_rows(base, 6, bounds.iq)
-        cfg = ProtocolConfig(n_trials=1, seed=0, noise=noise)
-        for level, base in enumerate((level0, level1, level2)):
-            assert run_trial(cfg, RowRandom(base)).true_level == level
+        cfg = self.config(monkeypatch, [level0, level1, level2], noise=noise)
+        assert [run_trial(cfg, TrialRandom(0, i)).true_level for i in range(3)] == [0, 1, 2]
         for name, rows in cases.items():
-            expected = [int(run_trial(cfg, RowRandom(row)).symbol) for row in rows]
-            assert self.batch(monkeypatch, rows, noise=noise) == expected, name
+            symbols, expected = self.batch(monkeypatch, rows, noise=noise)
+            assert symbols == expected, name
 
     def test_top_without_rotation(self, monkeypatch):
         # a gate error of -1 turns the rotation off, so a ground start stays
@@ -785,9 +803,7 @@ class TestWordTies:
         noise = NoiseParams(gate_amp_error=0.5)
         radius_2 = protocol._word_threshold(-math.expm1(-2.0))  # Box-Muller radius 2
         row = [TOP_WORD, radius_2, 1 << 63, TOP_WORD, TOP_WORD, TOP_WORD, 0, 0]  # cos(2 pi u2) = -1
-        cfg = ProtocolConfig(n_trials=1, seed=0, noise=noise)
-        assert int(run_trial(cfg, RowRandom(row)).symbol) == 0
-        assert self.batch(monkeypatch, [row], noise=noise) == [0]
+        assert self.batch(monkeypatch, [row], noise=noise) == ([0], [0])
 
     def test_block_without_undecided_rows(self, monkeypatch):
         # a ground start, no gate error, u3 = 3/4, no relaxation and no IQ
@@ -797,7 +813,8 @@ class TestWordTies:
 
         monkeypatch.setattr(protocol, "_born_levels", fail)
         monkeypatch.setattr(protocol, "synth_iq", fail)
-        assert self.batch(monkeypatch, [[TOP_WORD, 0, 0, 3 << 62, TOP_WORD, TOP_WORD, 0, 0]]) == [1]
+        cfg = self.config(monkeypatch, [[TOP_WORD, 0, 0, 3 << 62, TOP_WORD, TOP_WORD, 0, 0]])
+        assert run_batch(cfg)[0].symbols.tolist() == [1]
 
     def test_ideal_threshold(self, monkeypatch):
         # the ideal triple's p2 is exactly 0, so the level is [u0 >= p0]
@@ -810,10 +827,7 @@ class TestWordTies:
         t0 = protocol._word_threshold(p0)
         assert t0 == protocol._HALF_WORD + 2**11
         rows = tie_rows([0] * 8, 0, t0) + tie_rows([0] * 8, 0, protocol._HALF_WORD)
-        cfg = ProtocolConfig(n_trials=1, seed=0, ideal=True)
-        expected = [int(run_trial(cfg, RowRandom(row)).symbol) for row in rows]
-        assert expected == [0, 1, 0, 0]
-        assert self.batch(monkeypatch, rows, ideal=True) == expected
+        assert self.batch(monkeypatch, rows, ideal=True) == ([0, 1, 0, 0], [0, 1, 0, 0])
 
 
 class TestSummary:
