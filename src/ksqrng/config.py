@@ -16,12 +16,13 @@ more digits) and an optional exponent (``e`` or ``E``, an optional ``+`` or
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import fields
 
 from .errors import ConfigError, ValidationError
 from .protocol import ProtocolConfig
-from .readout import IQPoint, NoiseParams
+from .readout import NoiseParams
 
 
 def _parse_bool(key: str, raw: str) -> bool:
@@ -45,18 +46,17 @@ def _parse_int(key: str, raw: str) -> int:
 def _parse_float(key: str, raw: str) -> float:
     if not _FLOAT.fullmatch(raw):
         raise ConfigError(f"{key} must be a number, got {raw!r}")
-    return float(raw)
+    value = float(raw)
+    if not math.isfinite(value):  # a literal past the float64 range reads as inf
+        raise ConfigError(f"{key} must be finite, got {raw!r}")
+    return value
 
 
-def _parse_center(key: str, raw: str) -> IQPoint:
+def _parse_center(key: str, raw: str) -> tuple[float, float]:
     parts = [p.strip() for p in raw.split(",")]
     if len(parts) != 2:
         raise ConfigError(f"{key} must be 'i,q', got {raw!r}")
-    i, q = (_parse_float(key, part) for part in parts)
-    try:
-        return IQPoint(i, q)
-    except ValidationError as exc:
-        raise ConfigError(f"{key}: {exc}") from None
+    return tuple(_parse_float(key, part) for part in parts)
 
 
 _DEFAULT_NOISE = NoiseParams()
@@ -113,4 +113,8 @@ def parse_config(text: str) -> ProtocolConfig:
 
 def load_config(path) -> ProtocolConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
+    return parse_config(text)

@@ -121,6 +121,12 @@ def solovay_strassen(n: int, source: BitSource, max_witnesses: int) -> SSVerdict
     return SSVerdict(n, "probably_prime", witnesses, source.bits_consumed - start)
 
 
+# The sieve takes 9 bytes per number below the limit (an int64 and a bool).
+# Past this limit that outgrows the byte count numpy can size, and np.arange
+# raises ValueError, or returns an empty array, instead of MemoryError.
+_MAX_LIMIT = np.iinfo(np.intp).max // 9
+
+
 def carmichael_numbers(limit: int) -> list[int]:
     """All Carmichael numbers below ``limit`` by Korselt's criterion:
     squarefree composite n with p - 1 dividing n - 1 for every prime
@@ -128,6 +134,8 @@ def carmichael_numbers(limit: int) -> list[int]:
     fresh copy."""
     if limit < 3:
         raise ValidationError(f"limit must be >= 3, got {limit}")
+    if limit > _MAX_LIMIT:
+        raise ValidationError(f"limit {limit} exceeds {_MAX_LIMIT}, the largest sieve numpy can size")
     return list(_carmichael_tuple(limit))
 
 

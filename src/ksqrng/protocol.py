@@ -62,7 +62,6 @@ from .bits import Outcomes, RawStream, _check_seed, _integer
 from .errors import ValidationError
 from .qutrit import QutritState, apply_unitary, born_probabilities, measurement_unitary, rotation
 from .readout import (
-    IQPoint,
     NoiseParams,
     _radius,
     _sample_levels,
@@ -97,7 +96,6 @@ _COMPUTATIONAL_BASIS = (
 class TrialRecord:
     true_level: int
     symbol: int  # the trace byte: the classified level
-    iq: IQPoint | None
 
 
 @dataclass(frozen=True)
@@ -173,11 +171,7 @@ def run_trial(config: ProtocolConfig, rng) -> TrialRecord:
             _COMPUTATIONAL_BASIS,
         )
         level = int(sample_level(probs, rng.random()))
-        return TrialRecord(
-            true_level=level,
-            symbol=level,
-            iq=None,
-        )
+        return TrialRecord(true_level=level, symbol=level)
 
     noise = config.noise
     w = rng.random(WORDS_PER_TRIAL)
@@ -188,11 +182,7 @@ def run_trial(config: ProtocolConfig, rng) -> TrialRecord:
     projected = sample_level(born_probabilities(state, _COMPUTATIONAL_BASIS), w[3])
     relaxed = apply_relaxation(projected, w[4], w[5], noise)
     i, q = synth_iq(relaxed, w[6], w[7], noise)
-    return TrialRecord(
-        true_level=int(relaxed),
-        symbol=int(classify(i, q, noise)),
-        iq=IQPoint(float(i), float(q)),
-    )
+    return TrialRecord(true_level=int(relaxed), symbol=int(classify(i, q, noise)))
 
 
 def _uniforms(words):

@@ -20,18 +20,6 @@ import numpy as np
 from .errors import ValidationError
 
 
-@dataclass(frozen=True)
-class IQPoint:
-    i: float
-    q: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.i) and np.isfinite(self.q)):
-            raise ValidationError("IQ point components must be finite")
-
-
-_DEFAULT_CENTERS = (IQPoint(1.0, 0.0), IQPoint(0.0, 1.0), IQPoint(-1.0, 0.0))
-
 # The float64 domain NoiseParams accepts. Within it every squared IQ distance
 # is finite and every squared distance between centres is a normal float64.
 _MAX_SCALE = 1e100  # on |coordinate|, iq_sigma and gate_amp_error
@@ -52,6 +40,10 @@ class NoiseParams:
     unit centre separations puts nearest-centroid misclassification at
     5.70e-5 (:func:`misclassification_rate`).
 
+    ``iq_centers`` holds the IQ-plane centres of levels 0, 1 and 2 as three
+    ``(i, q)`` pairs of floats; any 3 x 2 array of real numbers is accepted
+    and stored as such pairs.
+
     This class owns the readout's float64 domain: every centre coordinate,
     ``iq_sigma`` and ``gate_amp_error`` are at most 1e100, and half the
     smallest distance between two centres is at least max(1e-100, 1e-6
@@ -66,7 +58,7 @@ class NoiseParams:
     gate_amp_error: float = 0.005
     p_decay_10: float = 0.072
     p_decay_21: float = 0.14
-    iq_centers: tuple[IQPoint, IQPoint, IQPoint] = _DEFAULT_CENTERS
+    iq_centers: tuple[tuple[float, float], ...] = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0))
     iq_sigma: float = 0.18
 
     def __post_init__(self):
@@ -80,21 +72,20 @@ class NoiseParams:
             raise ValidationError(f"gate_amp_error must lie in [0, {_MAX_SCALE:g}], got {self.gate_amp_error!r}")
         if not 0.0 < self.iq_sigma <= _MAX_SCALE:
             raise ValidationError(f"iq_sigma must lie in (0, {_MAX_SCALE:g}], got {self.iq_sigma!r}")
-        centers = tuple(self.iq_centers)
-        if len(centers) != 3:
-            raise ValidationError("iq_centers must hold exactly 3 points")
-        centers = tuple(c if isinstance(c, IQPoint) else IQPoint(*c) for c in centers)
-        object.__setattr__(self, "iq_centers", centers)
-        coords = self.centers_array()
+        try:
+            coords = np.array(self.iq_centers)
+        except ValueError:  # ragged pairs
+            coords = None
+        if coords is None or coords.shape != (3, 2) or coords.dtype.kind not in "biuf":
+            raise ValidationError(f"iq_centers must be 3 (i, q) pairs of real numbers, got {self.iq_centers!r}")
+        coords = coords.astype(np.float64)
+        object.__setattr__(self, "iq_centers", tuple(map(tuple, coords.tolist())))
         size = float(np.abs(coords).max())
-        if size > _MAX_SCALE:  # checked first, so the differences below stay finite
+        if not size <= _MAX_SCALE:  # checked first, so the differences below stay finite; rejects NaN
             raise ValidationError(f"iq_centers coordinates must lie within +-{_MAX_SCALE:g}, got {size!r}")
         floor = max(_MIN_HALF_GAP, _HALF_GAP_PER_COORD * size)
         if _half_gap(coords) < floor:
             raise ValidationError(f"iq_centers must lie at least {2 * floor:g} apart")
-
-    def centers_array(self) -> np.ndarray:
-        return np.array([[c.i, c.q] for c in self.iq_centers], dtype=np.float64)
 
 
 def thermal_init(u, params: NoiseParams):
@@ -166,7 +157,7 @@ def synth_iq(level, u_a, u_b, params: NoiseParams):
     """Readout response (i, q): the level's centre plus isotropic Gaussian
     noise of standard deviation iq_sigma per axis (Box-Muller on u_a, u_b)."""
     r, ang = _box_muller(u_a, u_b)
-    centers = params.centers_array()
+    centers = np.array(params.iq_centers)
     level = np.asarray(level)
     i = centers[level, 0] + params.iq_sigma * (r * np.cos(ang))
     q = centers[level, 1] + params.iq_sigma * (r * np.sin(ang))
@@ -179,7 +170,7 @@ def classify(i, q, params: NoiseParams):
     minimum)."""
     i = np.asarray(i, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
-    d0, d1, d2 = (np.square(i - c.i) + np.square(q - c.q) for c in params.iq_centers)
+    d0, d1, d2 = (np.square(i - ci) + np.square(q - cq) for ci, cq in params.iq_centers)
     return np.where(d2 < np.minimum(d0, d1), np.uint8(2), (d1 < d0).astype(np.uint8))
 
 
@@ -202,7 +193,7 @@ def decision_uniform(params: NoiseParams) -> float:
     sqrt(-2 log(1 - u)) sigma < R exactly when u < 1 - exp(-(R / sigma)^2 / 2).
     Computed in Python floats, where a ratio that overflows or underflows
     gives 1 or 0 without a warning."""
-    ratio = _RADIUS_SHRINK * _half_gap(params.centers_array()) / params.iq_sigma
+    ratio = _RADIUS_SHRINK * _half_gap(np.array(params.iq_centers)) / params.iq_sigma
     return -math.expm1(-0.5 * ratio * ratio)
 
 
@@ -219,7 +210,7 @@ def misclassification_rate(params: NoiseParams) -> float:
     from scipy.special import ndtr, owens_t  # scipy stays off the CLI's import path
 
     total = 0.0
-    for zl, zk, zj in itertools.permutations([complex(c.i, c.q) for c in params.iq_centers]):
+    for zl, zk, zj in itertools.permutations([complex(*c) for c in params.iq_centers]):
         h = abs(zk - zl) / (2.0 * params.iq_sigma)
         dot = ((zj - zl).conjugate() * (zj - zk)).real  # d_j.(d_j - d_k)
         cross = abs(((zk - zl).conjugate() * (zj - zl)).imag)  # |d_k x d_j|

@@ -120,6 +120,15 @@ class TestGenerate:
         assert len(err) == 1 and err[0].startswith(message)
         assert not (tmp / "x.trace").exists()
 
+    def test_config_not_utf8_exits_2(self, workspace, capsys):
+        tmp, config = workspace
+        config.write_bytes(b"trials = 1000\nseed = 1\n# \xff\n")
+        code = run_cli(["generate", "--config", str(config), "--out", str(tmp / "x.trace")])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("configuration error: ") and "UTF-8" in err[0]
+        assert not (tmp / "x.trace").exists()
+
     def test_missing_config_file_exits_3(self, workspace):
         tmp, _ = workspace
         assert run_cli(["generate", "--config", str(tmp / "nope.cfg"), "--out", str(tmp / "x")]) == 3
@@ -309,6 +318,25 @@ class TestConsumeSS:
         write_bits(random_bits(5, 1000), bits)
         assert run_cli(["consume-ss", "--in", str(bits), "--limit", "2"]) == 2
         assert run_cli(["consume-ss", "--in", str(bits), "--limit", "100", "--witnesses", "0"]) == 2
+
+    @pytest.mark.parametrize(
+        "limit, message",
+        [
+            (2**59, "out of memory: "),
+            (2**60 - 1, "invalid input: limit "),
+            (2**60, "invalid input: limit "),
+            (2**63 - 1, "invalid input: limit "),
+            (2**63, "invalid input: limit "),
+            (10**30, "invalid input: limit "),
+        ],
+        ids=["2^59", "2^60-1", "2^60", "2^63-1", "2^63", "10^30"],
+    )
+    def test_unsizable_limit_exits_2(self, tmp_path, capsys, limit, message):
+        bits = tmp_path / "r.bits"
+        write_bits(random_bits(5, 1000), bits)
+        assert run_cli(["consume-ss", "--in", str(bits), "--limit", str(limit)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(message)
 
 
 class TestUsage:

@@ -5,7 +5,7 @@ from hypothesis import strategies as hst
 from ksqrng.config import _PARSERS, parse_config
 from ksqrng.errors import ConfigError
 from ksqrng.protocol import ProtocolConfig
-from ksqrng.readout import IQPoint, NoiseParams
+from ksqrng.readout import NoiseParams
 
 MINIMAL = "trials = 100\nseed = 7\n"
 
@@ -42,9 +42,9 @@ class TestParseConfig:
         assert cfg.noise.p_decay_10 == 0.05
         assert cfg.noise.p_decay_21 == 0.1
         assert cfg.noise.iq_sigma == 0.25
-        assert cfg.noise.iq_centers[0] == IQPoint(2.0, 0.0)
-        assert cfg.noise.iq_centers[1] == IQPoint(0.0, 1.0)  # default kept
-        assert cfg.noise.iq_centers[2] == IQPoint(-2.0, 0.5)
+        assert cfg.noise.iq_centers[0] == (2.0, 0.0)
+        assert cfg.noise.iq_centers[1] == (0.0, 1.0)  # default kept
+        assert cfg.noise.iq_centers[2] == (-2.0, 0.5)
 
     def test_unknown_key_named(self):
         with pytest.raises(ConfigError, match="unknown configuration key 'p_thermal_3'"):
@@ -77,7 +77,7 @@ class TestParseConfig:
     def test_number_forms(self):
         cfg = parse_config("trials = 007\nseed = -0\ngate_amp_error = 5E-3\niq_center_0 = 1.5e+0, -0.25\n")
         assert (cfg.n_trials, cfg.seed, cfg.noise.gate_amp_error) == (7, 0, 0.005)
-        assert cfg.noise.iq_centers[0] == IQPoint(1.5, -0.25)
+        assert cfg.noise.iq_centers[0] == (1.5, -0.25)
 
     @pytest.mark.parametrize(
         "line, message",
@@ -104,7 +104,7 @@ class TestParseConfig:
             (MINIMAL + "bucket_size = 0\n", "bucket_size must be >= 1, got 0"),
             (MINIMAL + "ss_limit = 2\n", "ss_limit must be >= 3, got 2"),
             (MINIMAL + "ss_witnesses = 0\n", "ss_witnesses must be >= 1, got 0"),
-            (MINIMAL + "iq_center_0 = 1e999, 0\n", "iq_center_0: IQ point components must be finite"),
+            (MINIMAL + "iq_center_0 = 1e999, 0\n", "iq_center_0 must be finite"),
         ]
         for text, message in cases:
             with pytest.raises(ConfigError, match=message):

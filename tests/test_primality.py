@@ -4,6 +4,7 @@ import pytest
 from ksqrng.bits import BitStream, random_bits
 from ksqrng.errors import BitSourceExhaustedError, ValidationError
 from ksqrng.primality import (
+    _MAX_LIMIT,
     BitSource,
     carmichael_harness,
     carmichael_numbers,
@@ -171,6 +172,13 @@ class TestCarmichaelNumbers:
     def test_validation(self):
         with pytest.raises(ValidationError):
             carmichael_numbers(2)
+
+    def test_limit_numpy_cannot_size(self):
+        # at the bound the sieve only outgrows memory; past it numpy could not size it
+        with pytest.raises(MemoryError):
+            carmichael_numbers(_MAX_LIMIT)
+        with pytest.raises(ValidationError, match="largest sieve numpy can size"):
+            carmichael_numbers(_MAX_LIMIT + 1)
 
     def test_returned_list_is_a_fresh_copy(self):
         first = carmichael_numbers(2000)

@@ -395,7 +395,6 @@ class TestIdealMode:
 
     def test_run_trial_record(self):
         rec = run_trial(ProtocolConfig(n_trials=1, seed=3, ideal=True), TrialRandom(3, 0))
-        assert rec.iq is None
         assert rec.symbol == rec.true_level and type(rec.symbol) is int
 
 
@@ -413,7 +412,6 @@ class TestNoisyMode:
             for i in range(1 << 14):
                 rec = run_trial(cfg, TrialRandom(5, i))
                 assert type(rec.symbol) is int
-                assert rec.iq is not None
                 seen.add(rec.symbol)
                 if len(seen) == 3:
                     break

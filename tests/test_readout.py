@@ -4,7 +4,6 @@ from scipy.special import ndtr
 
 from ksqrng.errors import ValidationError
 from ksqrng.readout import (
-    IQPoint,
     NoiseParams,
     apply_relaxation,
     classify,
@@ -65,9 +64,31 @@ class TestNoiseParams:
         with pytest.raises(ValidationError):
             NoiseParams(**kwargs)
 
+    @pytest.mark.parametrize(
+        "centers",
+        [
+            None,
+            5,
+            ((1, 2, 3),) * 3,
+            ((1,), (0, 1), (-1, 0)),
+            (("1", "0"), ("0", "1"), ("-1", "0")),
+            ((1j, 0), (0, 1), (-1, 0)),
+            ((float("inf"), 0), (0, 1), (-1, 0)),
+        ],
+        ids=["none", "scalar", "triples", "ragged", "strings", "complex", "inf"],
+    )
+    def test_rejects_malformed_centers(self, centers):
+        with pytest.raises(ValidationError, match="iq_centers"):
+            NoiseParams(iq_centers=centers)
+
+    def test_centers_stored_as_float_pairs(self):
+        p = NoiseParams(iq_centers=np.array([[1, 0], [0, 1], [-1, 0]], dtype=np.int8))
+        assert p.iq_centers == DEFAULTS.iq_centers
+        assert all(type(x) is float for pair in p.iq_centers for x in pair)
+
     def test_rejects_coincident_centers(self):
         with pytest.raises(ValidationError):
-            NoiseParams(iq_centers=(IQPoint(0, 0), IQPoint(0, 0), IQPoint(1, 1)))
+            NoiseParams(iq_centers=((0, 0), (0, 0), (1, 1)))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")  # validation itself must not overflow
     @pytest.mark.parametrize("kwargs", OUTSIDE_FLOAT_DOMAIN.values(), ids=OUTSIDE_FLOAT_DOMAIN)
@@ -239,11 +260,7 @@ class TestClassify:
         for _ in range(50):
             t = rng.standard_normal(2)
             pt = rng.standard_normal(2) * 2
-            moved = NoiseParams(
-                iq_centers=tuple(
-                    IQPoint(c.i + t[0], c.q + t[1]) for c in DEFAULTS.iq_centers
-                )
-            )
+            moved = NoiseParams(iq_centers=tuple((ci + t[0], cq + t[1]) for ci, cq in DEFAULTS.iq_centers))
             assert classify(*(pt + t), moved) == classify(*pt, DEFAULTS)
 
     def test_vectorized_matches_scalar(self):

@@ -11,9 +11,9 @@ when a survivor is not in ``tools/equivalent_mutants.txt``, the survivors
 accepted as changing no output, or when an entry there names more than one
 flip of its module. The checkout is never edited. It uses the standard
 library only, and takes minutes, so it is not part of Tier-1; CI runs it on
-every module but stats and primality as a job of its own.
+every module as a job of its own.
 
-    python tools/mutants.py protocol readout extract bits formats certify config cli qutrit
+    python tools/mutants.py protocol readout extract bits formats certify config cli qutrit stats primality
 """
 
 from __future__ import annotations
