@@ -3,8 +3,8 @@ measurement frame, project, relax, read out, classify, emit a symbol.
 
 A run with seed ``s`` has eight column streams: column ``j`` is the
 PCG64DXSM stream spawned from seed ``s`` with spawn key ``(j,)``, the same
-stream as ``SeedSequence(s).spawn(8)[j]``. Word ``j`` of trial ``i`` is word
-``i`` of column ``j``, reached with ``advance(i)``, so trials are
+stream as ``SeedSequence(s).spawn(8)[j]``. Word ``j`` of noisy trial ``i``
+is word ``i`` of column ``j``, reached with ``advance(i)``, so trials are
 order-independent and a batch can be generated in chunks or across workers
 with bit-identical results. ``_column_stream`` builds every column stream,
 for ``run_batch`` and for its reference ``TrialRandom`` alike: it is the one
@@ -18,11 +18,15 @@ Per-trial word layout in noisy mode, one word per column, consumed in order:
     column 4-5   relaxation during readout
     column 6-7   IQ response noise (Box-Muller pair)
 
-Ideal mode draws only column 0 (Born sampling), so ideal trial ``i`` owns
-word ``i`` of it; noise and IQ synthesis are bypassed entirely and
-classification is the identity on the projected level.
+Ideal mode prepares Sz = 0 and measures Sx, so its Born triple is exactly
+(1/2, 1/2, 0) and each trial is one fair bit: ideal trial ``i`` is bit
+``i mod 64``, least significant first, of word ``i // 64`` of column 0, so
+64 trials share a word. Noise and IQ synthesis are bypassed entirely and
+classification is the identity on the projected level. ``run_trial`` and
+``run_batch`` both recompute the triple and refuse to run unless it is
+(1/2, 1/2, 0), so a changed unitary cannot silently become a coin.
 
-``run_trial`` computes every step of one trial with the qutrit linear
+``run_trial`` computes every step of one noisy trial with the qutrit linear
 algebra from ``Generator.random`` uniforms. It is the independent reference
 for the batch kernel, so it takes none of the kernel's shortcuts. The kernel
 draws each chunk as raw 64-bit words; ``Generator.random`` would map a word
@@ -134,8 +138,10 @@ def _column_stream(seed: int, column: int, trial: int):
 class TrialRandom:
     """Sequential uniform source over one trial's fixed word budget: the
     ``Generator.random`` uniforms of the trial's word in each column stream,
-    column 0 first. Each word comes from a fresh ``_column_stream``, the
-    stream builder ``run_batch`` reads too, so the two share one seam.
+    column 0 first, or, for an ideal trial, its one fair bit from ``bit()``.
+    The bit spends the whole budget, so a trial reads either its bit or its
+    uniforms. Each word comes from a fresh ``_column_stream``, the stream
+    builder ``run_batch`` reads too, so the two share one seam.
 
     ``run_trial(config, TrialRandom(seed, i))`` reproduces trial ``i`` of
     ``run_batch`` exactly.
@@ -161,16 +167,34 @@ class TrialRandom:
         u = _uniforms(np.array(words, dtype=np.uint64))
         return float(u[0]) if size is None else u
 
+    def bit(self) -> int:
+        """Ideal trial ``i``'s fair bit: bit ``i mod 64``, least significant
+        first, of word ``i // 64`` of column 0."""
+        if self._remaining != WORDS_PER_TRIAL:  # checked before the budget moves
+            raise ValidationError("bit() needs the trial's whole word budget, and some of it was read")
+        self._remaining = 0
+        word = int(_column_stream(self._seed, 0, self._trial // 64).random_raw())
+        return (word >> (self._trial % 64)) & 1
+
+
+def _check_fair_triple() -> None:
+    """Raise unless the ideal Born triple, computed from
+    ``measurement_unitary()`` on the ground state, is (1/2, 1/2, 0) within
+    1e-15, the case in which an ideal trial is one fair bit."""
+    probs = born_probabilities(
+        apply_unitary(measurement_unitary(), _COMPUTATIONAL_BASIS[0]),
+        _COMPUTATIONAL_BASIS,
+    )
+    if not np.allclose(probs, (0.5, 0.5, 0.0), rtol=0.0, atol=1e-15):
+        raise ValidationError(f"the ideal Born triple is {probs.tolist()}, not (1/2, 1/2, 0), so a trial is not a fair bit")
+
 
 def run_trial(config: ProtocolConfig, rng) -> TrialRecord:
     """Run one protocol shot, drawing its words from ``rng`` in the order of
     the word table above."""
     if config.ideal:
-        probs = born_probabilities(
-            apply_unitary(measurement_unitary(), _COMPUTATIONAL_BASIS[0]),
-            _COMPUTATIONAL_BASIS,
-        )
-        level = int(sample_level(probs, rng.random()))
+        _check_fair_triple()
+        level = rng.bit()
         return TrialRecord(true_level=level, symbol=level)
 
     noise = config.noise
@@ -316,12 +340,18 @@ def run_batch(config: ProtocolConfig, workers: int = 1) -> tuple[RawStream, Batc
     chunks (sized so one chunk's words and temporaries stay in L2 cache), and
     ``min(workers, chunks)`` threads each take a contiguous run of chunks.
     A thread starts one PCG64DXSM generator per column stream the mode reads
-    (one ideal, eight noisy) at its first trial, and draws each chunk as a
+    (one ideal, eight noisy) at the word of its first trial, and draws each chunk as a
     contiguous run of raw words from each, releasing them before the next
-    draw, so consecutive draws continue at the next trial. Word thresholds
-    are computed once per call. In noisy mode each chunk keeps the rows its
-    thresholds leave undecided, and a thread resolves them once per block of
-    ``_BLOCK`` chunks, so each numpy call of the exact steps covers a block.
+    draw, so consecutive draws continue at the next trial.
+
+    In ideal mode a chunk draws the column-0 words that hold its trials'
+    bits and expands them with ``np.unpackbits``. ``_CHUNK`` is a multiple
+    of 64, so every chunk and every thread starts on a word; at any other
+    chunk size a chunk that starts inside a word the chunk before it drew
+    restarts the stream at that word. In noisy mode word thresholds are
+    computed once per call, each chunk keeps the rows its thresholds leave
+    undecided, and a thread resolves them once per block of ``_BLOCK``
+    chunks, so each numpy call of the exact steps covers a block.
     """
     workers = _integer(workers, "workers")
     if workers < 1:
@@ -331,9 +361,7 @@ def run_batch(config: ProtocolConfig, workers: int = 1) -> tuple[RawStream, Batc
         raise ValidationError(f"n_trials {n} exceeds {np.iinfo(np.intp).max}, the largest array numpy can index")
     out = np.empty(n, dtype=np.uint8)
     if config.ideal:
-        # sample_level on the ideal Born triple draws level 2 when u0 >= 1 - p2;
-        # p2 is exactly 0, so no uniform reaches it and the level is [u0 >= p0]
-        t0 = _word_threshold((np.abs(measurement_unitary().matrix[:, 0]) ** 2)[0])
+        _check_fair_triple()
     else:
         bounds = _WordBounds.of(config.noise)
     n_chunks = -(-n // _CHUNK)
@@ -343,13 +371,20 @@ def run_batch(config: ProtocolConfig, workers: int = 1) -> tuple[RawStream, Batc
     def fill(t):
         start = t * n_chunks // threads * _CHUNK
         stop = min(n, (t + 1) * n_chunks // threads * _CHUNK)
-        gens = [_column_stream(config.seed, j, start) for j in range(1 if config.ideal else WORDS_PER_TRIAL)]
+        if config.ideal:
+            gens = [_column_stream(config.seed, 0, start // 64)]
+        else:
+            gens = [_column_stream(config.seed, j, start) for j in range(WORDS_PER_TRIAL)]
         for first in range(start, stop, block):
             pending = []
             for lo in range(first, min(first + block, stop), _CHUNK):
                 m = min(_CHUNK, stop - lo)
                 if config.ideal:
-                    out[lo : lo + m] = gens[0].random_raw(m) >= t0
+                    skip = lo % 64
+                    if skip and lo != start:  # the chunk before drew the word this one starts in
+                        gens[0] = _column_stream(config.seed, 0, lo // 64)
+                    words = gens[0].random_raw(-(-(skip + m) // 64)).astype("<u8", copy=False)
+                    out[lo : lo + m] = np.unpackbits(words.view(np.uint8), bitorder="little")[skip : skip + m]
                 else:
                     out[lo : lo + m], rows = _batch_symbols([bg.random_raw(m) for bg in gens], bounds, lo)
                     pending.append(rows)

@@ -52,14 +52,14 @@ DIGESTS = {
         "ss-10000.rpt": "359c12eced81106cdd22ccab544536aa564d2285c92cd52c6cb9b4350cb204d8",
     },
     ("calibrated", "ideal"): {
-        "trace": "349de725f68f649ba26c07ebfd117a1403b86cdd8b5d169d4c34fdbf26c840d1",
-        "gen.rpt": "192c45a4828c9dd814dad5c9221441e4fd43af676d96a08237d17f43cbaa4fdc",
-        "cert.rpt": "83eba62e27581cb088c17a3736fd138783f7d8f04501a88181fb74474872798b",
-        "bits": "f3794be7418cb85d56a8b8b9c9cf51e5f5edc609a6788fddcb60a2539ec036d6",
-        "ext.rpt": "399d720771bcddf903ec299b2409d03f7047f704dfbcebcf53312b1ab9ccebdd",
-        "stat.rpt": "712695d1eb698a885e46ea4fbddefb8e8ace35bd9700e6043ab3748b2a6c30e0",
-        "ss.rpt": "d18d2b35d1d0945704391e5f9ed89ac8925d2c7a8d897dcbb571af992636330f",
-        "ss-10000.rpt": "530dd82eaaf66155ad9cb3263ec31455281f33fea0cac02ded400542f55ee88c",
+        "trace": "e4f952d6632c90f7076f05899b36edd2a6167a0c52d9c037e182c7435550bcf8",
+        "gen.rpt": "5041cd89d7d62e3badf9ebc32c6b6973e6ff9c92b0b152eb2f2394b7404efba1",
+        "cert.rpt": "94195c37ba810638992db4c78b6647e3bd1d75a8c76b2e772153c0368b0ef7c1",
+        "bits": "ddab6657df4538d7b29f8a41030f248544d20c4fa9de8b7919173a50ce9888a1",
+        "ext.rpt": "8d9210cb8f13f0245e350b6c8c058246786d70255f1554370b0206f18f3ffb84",
+        "stat.rpt": "025b6d4e6f486d5b8277032e02d0fafdaaa8b485a0b1674db79c61cf487c6c82",
+        "ss.rpt": "f3250f2614868b79d44e66b39922a71fd188679e94e40edd63715b32fb7ec100",
+        "ss-10000.rpt": "f674a43ccdddf13d7cec3291019618d51f2b987c70b033bcaa8dd685bfb44c7f",
     },
     ("criterion-8", "noisy"): {
         "trace": "7b0e867c8c3ccc090cf2f24d235de45733d60e487a4c54828b756937864dbf77",
@@ -72,14 +72,14 @@ DIGESTS = {
         "ss-10000.rpt": "3cd2357d99ede57a8085124af9147c06740d3419d55f59b4b31c65866fc50c53",
     },
     ("criterion-8", "ideal"): {
-        "trace": "3808dc15d3850b596166de6e0ccf9601014307e05f78c6e6fc905e40dda5985f",
-        "gen.rpt": "a53736655a47e545e7286a5e44be8fdef902fdb884a13141d11b6062c395d7c6",
-        "cert.rpt": "41876ff18a7ce43dbf970711f7787974708c1743306f3defb6b64c74a93eaccd",
-        "bits": "85a8bd03416d02346e020d23203038eb93f57088aef7083001687563ac1bda54",
-        "ext.rpt": "01bcb997dd6e091259977a490b3a1fa854c8734d3308fc037e619fa7ec5ab97c",
-        "stat.rpt": "a30562627a92a770771f6d9e1baf2f7adb6e5874fdc395ca43a39fdbb37e5be3",
-        "ss.rpt": "f6fb0c3157f97a70c5cf37881fdb53f485fc08b5c50bd612fb50b5f58884455b",
-        "ss-10000.rpt": "340506e8422661037320af10c9eb6d023e7ec64340a97a195d58d89f75d9ec51",
+        "trace": "1b0940fd9fff59f604f5e2843e9b20afff4af65219d3e5ee0f324f5502d135f9",
+        "gen.rpt": "f8cfbd93e8d3e367709c9874264610acd1ee3a52b3d26d3c9b215756552082a9",
+        "cert.rpt": "4ae520d68ec0b480f36a1f0c8828e08bbd4d44581589e0a29537c58186493473",
+        "bits": "b1ef928a326df8d7a430dac4e920982f6565d0065e7846f5e018293c91491c21",
+        "ext.rpt": "313f3b1caba6f51aeb1e1e0af6b9298f30ac0a4443bbcbf4c1ff7e819b5ad189",
+        "stat.rpt": "6036d37b322301b98b51c6dc8cc9f150527d88e5986e16a63e59f13f1ec5e6d2",
+        "ss.rpt": "a1764e6568e3b8572339e97aaf2af79599c5b9d9563ce95b283f28bef90445d0",
+        "ss-10000.rpt": "d5a0283ce83f40ab772f2240bd819fe59da27f11eb22f0d48a515004e44364a3",
     },
 }
 

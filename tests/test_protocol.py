@@ -16,7 +16,7 @@ from ksqrng.protocol import (
     run_batch,
     run_trial,
 )
-from ksqrng.qutrit import QutritState, born_probabilities, measurement_unitary, sx_eigenbasis
+from ksqrng.qutrit import QutritState, Unitary3, born_probabilities, measurement_unitary, rotation, sx_eigenbasis
 from ksqrng.readout import (
     NoiseParams,
     _radius,
@@ -288,6 +288,35 @@ class TestTrialRandom:
         assert drawn[id(a)] == TrialRandom(9, 5).random(8).tolist()
         assert drawn[id(b)] == TrialRandom(10, 6).random(8).tolist()
 
+    def test_bit_and_random_share_budget(self):
+        # an ideal trial reads its bit, a noisy trial its uniforms; the bit
+        # spends the whole budget, and a refused call leaves it as it was
+        rng = TrialRandom(5, 70)
+        bit = rng.bit()
+        with pytest.raises(ValidationError):
+            rng.random()
+        with pytest.raises(ValidationError):
+            rng.bit()
+        rng = TrialRandom(5, 70)
+        rng.random(1)
+        with pytest.raises(ValidationError):
+            rng.bit()
+        assert np.array_equal(rng.random(7), TrialRandom(5, 70).random(8)[1:])
+        rng = TrialRandom(5, 70)
+        assert rng.random(0).size == 0
+        assert rng.bit() == bit
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    @pytest.mark.parametrize("trial", [2**64 + 5, 2**128 - 1], ids=["2^64+5", "2^128-1"])
+    def test_bit_at_large_trial_index(self, seed, trial):
+        # the 64 trials of the word that holds ``trial`` are its bits, least
+        # significant first, read from the spawned column 0 advanced to it
+        word = int(spawned_column(seed, 0).advance(trial // 64).random_raw())
+        base = trial - trial % 64
+        bit = TrialRandom(seed, trial).bit()
+        assert type(bit) is int and bit == (word >> (trial % 64)) & 1
+        assert sum(TrialRandom(seed, base + k).bit() << k for k in range(64)) == word
+
     @pytest.mark.parametrize("trial", [1, 3, (1 << 14) - 1, 1 << 14, 3 * (1 << 14) + 5])
     def test_stream_started_mid_column_continues_it(self, trial):
         # a run_batch thread starts its column streams at its first trial;
@@ -521,13 +550,37 @@ class TestChunking:
         "ideal, digest",
         [
             (False, "fe81d6ea32be20fed5583a44e787d08a4844fdec6c6d730dd09d9cdace373fee"),
-            (True, "e84257ad39010ea56610f295955ab13283d0367b8765aa16eaafdc2ffc7035da"),
+            (True, "45a4f9dca474789ad4b282c3eadc588d8c49d37819ff931b9e0c977cfb7e36b7"),
         ],
         ids=["noisy", "ideal"],
     )
     def test_pinned_symbol_digest(self, ideal, digest):
         stream, _ = run_batch(ProtocolConfig(n_trials=300_007, seed=271828, ideal=ideal), workers=2)
         assert hashlib.sha256(stream.symbols.tobytes()).hexdigest() == digest
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=hst.integers(0, 2**64 - 1),
+        chunk=hst.sampled_from([1, 63, 65, 16383]),
+        workers=hst.integers(1, 3),
+        data=hst.data(),
+    )
+    def test_ideal_layout_matches_bit_oracle(self, seed, chunk, workers, data):
+        # ideal trial i is bit i % 64, least significant first, of word
+        # i // 64 of column 0; at these chunk sizes a chunk, and a thread,
+        # can start inside a word
+        n = data.draw(hst.integers(1, 3 * chunk + 129), label="n_trials")
+        cfg = ProtocolConfig(n_trials=n, seed=seed, ideal=True)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(protocol, "_CHUNK", chunk)
+            symbols = run_batch(cfg, workers=workers)[0].symbols.tolist()
+        words = [int(protocol._column_stream(seed, 0, k).random_raw()) for k in range(-(-n // 64))]
+        assert symbols == [(words[i // 64] >> (i % 64)) & 1 for i in range(n)]
+        # run_trial at every chunk edge, the first words' trials and a sample
+        checked = set(range(min(n, 130))) | {n - 1} | {i for lo in range(chunk, n, chunk) for i in (lo - 1, lo)}
+        checked |= set(data.draw(hst.lists(hst.integers(0, n - 1), max_size=16), label="sampled"))
+        for i in sorted(checked):
+            assert run_trial(cfg, TrialRandom(seed, i)).symbol == symbols[i], i
 
     def test_threads_capped_at_chunk_count(self, monkeypatch):
         requested = []
@@ -814,18 +867,34 @@ class TestWordTies:
         cfg = self.config(monkeypatch, [[TOP_WORD, 0, 0, 3 << 62, TOP_WORD, TOP_WORD, 0, 0]])
         assert run_batch(cfg)[0].symbols.tolist() == [1]
 
-    def test_ideal_threshold(self, monkeypatch):
-        # the ideal triple's p2 is exactly 0, so the level is [u0 >= p0]
-        # alone; p0 is one ulp above 1/2, so its threshold is one uniform step
-        # above _HALF_WORD
-        p0, p1, p2 = np.abs(measurement_unitary().matrix[:, 0]) ** 2
-        assert p2 == 0.0
-        assert p0 + p1 == 1.0
-        assert protocol._word_threshold(p0 + p1) == 2**64
-        t0 = protocol._word_threshold(p0)
-        assert t0 == protocol._HALF_WORD + 2**11
-        rows = tie_rows([0] * 8, 0, t0) + tie_rows([0] * 8, 0, protocol._HALF_WORD)
-        assert self.batch(monkeypatch, rows, ideal=True) == ([0, 1, 0, 0], [0, 1, 0, 0])
+    def test_ideal_bit_order(self, monkeypatch):
+        # column 0 holds the top bit of word 0 and the bottom bit of word 1,
+        # so trials 63 and 64 alone are 1; a most-significant-first order or
+        # an off-by-one word would set others
+        monkeypatch.setattr(protocol, "_column_stream", ColumnSource([[1 << 63, 1, 0]]))
+        cfg = ProtocolConfig(n_trials=192, seed=0, ideal=True)
+        expected = [int(i in (63, 64)) for i in range(192)]
+        assert run_batch(cfg)[0].symbols.tolist() == expected
+        assert [run_trial(cfg, TrialRandom(0, i)).symbol for i in range(192)] == expected
+
+    @pytest.mark.parametrize(
+        "unitary",
+        [
+            lambda: rotation("01", np.pi / 3.0),  # triple (3/4, 1/4, 0)
+            lambda: rotation("01", np.pi / 2.0 + 1e-13) @ rotation("12", np.pi / 2.0 + 1e-13),  # 5e-14 off
+            lambda: Unitary3(np.eye(3)[[0, 2, 1]]) @ measurement_unitary(),  # triple (1/2, 0, 1/2)
+        ],
+        ids=["third", "near", "discard"],
+    )
+    def test_ideal_rejects_unfair_unitary(self, monkeypatch, unitary):
+        # an ideal trial is a fair bit only for the triple (1/2, 1/2, 0); a
+        # changed measurement unitary must stop the run, not become a coin
+        monkeypatch.setattr(protocol, "measurement_unitary", unitary)
+        cfg = ProtocolConfig(n_trials=64, seed=0, ideal=True)
+        with pytest.raises(ValidationError, match="not a fair bit"):
+            run_trial(cfg, TrialRandom(0, 0))
+        with pytest.raises(ValidationError, match="not a fair bit"):
+            run_batch(cfg)
 
 
 class TestSummary:
