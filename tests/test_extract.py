@@ -11,13 +11,35 @@ from ksqrng.extract import expected_yield, to_bits, von_neumann_extract
 
 bit_lists = hst.lists(hst.integers(min_value=0, max_value=1), max_size=400)
 
+
+@hst.composite
+def long_bit_arrays(draw):
+    """Up to 2,175 bits: many 128-bit words (64 pairs each) and any tail."""
+    n = draw(hst.integers(0, 17 * 128 - 1))
+    raw = draw(hst.binary(min_size=(n + 7) // 8, max_size=(n + 7) // 8))
+    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[:n]
+
+
 BLOCK_BITS = 2 * extract._BLOCK_PAIRS
+WORD_BITS = 128  # 64 pairs, one packed output field
 
 
 def pair_loop(bits):
     """The first bit of each unequal disjoint pair, one pair at a time."""
     bits = list(bits)
     return [bits[k] for k in range(0, len(bits) - 1, 2) if bits[k] != bits[k + 1]]
+
+
+def pairs(rng, accepted):
+    """One pair per entry of ``accepted``: 01 or 10 where it is true, 00 or
+    11 where it is false, the first bit drawn from ``rng``."""
+    first = rng.integers(0, 2, len(accepted), dtype=np.uint8)
+    return np.stack([first, first ^ np.asarray(accepted, dtype=np.uint8)], axis=1).ravel()
+
+
+def assert_matches_pair_loop(bits):
+    out = von_neumann_extract(BitStream(bits)).bits
+    assert out.tolist() == pair_loop(np.asarray(bits).tolist())
 
 
 class TestVonNeumann:
@@ -54,12 +76,51 @@ class TestVonNeumann:
     def test_matches_pair_loop(self, bits):
         assert von_neumann_extract(BitStream(bits)).bits.tolist() == pair_loop(bits)
 
-    @given(bits=bit_lists, block_pairs=hst.integers(1, 9))
+    @given(bits=long_bit_arrays(), block_words=hst.integers(1, 9))
     @settings(max_examples=200, deadline=None)
-    def test_block_size_does_not_change_output(self, bits, block_pairs):
+    def test_block_size_does_not_change_output(self, bits, block_words):
+        # blocks of 1-9 whole 64-pair words, so most streams span blocks
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(extract, "_BLOCK_PAIRS", block_pairs)
-            assert von_neumann_extract(BitStream(bits)).bits.tolist() == pair_loop(bits)
+            mp.setattr(extract, "_BLOCK_PAIRS", 64 * block_words)
+            assert_matches_pair_loop(bits)
+
+    @given(long_bit_arrays())
+    @settings(max_examples=200, deadline=None)
+    def test_long_streams_match_pair_loop(self, bits):
+        assert_matches_pair_loop(bits)
+
+    def test_word_table_matches_pair_loop(self):
+        # every uint16 of 8 packed pairs, least significant bit first
+        for word in range(1 << 16):
+            accepted = pair_loop([word >> i & 1 for i in range(16)])
+            assert extract._COUNTS[word] == len(accepted)
+            assert extract._FIELDS[word] == sum(bit << i for i, bit in enumerate(accepted))
+
+    @pytest.mark.parametrize("lead", range(65))
+    def test_full_words_at_every_offset(self, lead):
+        # a word with `lead` accepted pairs, then words whose 64 pairs are
+        # all 10 or 01: each full field starts at bit `lead` mod 64 of an
+        # output word, so at lead 0 (and 64) its carry must be empty. The
+        # pairs are drawn: in strictly alternating words every full field is
+        # the same, and a field ORed into its neighbour changes nothing
+        rng = np.random.default_rng(lead)
+        lead_word = pairs(rng, rng.permutation(np.arange(64) < lead))
+        assert_matches_pair_loop(np.r_[lead_word, pairs(rng, np.ones(3 * 64, dtype=bool)), 1])
+
+    def test_words_without_accepted_pairs(self):
+        # words with no accepted pair, alone and between words with some,
+        # whose fields then start in the same output word as the one before
+        rng = np.random.default_rng(14)
+        assert len(von_neumann_extract(BitStream(pairs(rng, np.zeros(4 * 64, dtype=bool))))) == 0
+        counts = [37, 0, 0, 64, 0, 50, 0, 0, 0, 63, 0]
+        accepted = np.concatenate([rng.permutation(np.arange(64) < c) for c in counts])
+        assert_matches_pair_loop(pairs(rng, accepted))
+
+    @pytest.mark.parametrize("words", [5, 9])
+    @pytest.mark.parametrize("tail", [0, 1, 2, 126, 127])
+    def test_tail_lengths_match_pair_loop(self, words, tail):
+        bits = np.random.default_rng(words * 1000 + tail).integers(0, 2, words * WORD_BITS + tail, dtype=np.uint8)
+        assert_matches_pair_loop(bits)
 
     @pytest.mark.parametrize("n", [BLOCK_BITS - 1, BLOCK_BITS, BLOCK_BITS + 1, BLOCK_BITS + 2])
     def test_block_edges_match_pair_loop(self, n):
@@ -86,9 +147,9 @@ class TestVonNeumann:
         assert von_neumann_extract(stream).bits.tolist() == pair_loop(stream.bits.tolist())
 
     def test_peak_is_output_plus_one_block(self):
-        # the output, then per block a bool mask and np.compress's int64
-        # index of the kept pairs; a whole-stream pass holds a mask of every
-        # pair beside the output
+        # the output, then per block its packed words, table lookups and
+        # fields, and its unpacked output bits; a whole-stream pass would
+        # hold the packed stream or its fields beside the output
         bits = np.random.default_rng(13).integers(0, 2, 1 << 22, dtype=np.uint8)
         stream = BitStream(bits)
         tracemalloc.start()
