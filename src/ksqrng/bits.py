@@ -28,16 +28,18 @@ def _check_seed(seed: int) -> int:
     return seed
 
 
-def small_uints(values, top: int, what: str) -> np.ndarray:
+def small_uints(values, top: int, what: str) -> tuple[np.ndarray, int]:
     """``values``, integers or bools in [0, top], checked before the cast to a
-    read-only 1-D uint8 array; a uint8 array costs one pass and no copy."""
+    read-only 1-D uint8 array, and their maximum (0 when there are none); a
+    uint8 array costs one pass and no copy."""
     arr = np.asarray(values)
     kind = arr.dtype.kind
-    if arr.ndim != 1 or arr.size and (kind not in "biu" or arr.max() > top or (kind == "i" and arr.min() < 0)):
+    high = int(arr.max()) if arr.ndim == 1 and arr.size and kind in "biu" else 0
+    if arr.ndim != 1 or arr.size and (kind not in "biu" or high > top or (kind == "i" and arr.min() < 0)):
         raise ValidationError(f"{what} must be 1-D integers in [0, {top}], got {arr.dtype} of shape {arr.shape}")
     arr = arr.astype(np.uint8, copy=False)
     arr.setflags(write=False)
-    return arr
+    return arr, high
 
 
 class RawStream:
@@ -46,10 +48,11 @@ class RawStream:
     __slots__ = ("symbols", "n0", "n1", "n_discard")
 
     def __init__(self, symbols):
-        arr = self.symbols = small_uints(symbols, 2, "symbol trace")
+        arr, high = small_uints(symbols, 2, "symbol trace")
+        self.symbols = arr
         # count_nonzero of a uint8 array needs no temporary; only a trace
         # that holds a discard (its maximum is 2) pays for a comparison
-        self.n_discard = int(np.count_nonzero(arr == 2)) if arr.size and arr.max() == 2 else 0
+        self.n_discard = int(np.count_nonzero(arr == 2)) if high == 2 else 0
         self.n1 = int(np.count_nonzero(arr)) - self.n_discard
         self.n0 = arr.size - self.n1 - self.n_discard
 
@@ -112,7 +115,7 @@ class BitStream:
     __slots__ = ("bits",)
 
     def __init__(self, bits):
-        self.bits = small_uints(bits, 1, "bit sequence")
+        self.bits = small_uints(bits, 1, "bit sequence")[0]
 
     def __len__(self):
         return self.bits.size

@@ -1,22 +1,29 @@
 """End-to-end trial protocol: prepare ground state, rotate into the Sx
 measurement frame, project, relax, read out, classify, emit a symbol.
 
-A run with seed ``s`` has eight column streams: column ``j`` is the
+A run with seed ``s`` has four column streams: column ``j`` is the
 PCG64DXSM stream spawned from seed ``s`` with spawn key ``(j,)``, the same
-stream as ``SeedSequence(s).spawn(8)[j]``. Word ``j`` of noisy trial ``i``
-is word ``i`` of column ``j``, reached with ``advance(i)``, so trials are
-order-independent and a batch can be generated in chunks or across workers
-with bit-identical results. ``_column_stream`` builds every column stream,
-for ``run_batch`` and for its reference ``TrialRandom`` alike: it is the one
-seam between the seed and the words.
+stream as ``SeedSequence(s).spawn(4)[j]``. Column word ``j`` of noisy trial
+``i`` is word ``i`` of column ``j``, reached with ``advance(i)``, so trials
+are order-independent and a batch can be generated in chunks or across
+workers with bit-identical results. ``_column_stream`` builds every column
+stream, for ``run_batch`` and for its reference ``TrialRandom`` alike: it is
+the one seam between the seed and the words.
 
-Per-trial word layout in noisy mode, one word per column, consumed in order:
+A noisy trial reads eight uniforms u0-u7, two from each of its four column
+words ``w``: the high half (w >> 32) 2^-32 and the low half
+(w & (2^32 - 1)) 2^-32, so each uniform lies on the 2^-32 grid in
+[0, 1 - 2^-32]. ``run_trial`` consumes them in the order u0-u7:
 
-    column 0     thermal initialization
-    column 1-2   gate amplitude error (Box-Muller pair, cosine branch used)
-    column 3     Born-rule outcome sampling
-    column 4-5   relaxation during readout
-    column 6-7   IQ response noise (Box-Muller pair)
+    column   high half                      low half
+    0        u1 gate error, radius          u2 gate error, angle
+    1        u3 Born-rule outcome           u0 thermal initialization
+    2        u4 relaxation, first decay     u5 relaxation, second decay
+    3        u6 IQ noise, radius            u7 IQ noise, angle
+
+The gate error and the IQ noise are Box-Muller pairs (the gate error uses
+the cosine branch), so their radius caps at sqrt(64 ln 2) = 6.66, where a
+53-bit uniform reached 8.57.
 
 Ideal mode prepares Sz = 0 and measures Sx, so its Born triple is exactly
 (1/2, 1/2, 0) and each trial is one fair bit: ideal trial ``i`` is bit
@@ -27,12 +34,14 @@ classification is the identity on the projected level. ``run_trial`` and
 (1/2, 1/2, 0), so a changed unitary cannot silently become a coin.
 
 ``run_trial`` computes every step of one noisy trial with the qutrit linear
-algebra from ``Generator.random`` uniforms. It is the independent reference
-for the batch kernel, so it takes none of the kernel's shortcuts. The kernel
-draws each chunk as raw 64-bit words; ``Generator.random`` would map a word
-w to the uniform (w >> 11) 2^-53, so a fixed threshold on a uniform is a
-fixed threshold on the word, computed once per run. The kernel decides most
-trials by comparing words with such thresholds:
+algebra from ``TrialRandom`` uniforms. It is the independent reference for
+the batch kernel, so it takes none of the kernel's shortcuts. The kernel
+draws each chunk as raw 64-bit words. Every threshold on a uniform is a
+multiple of 2^32 as a word threshold, computed once per run: a high-half
+uniform is below p exactly when its word is below ceil(p 2^32) 2^32,
+whatever the low half holds, and the low-half u0 exactly when its word
+shifted left by 32 is. The kernel decides most trials by comparing words
+with such thresholds:
 
 - a ground-state trial whose gate-error radius is below a cap and whose
   Born uniform lies outside the band that radius allows around 1/2 is level
@@ -41,15 +50,15 @@ trials by comparing words with such thresholds:
   bound for every level, is classified as its relaxed level.
 
 Only the other trials (3.1% and 0.05% of trials at the defaults) are turned
-into the uniforms ``Generator.random`` gives and take the exact path, which
-feeds them to the same ``readout`` steps as ``run_trial``, so every symbol
-is the one computing every step would give. The bounds hold on the
+into their uniforms and take the exact path, which feeds them to the same
+``readout`` steps as ``run_trial``, so every symbol is the one computing
+every step would give. The bounds hold on the
 float64 domain that ``readout.NoiseParams`` owns and enforces, so every
 accepted noise model takes this one path.
 
 Words are drawn and compared per chunk of ``_CHUNK`` trials, but the
-undecided rows, their trial indices and words, are kept and resolved once
-per block of ``_BLOCK`` chunks, so the exact path's few dozen numpy calls
+undecided rows, their trial indices and column words, are kept and resolved
+once per block of ``_BLOCK`` chunks, so the exact path's few dozen numpy calls
 run once per block, not once per chunk. Each symbol is still a function of
 its trial's own words.
 """
@@ -78,9 +87,13 @@ from .readout import (
     thermal_init,
 )
 
-WORDS_PER_TRIAL = 8  # column streams, one word of each per trial
+_COLUMNS = 4  # column streams, one word of each per noisy trial
+# The half-word table: uniform k of a noisy trial is half h (0 high, 1 low) of
+# its word in column j, (j, h) = _LAYOUT[k].
+_LAYOUT = ((1, 1), (0, 0), (0, 1), (1, 0), (2, 0), (2, 1), (3, 0), (3, 1))
+_UNIFORMS = len(_LAYOUT)  # a noisy trial's uniforms, two per column word
 _COLUMN_LENGTH = 1 << 128  # words per column stream: the period of PCG64DXSM
-_CHUNK = 1 << 14  # trials per chunk: 1 MiB of words, 128 KiB per float temporary
+_CHUNK = 1 << 14  # trials per chunk: 512 KiB of words, 128 KiB per float temporary
 _BLOCK = 8  # chunks per block: noisy mode resolves its undecided rows once per block
 
 # Margins of the Born band in _WordBounds.of. Each guarded value is a
@@ -136,12 +149,13 @@ def _column_stream(seed: int, column: int, trial: int):
 
 
 class TrialRandom:
-    """Sequential uniform source over one trial's fixed word budget: the
-    ``Generator.random`` uniforms of the trial's word in each column stream,
-    column 0 first, or, for an ideal trial, its one fair bit from ``bit()``.
-    The bit spends the whole budget, so a trial reads either its bit or its
-    uniforms. Each word comes from a fresh ``_column_stream``, the stream
-    builder ``run_batch`` reads too, so the two share one seam.
+    """Sequential uniform source over one trial's fixed budget of eight
+    uniforms: u0-u7 of the module's half-word table, cut from the trial's
+    word in each of the four column streams, or, for an ideal trial, its one
+    fair bit from ``bit()``. The bit spends the whole budget, so a trial
+    reads either its bit or its uniforms. Each word comes from a fresh
+    ``_column_stream``, the stream builder ``run_batch`` reads too, so the
+    two share one seam.
 
     ``run_trial(config, TrialRandom(seed, i))`` reproduces trial ``i`` of
     ``run_batch`` exactly.
@@ -155,23 +169,24 @@ class TrialRandom:
         if trial_index >= _COLUMN_LENGTH:
             raise ValidationError("trial_index must be below 2^128, the length of a column stream")
         self._trial = trial_index
-        self._remaining = WORDS_PER_TRIAL
+        self._remaining = _UNIFORMS
 
     def random(self, size=None):
         n = 1 if size is None else _integer(size, "size")
         if not 0 <= n <= self._remaining:  # checked before the budget moves
-            raise ValidationError(f"size {n} lies outside [0, {self._remaining}], the trial's unread word budget")
-        first = WORDS_PER_TRIAL - self._remaining
+            raise ValidationError(f"size {n} lies outside [0, {self._remaining}], the trial's unread uniform budget")
+        first = _UNIFORMS - self._remaining
         self._remaining -= n
-        words = [_column_stream(self._seed, j, self._trial).random_raw() for j in range(first, first + n)]
-        u = _uniforms(np.array(words, dtype=np.uint64))
+        picks = _LAYOUT[first : first + n]
+        words = {j: _column_stream(self._seed, j, self._trial).random_raw() for j, _ in picks}
+        u = np.array([_uniforms(np.uint64(words[j]))[h] for j, h in picks])
         return float(u[0]) if size is None else u
 
     def bit(self) -> int:
         """Ideal trial ``i``'s fair bit: bit ``i mod 64``, least significant
         first, of word ``i // 64`` of column 0."""
-        if self._remaining != WORDS_PER_TRIAL:  # checked before the budget moves
-            raise ValidationError("bit() needs the trial's whole word budget, and some of it was read")
+        if self._remaining != _UNIFORMS:  # checked before the budget moves
+            raise ValidationError("bit() needs the trial's whole budget, and some of it was read")
         self._remaining = 0
         word = int(_column_stream(self._seed, 0, self._trial // 64).random_raw())
         return (word >> (self._trial % 64)) & 1
@@ -190,15 +205,15 @@ def _check_fair_triple() -> None:
 
 
 def run_trial(config: ProtocolConfig, rng) -> TrialRecord:
-    """Run one protocol shot, drawing its words from ``rng`` in the order of
-    the word table above."""
+    """Run one protocol shot, drawing its uniforms u0-u7 from ``rng`` in
+    order."""
     if config.ideal:
         _check_fair_triple()
         level = rng.bit()
         return TrialRecord(true_level=level, symbol=level)
 
     noise = config.noise
-    w = rng.random(WORDS_PER_TRIAL)
+    w = rng.random(_UNIFORMS)
     initial = int(thermal_init(w[0], noise))
     theta = (np.pi / 2.0) * (1.0 + gate_error(w[1], w[2], noise))
     noisy_m = rotation("01", theta) @ rotation("12", theta)
@@ -210,15 +225,16 @@ def run_trial(config: ProtocolConfig, rng) -> TrialRecord:
 
 
 def _uniforms(words):
-    """The float64 uniforms ``Generator.random`` makes of raw PCG64DXSM words:
-    each word's top 53 bits times 2^-53, so [0, 1 - 2^-53]."""
-    return (words >> 11) * 2.0**-53
+    """The two uniforms of each raw PCG64DXSM word, high half first:
+    (w >> 32) 2^-32 and (w & (2^32 - 1)) 2^-32, each in [0, 1 - 2^-32]."""
+    return (words >> 32) * 2.0**-32, (words & 0xFFFFFFFF) * 2.0**-32
 
 
 def _word_threshold(p) -> int:
-    """The word T, in [0, 2^64], with ``_uniforms(w) < p`` exactly when
-    ``w < T``: (w >> 11) 2^-53 < p iff (w >> 11) < ceil(p 2^53)."""
-    return min(max(math.ceil(p * 2.0**53), 0), 1 << 53) << 11
+    """The word T, a multiple of 2^32 in [0, 2^64], with a high-half uniform
+    below ``p`` exactly when its word w < T, and a low-half one exactly when
+    w << 32 < T: h 2^-32 < p iff h < ceil(p 2^32) for a 32-bit half h."""
+    return min(max(math.ceil(p * 2.0**32), 0), 1 << 32) << 32
 
 
 _HALF_WORD = _word_threshold(0.5)
@@ -229,34 +245,37 @@ _RADIUS_CAP_WORD = (1 << 64) - (1 << 55)
 
 @dataclass(frozen=True)
 class _WordBounds:
-    """Thresholds on raw words that decide the common noisy trials, computed
-    once per run from the noise model."""
+    """Thresholds on raw column words that decide the common noisy trials,
+    computed once per run from the noise model. Each is a multiple of 2^32,
+    so it tests one half of a word whatever the other half holds. The word
+    w_k holds u_k in its high half, and u0 is the low half of w3, which
+    w3 << 32 moves up."""
 
-    thermal: int  # an excited start iff w0 < thermal
-    decay_10: int  # 1 -> 0 iff w4 < decay_10
-    band: tuple[int, int]  # a ground trial with w1 below the cap and w3 outside [lo, hi) is level [u3 >= 1/2]
-    iq: int  # w6 < iq is classified as the relaxed level
+    thermal: int  # u0 < p_thermal_1 + p_thermal_2 (an excited start) iff w3 << 32 < thermal
+    decay_10: int  # u4 < p_decay_10 (1 -> 0) iff w4 < decay_10
+    band: tuple[int, int]  # a ground trial with u1 below the cap and u3 outside [lo, hi) is level [u3 >= 1/2]
+    iq: int  # a response with w6 < iq is classified as the relaxed level
 
     @classmethod
     def of(cls, noise: NoiseParams) -> "_WordBounds":
         # The ground state has p2 = 0, so its Born level is [u3 >= c^2] with
         # c^2 = cos^2(theta/2) = (1 - sin(pi e / 2)) / 2, and |c^2 - 1/2|
         # <= (pi/4)|e| <= (pi/4) gate_amp_error r for the gate error e on
-        # Box-Muller radius r. Below the radius cap this band lies inside the
-        # band at the cap, which _BORN_SLOPE and _ABS_MARGIN widen for rounding
-        # in the bound and in c^2, a further 1e-9 for rounding in _radius, and
-        # [lo, hi) holds in 2^-53 steps plus one. A ground trial with u3
-        # outside [lo, hi) is therefore level [u3 >= 1/2] at any gate angle.
-        cap = float(_radius(_uniforms(np.uint64(_RADIUS_CAP_WORD - 1))))
+        # Box-Muller radius r. Up to the radius cap this band lies inside the
+        # band at the cap word, which _BORN_SLOPE and _ABS_MARGIN widen for
+        # rounding in the bound and in c^2, a further 1e-9 for rounding in
+        # _radius, and [lo, hi) holds in 2^-32 steps plus one. A ground trial
+        # with u3 outside [lo, hi) is therefore level [u3 >= 1/2] at any gate angle.
+        cap = float(_radius(_uniforms(np.uint64(_RADIUS_CAP_WORD))[0]))
         band = (_BORN_SLOPE * noise.gate_amp_error * cap + _ABS_MARGIN) * (1.0 + 1e-9)
-        reach = math.ceil(band * 2.0**53) + 1
-        half = 1 << 52
+        reach = math.ceil(band * 2.0**32) + 1
+        half = 1 << 31
         # One uniform step below the IQ bound covers expm1's rounding.
         return cls(
             thermal=_word_threshold(noise.p_thermal_1 + noise.p_thermal_2),
             decay_10=_word_threshold(noise.p_decay_10),
-            band=(max(half - reach, 0) << 11, min(half + reach, 1 << 53) << 11),
-            iq=_word_threshold(decision_uniform(noise) - 2.0**-53),
+            band=(max(half - reach, 0) << 32, min(half + reach, 1 << 32) << 32),
+            iq=_word_threshold(decision_uniform(noise) - 2.0**-32),
         )
 
 
@@ -290,22 +309,22 @@ def _batch_symbols(words: list[np.ndarray], bounds: _WordBounds, first: int):
     words. The other trials are the exact-tier rows. A response whose noise
     uniform is below ``bounds.iq``, one bound for every level, is classified
     as its relaxed level; the others are the IQ-tier rows. Each tier's rows
-    are returned as [trial indices, words...], indices counted from
-    ``first`` for the first trial of ``words``: words 0-5 for the exact
-    tier, words 6-7 for the IQ tier. :func:`_resolve` computes their
-    symbols.
+    are returned as [trial indices, column words...], indices counted from
+    ``first`` for the first trial of ``words``: columns 0-2 (u0-u5) for the
+    exact tier, column 3 (u6, u7) for the IQ tier. :func:`_resolve` computes
+    their symbols.
     """
-    w3 = words[3]
-    levels = ((w3 >= _HALF_WORD) & (words[4] >= bounds.decay_10)).view(np.uint8)
+    w1, w3, w4, w6 = words  # w_k holds u_k in its high half; u0 is the low half of w3
+    levels = ((w3 >= _HALF_WORD) & (w4 >= bounds.decay_10)).view(np.uint8)
     lo, hi = bounds.band
-    exact = np.flatnonzero((words[0] < bounds.thermal) | (words[1] >= _RADIUS_CAP_WORD) | ((w3 >= lo) & (w3 < hi)))
-    iq = np.flatnonzero(words[6] >= bounds.iq)
-    return levels, ([exact + first, *(c[exact] for c in words[:6])], [iq + first, words[6][iq], words[7][iq]])
+    exact = np.flatnonzero(((w3 << 32) < bounds.thermal) | (w1 >= _RADIUS_CAP_WORD) | ((w3 >= lo) & (w3 < hi)))
+    iq = np.flatnonzero(w6 >= bounds.iq)
+    return levels, ([exact + first, *(c[exact] for c in words[:3])], [iq + first, w6[iq]])
 
 
 def _rows(tier):
     """One tier's rows of every chunk of a block, concatenated: their trial
-    indices and the uniforms of their words."""
+    indices and the (high, low) uniforms of each of their column words."""
     index, *words = zip(*tier)
     return np.concatenate(index), [_uniforms(np.concatenate(w)) for w in words]
 
@@ -323,11 +342,13 @@ def _resolve(out: np.ndarray, pending: list, noise: NoiseParams) -> None:
     exact, iq = zip(*pending)
     index, u = _rows(exact)
     if index.size:
-        projected = _born_levels(thermal_init(u[0], noise), u[1], u[2], u[3], noise)
-        out[index] = apply_relaxation(projected, u[4], u[5], noise)
+        (u1, u2), (u3, u0), (u4, u5) = u
+        projected = _born_levels(thermal_init(u0, noise), u1, u2, u3, noise)
+        out[index] = apply_relaxation(projected, u4, u5, noise)
     index, u = _rows(iq)
     if index.size:
-        i, q = synth_iq(out[index], u[0], u[1], noise)
+        ((u6, u7),) = u
+        i, q = synth_iq(out[index], u6, u7, noise)
         out[index] = classify(i, q, noise)
 
 
@@ -340,7 +361,7 @@ def run_batch(config: ProtocolConfig, workers: int = 1) -> tuple[RawStream, Batc
     chunks (sized so one chunk's words and temporaries stay in L2 cache), and
     ``min(workers, chunks)`` threads each take a contiguous run of chunks.
     A thread starts one PCG64DXSM generator per column stream the mode reads
-    (one ideal, eight noisy) at the word of its first trial, and draws each chunk as a
+    (one ideal, four noisy) at the word of its first trial, and draws each chunk as a
     contiguous run of raw words from each, releasing them before the next
     draw, so consecutive draws continue at the next trial.
 
@@ -374,7 +395,7 @@ def run_batch(config: ProtocolConfig, workers: int = 1) -> tuple[RawStream, Batc
         if config.ideal:
             gens = [_column_stream(config.seed, 0, start // 64)]
         else:
-            gens = [_column_stream(config.seed, j, start) for j in range(WORDS_PER_TRIAL)]
+            gens = [_column_stream(config.seed, j, start) for j in range(_COLUMNS)]
         for first in range(start, stop, block):
             pending = []
             for lo in range(first, min(first + block, stop), _CHUNK):

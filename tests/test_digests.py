@@ -42,14 +42,14 @@ def output_digests(tmp_path, config: str, ideal: bool, workers: int) -> dict[str
 
 DIGESTS = {
     ("calibrated", "noisy"): {
-        "trace": "ac9fba992d9bf1ddd791b685dc96450720c6944272de5ca3dc559641ab88e6bf",
-        "gen.rpt": "770e2bc978ddece080317e0260e46c44851ff8a49643134534a3eaefa992b9bb",
-        "cert.rpt": "9286af38b58d22b2bc6e048744299c72243b5747dbc5b7d1904e7918eca8ca12",
-        "bits": "68b64c840e77e5d6043b4ed25fceb2af0d6d2c71ff4ce958dec0eb4788d5c621",
-        "ext.rpt": "2175cc7f317fa94a953629a70c0757327ff8d04bd616e609f1e8c9220eeadfd7",
-        "stat.rpt": "4f4e4e6c817d6bd652ca75742b26eb1adbfb2164972963129236d45dfd245b1f",
-        "ss.rpt": "41e53b780df675bb5b4934a70166ee30f417ff8144828d506602ba630fa41901",
-        "ss-10000.rpt": "359c12eced81106cdd22ccab544536aa564d2285c92cd52c6cb9b4350cb204d8",
+        "trace": "966aa3cacbf75cd976b9e6dc1c39e13b8e9328b451791c8ea706c5e1838e585a",
+        "gen.rpt": "f03561051696e039998baa94deb28eaf802988e834c9324349214b0c860ec77e",
+        "cert.rpt": "f88783444cab0bbac9b9a1d25bebd000617fdd620c5149716d8bb123a13fe02b",
+        "bits": "9a52ed37b8832d58d3e04a3f37101b8ab75912ef8d04dcf867aa2f59017c10a3",
+        "ext.rpt": "d89e83530c9aed1fcc91e664705c2414198631de0a85057f7d6e7c4c384cde32",
+        "stat.rpt": "3557afe99ea94d08c988c94df86e56ca55eaffe7429b00982acb36658c562197",
+        "ss.rpt": "3fbf769ca610699a99d869a468dce304fe1e637ba47a38739a262fa2544c8880",
+        "ss-10000.rpt": "3d6bc66cb7109316bc13e7ac7d461e70e01c71c79716fca6a072a83ece6422b0",
     },
     ("calibrated", "ideal"): {
         "trace": "e4f952d6632c90f7076f05899b36edd2a6167a0c52d9c037e182c7435550bcf8",
@@ -62,14 +62,14 @@ DIGESTS = {
         "ss-10000.rpt": "f674a43ccdddf13d7cec3291019618d51f2b987c70b033bcaa8dd685bfb44c7f",
     },
     ("criterion-8", "noisy"): {
-        "trace": "7b0e867c8c3ccc090cf2f24d235de45733d60e487a4c54828b756937864dbf77",
-        "gen.rpt": "98a072948aefb14e169a6c168e16ba80319c78c12cd2448f326a1b8fb7fb1113",
-        "cert.rpt": "2e3abc18488b3e50ce778f0be346390b5680267d80d25552a47d54ed662a08c8",
-        "bits": "c482c16acfc18ca280691667c0d60d3423b6e9fa549e8cca7ecf16c3edaab342",
-        "ext.rpt": "81070944c40d8027a696c4ba073a1658d17eff8be23fd2ecddc9223414462c51",
-        "stat.rpt": "cf4f0155d7a9b0d3e78addd4cd0316bdf875f0953d7cc6110d878a76ce109414",
-        "ss.rpt": "9ea394d8f687b5b1761470b668d3fcd23805d5929bbcdad4cda6d32ce0869efb",
-        "ss-10000.rpt": "3cd2357d99ede57a8085124af9147c06740d3419d55f59b4b31c65866fc50c53",
+        "trace": "9b60849db90699338e8ace639f502564e4ea7e441124905d0dcd8cea0fdfa3f6",
+        "gen.rpt": "b4a2cb857f1c3b2979398c20812f366b63d3ea60a29a625017b8ebc5aa4fb80d",
+        "cert.rpt": "9ced9e5e06e9d187b1625743de1f4b04a99286577fc46ab40da0023cbc05cbb3",
+        "bits": "44ddbad53781a5b21742213bba7ee10cbb780b3b9ff766ffa4d84d72e00229f0",
+        "ext.rpt": "1a1fbd07954d7d437c467cdb57f5bf70866fd336d659476afe3c4e7a1d901eee",
+        "stat.rpt": "aa59fa717d909ba9c2b00c0559437edda2b54391b5436c349ab4034db691e24f",
+        "ss.rpt": "7d8b9b8fc69dcc655be946962f8ae65b4c70cf4a1777a3db9f88be1ab643067a",
+        "ss-10000.rpt": "39f0748b6c1ca4417ea984dc0ee2a1cc774f5de6d7a451365fb4b525c2371750",
     },
     ("criterion-8", "ideal"): {
         "trace": "1b0940fd9fff59f604f5e2843e9b20afff4af65219d3e5ee0f324f5502d135f9",

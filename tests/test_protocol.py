@@ -205,7 +205,26 @@ class TestConfig:
 def spawned_column(seed, j):
     """Column stream ``j`` of ``seed`` built through ``SeedSequence.spawn``,
     a second path to the seeding of ``protocol._column_stream``."""
-    return np.random.PCG64DXSM(np.random.SeedSequence(seed).spawn(8)[j])
+    return np.random.PCG64DXSM(np.random.SeedSequence(seed).spawn(4)[j])
+
+
+# the half-word table: uniform k of a noisy trial is half LAYOUT[k][1] (0 high,
+# 1 low) of the trial's word in column LAYOUT[k][0]
+LAYOUT = ((1, 1), (0, 0), (0, 1), (1, 0), (2, 0), (2, 1), (3, 0), (3, 1))
+TOP_HALF = 2**32 - 1
+
+
+def halves(word):
+    """The two uniforms of a 64-bit word, high half first, in Python
+    arithmetic."""
+    return (word >> 32) / 2**32, (word & TOP_HALF) / 2**32
+
+
+def layout_uniforms(seed, trial):
+    """u0-u7 of noisy trial ``trial``: the halves of word ``trial`` of the
+    four spawned columns, in the table's order."""
+    words = [int(spawned_column(seed, j).advance(trial).random_raw()) for j in range(4)]
+    return [halves(words[j])[h] for j, h in LAYOUT]
 
 
 class TestTrialRandom:
@@ -239,12 +258,12 @@ class TestTrialRandom:
         assert rng.random(0).size == 0
 
     def test_matches_contiguous_stream(self):
-        # word j of trial i is word i of column stream j, a contiguous
-        # PCG64DXSM stream spawned from the seed
-        columns = [np.random.Generator(spawned_column(77, j)).random(9) for j in range(8)]
+        # column word j of trial i is word i of column stream j, a contiguous
+        # PCG64DXSM stream spawned from the seed, cut into the table's halves
+        columns = [spawned_column(77, j).random_raw(9).tolist() for j in range(4)]
         for i in range(9):
-            words = TrialRandom(77, i).random(8)
-            assert np.array_equal(words, [column[i] for column in columns])
+            expected = [halves(columns[j][i])[h] for j, h in LAYOUT]
+            assert TrialRandom(77, i).random(8).tolist() == expected
 
     @pytest.mark.parametrize("offset", range(4))
     @settings(max_examples=25, deadline=None)
@@ -253,29 +272,30 @@ class TestTrialRandom:
         block=hst.one_of(
             hst.integers(0, 1 << 18),
             hst.builds(lambda k, d: max(k * (protocol._CHUNK // 4) + d, 0), hst.integers(0, 64), hst.integers(-1, 0)),
-            hst.integers(2**62, 2**126 - 1),  # trial indices of 2^64 and more
+            hst.integers(2**62, 2**126 - 1),  # trial indices of 2^64 and more, up to 2^128 - 1
         ),
     )
     def test_matches_philox_counter(self, offset, seed, block):
         # trial i = 4 * block + offset reads word i of each spawned column j,
-        # the word at counter position advance(i), uniforms in column order.
-        # The name and the four offsets date from Philox columns, whose
+        # the word at counter position advance(i), and serves u0-u7 in the
+        # half-word table's order however the eight are split between two
+        # calls. The name and the four offsets date from Philox columns, whose
         # 4-word blocks put each trial at position i % 4; PCG64DXSM has no
         # blocks, and the offsets keep every residue of i mod 4 covered.
         trial = 4 * block + offset
-        expected = [np.random.Generator(spawned_column(seed, j).advance(trial)).random() for j in range(8)]
-        rng = TrialRandom(seed, trial)
-        first = rng.random()
-        assert type(first) is float
-        assert [first, *rng.random(7).tolist()] == expected
+        expected = layout_uniforms(seed, trial)
+        for k in range(9):
+            rng = TrialRandom(seed, trial)
+            head = [rng.random()] if k == 1 else rng.random(k).tolist()
+            assert all(type(u) is float for u in head)
+            assert head + rng.random(8 - k).tolist() == expected, k
 
     def test_last_trial_of_a_column(self):
         # a column stream is 2^128 words long, the period of PCG64DXSM:
         # word 2^128 would be word 0 again
         last = 2**128 - 1
-        expected = [np.random.Generator(spawned_column(3, j).advance(last)).random() for j in range(8)]
-        assert TrialRandom(3, last).random(8).tolist() == expected
-        for j in (0, 7):
+        assert TrialRandom(3, last).random(8).tolist() == layout_uniforms(3, last)
+        for j in (0, 3):
             assert spawned_column(3, j).advance(last).random_raw(2)[1] == spawned_column(3, j).random_raw()
         with pytest.raises(ValidationError, match="below 2\\^128"):
             TrialRandom(3, last + 1)
@@ -321,7 +341,7 @@ class TestTrialRandom:
     def test_stream_started_mid_column_continues_it(self, trial):
         # a run_batch thread starts its column streams at its first trial;
         # the words must be those a stream from trial 0 reaches there
-        for column in (0, 7):
+        for column in (0, 3):
             whole = protocol._column_stream(2**64 - 1, column, 0).random_raw(trial + 9)
             assert np.array_equal(protocol._column_stream(2**64 - 1, column, trial).random_raw(9), whole[trial:])
 
@@ -330,45 +350,59 @@ class TestTrialRandom:
         # a spawn-key mix-up would alias two columns of a seed, or a column
         # of the seed with one of the next seed
         heads = {
-            protocol._column_stream(s, j, 0).random_raw(1 << 10).tobytes() for s in (seed, seed + 1) for j in range(8)
+            protocol._column_stream(s, j, 0).random_raw(1 << 10).tobytes() for s in (seed, seed + 1) for j in range(4)
         }
-        assert len(heads) == 16
+        assert len(heads) == 8
 
 
 def edge_words(threshold):
-    """The raw words one word and one uniform step (2^11 words) either side
+    """The raw words one word and one uniform step (2^32 words) either side
     of a word threshold, and the extreme words."""
-    near = {threshold + d for d in (-2049, -2048, -1, 0, 1, 2047, 2048)} | {0, 2**64 - 1}
+    near = {threshold + d for d in (-(2**32) - 1, -(2**32), -1, 0, 1, 2**32 - 1, 2**32)} | {0, 2**64 - 1}
     return np.array(sorted(w for w in near if 0 <= w < 2**64), dtype=np.uint64)
+
+
+def decides(words, threshold, p):
+    """Whether ``threshold`` decides each half of ``words`` as its uniform
+    against ``p``: w < T for the high half, w << 32 < T for the low half."""
+    high, low = zip(*(halves(int(w)) for w in words))
+    return np.array_equal(words < threshold, np.array(high) < p) and np.array_equal(
+        (words << 32) < threshold, np.array(low) < p
+    )
 
 
 class TestRawWords:
     """run_batch draws raw PCG64DXSM words and compares them with per-run
-    thresholds; each must decide as the uniform Generator.random gives."""
+    thresholds; each must decide as the uniform TrialRandom serves."""
 
     @pytest.mark.parametrize("trial", [0, 1, 12_345, (1 << 14) - 3])
     def test_uniforms_match_generator(self, trial):
-        def column():  # column stream 5 from word ``trial``
-            return spawned_column(2718, 5).advance(trial)
-
-        bg = column()
-        raw = np.concatenate([bg.random_raw(5), bg.random_raw(7)])  # consecutive draws, as chunks are
-        expected = np.random.Generator(column()).random(12)
-        assert np.array_equal(protocol._uniforms(raw).view(np.uint64), expected.view(np.uint64))
+        # the kernel's uniforms of each column, drawn in consecutive chunks,
+        # are the halves the layout oracle serves for every trial of them
+        expected = [layout_uniforms(2718, trial + k) for k in range(12)]
+        for j in range(4):
+            bg = spawned_column(2718, j).advance(trial)
+            raw = np.concatenate([bg.random_raw(5), bg.random_raw(7)])  # consecutive draws, as chunks are
+            for half, u in enumerate(protocol._uniforms(raw)):
+                k = LAYOUT.index((j, half))
+                assert u.tolist() == [row[k] for row in expected], (j, half)
 
     def test_extreme_words(self):
-        u = protocol._uniforms(np.array([0, 2**64 - 1], dtype=np.uint64))
-        assert u.tolist() == [0.0, 1.0 - 2.0**-53]
+        high, low = protocol._uniforms(np.array([0, 2**64 - 1, TOP_HALF, 2**32], dtype=np.uint64))
+        assert high.tolist() == [0.0, 1.0 - 2.0**-32, 0.0, 2.0**-32]
+        assert low.tolist() == [0.0, 1.0 - 2.0**-32, 1.0 - 2.0**-32, 0.0]
 
     @pytest.mark.parametrize(
         "p",
-        [0.0, 1.0, 0.5, 3 * 2.0**-53, 1.0 - 2.0**-53, 5e-324, 0.072, 0.0016 + 0.0002, 0.5 + 0.499],
-        ids=["0", "1", "half", "grid", "below-1", "subnormal", "decay", "thermal-sum", "thermal-0.999"],
+        [0.0, 1.0, 0.5, 3 * 2.0**-53, 1.0 - 2.0**-53, 5e-324, 0.072, 0.0016 + 0.0002, 0.5 + 0.499]
+        + [3 * 2.0**-32, 1.0 - 2.0**-32, 3 * 2.0**-32 + 2.0**-53],
+        ids=["0", "1", "half", "grid", "below-1", "subnormal", "decay", "thermal-sum", "thermal-0.999"]
+        + ["grid-32", "below-1-32", "off-grid-32"],
     )
     def test_word_threshold_is_exact(self, p):
         t = protocol._word_threshold(p)
-        words = edge_words(t)
-        assert np.array_equal(words < t, protocol._uniforms(words) < p)
+        assert t % 2**32 == 0 and 0 <= t <= 2**64
+        assert decides(edge_words(t), t, p)
 
     @pytest.mark.parametrize(
         "kw",
@@ -385,24 +419,24 @@ class TestRawWords:
     def test_bounds_decide_as_uniforms(self, kw):
         noise = NoiseParams(**kw)
         bounds = protocol._WordBounds.of(noise)
-        # exact: thermal excitation and 1 -> 0 relaxation
+        # exact: thermal excitation (u0, a low half) and 1 -> 0 relaxation (u4, a high half)
         for t, p in ((bounds.thermal, noise.p_thermal_1 + noise.p_thermal_2), (bounds.decay_10, noise.p_decay_10)):
-            words = edge_words(t)
-            assert np.array_equal(words < t, protocol._uniforms(words) < p)
+            assert decides(edge_words(t), t, p)
         # early decisions: a word below the IQ bound is classified as its
         # level, for every level and every noise angle
-        angles = np.linspace(0.0, 1.0 - 2.0**-53, 65)
+        angles = np.linspace(0.0, 1.0 - 2.0**-32, 65)
         assert type(bounds.iq) is int
         words = edge_words(bounds.iq)
-        u = protocol._uniforms(words[words < bounds.iq])[:, None]
+        u = protocol._uniforms(words[words < bounds.iq])[0][:, None]
         for level in range(3):
             assert np.all(classify(*synth_iq(level, u, angles, noise), noise) == level)
         lo, hi = bounds.band
-        cap = protocol._uniforms(np.uint64(protocol._RADIUS_CAP_WORD - 1))
+        cap = protocol._uniforms(np.uint64(protocol._RADIUS_CAP_WORD))[0]
         band = (protocol._BORN_SLOPE * noise.gate_amp_error) * _radius(cap) + protocol._ABS_MARGIN
         words = np.concatenate([edge_words(lo), edge_words(hi)])
-        u = protocol._uniforms(words[(words < lo) | (words >= hi)])
+        u = protocol._uniforms(words[(words < lo) | (words >= hi)])[0]
         assert np.all(np.abs(u - 0.5) > band)
+        assert all(t % 2**32 == 0 for t in (bounds.thermal, bounds.decay_10, lo, hi, bounds.iq))
 
 
 class TestIdealMode:
@@ -549,7 +583,7 @@ class TestChunking:
     @pytest.mark.parametrize(
         "ideal, digest",
         [
-            (False, "fe81d6ea32be20fed5583a44e787d08a4844fdec6c6d730dd09d9cdace373fee"),
+            (False, "029274948894ad04db86235433146d0997aa94b8ed19e0048a7985de9c5860b4"),
             (True, "45a4f9dca474789ad4b282c3eadc588d8c49d37819ff931b9e0c977cfb7e36b7"),
         ],
         ids=["noisy", "ideal"],
@@ -611,8 +645,9 @@ class TestChunking:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        chunk_bytes = protocol._CHUNK * protocol.WORDS_PER_TRIAL * 8
-        assert peak <= 2 * n + 2 * (chunk_bytes + chunk_bytes // 4)
+        chunk_bytes = protocol._CHUNK * protocol._COLUMNS * 8  # one word of each column per trial
+        temporaries = 2 * protocol._CHUNK * 8  # two 8-byte temporaries per trial of a chunk
+        assert peak <= 2 * n + 2 * (chunk_bytes + temporaries)
 
     def test_held_rows_bounded_per_block(self, monkeypatch):
         # p_thermal_1 = 0.5 sends half the trials to the exact tier, and at
@@ -633,8 +668,8 @@ class TestChunking:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        chunk_bytes = protocol._CHUNK * protocol.WORDS_PER_TRIAL * 8
-        assert peaks[0] > protocol._BLOCK * chunk_bytes * 6 // 8  # a block's words 0-5 were held
+        chunk_bytes = protocol._CHUNK * protocol._COLUMNS * 8  # one word of each column per trial
+        assert peaks[0] > protocol._BLOCK * chunk_bytes * 3 // 4  # a block's columns 0-2 were held
         assert peaks[1] - peaks[0] <= 2 * n + chunk_bytes // 4
 
 
@@ -658,57 +693,60 @@ def reference_symbols(words, noise):
 
 
 def trial_words(seed, n):
-    """The uniforms of trials [0, n), one row per column stream."""
-    return np.stack([np.random.Generator(spawned_column(seed, j)).random(n) for j in range(8)])
+    """The uniforms u0-u7 of trials [0, n), one row per uniform, cut from the
+    words of the spawned columns in the half-word table's places."""
+    words = [spawned_column(seed, j).random_raw(n) for j in range(4)]
+    cut = [((w >> 32) * 2.0**-32, (w & TOP_HALF) * 2.0**-32) for w in words]
+    return np.stack([cut[j][h] for j, h in LAYOUT])
 
 
 # noise model keywords, and the SHA-256 of the 2^16 symbols run_batch writes for them at seed 52
 EARLY_DECISION_CONFIGS = {
-    "defaults": ({}, "edb27a9bcbc77981543ee6eed6da995cb29b7b292e64812062a8a3b2a236675c"),
-    "sigma-0.12": (dict(iq_sigma=0.12), "aafd83609b504e44fdbc288ec6ad3e56dbe16175cae1e97d7b9ad3531e8c3cdc"),
-    "sigma-0.36": (dict(iq_sigma=0.36), "3f8943b7ece2a7412898ab7e9ec4644f4eb03a4b1b04f57e5839e30ffeda5dc0"),
-    "sigma-1": (dict(iq_sigma=1.0), "78fc053e9b66bc86ba9b72902fb1232b62ee3a2855c6fa06f624d12895cf32fc"),
-    "gate-0": (dict(gate_amp_error=0.0), "76051b8d9eca493b6b52788c3d4f43c79a2743991589cbcabfd161a60ca9a2b4"),
-    "gate-0.2": (dict(gate_amp_error=0.2), "9f26f4a7f84d21a12305a0dc828d4a078bf920ce0feeac7744faef0348cc8d52"),
+    "defaults": ({}, "ecb29edd2302ba694d56ac4316db5ebdf324de7d545a231554e9d2266ba296a8"),
+    "sigma-0.12": (dict(iq_sigma=0.12), "60d87f0cf03581592e0598d0173a7ee1f59db8c32f37bc11921477fec09dc38d"),
+    "sigma-0.36": (dict(iq_sigma=0.36), "3682516c338617b664c8f3c68fca13e6286589ef1bc38551125e661ac1413765"),
+    "sigma-1": (dict(iq_sigma=1.0), "944a87b47128afe3a23808345ff0bf782f5b0061cfd489a0790e0944132b17c1"),
+    "gate-0": (dict(gate_amp_error=0.0), "b9cf6a693215e6dfbb77387d1d283de7dfe314eb6af0605499cb006d17ff8abd"),
+    "gate-0.2": (dict(gate_amp_error=0.2), "6d89fc3cc10ce54ebc7bb14cbf138fec9c2e156e60a4be8b36bf014b85b10ac9"),
     "thermal-0.3": (
         dict(p_thermal_1=0.3, p_thermal_2=0.3),
-        "7f1987816587dff57418bcd434bdab66c6a94cf76f2e4fcf3b1c46593501b7af",
+        "98539eae49f6ec859453eba88e43aca1b96ee43fd80cf662af6c6b6976ad3f6a",
     ),
     # the edges of the float64 domain NoiseParams accepts
     "coord-ceiling": (
         dict(iq_centers=((1e100, 0.0), (0.0, 1e100), (-1e100, 0.0)), iq_sigma=1e99),
-        "aafd83609b504e44fdbc288ec6ad3e56dbe16175cae1e97d7b9ad3531e8c3cdc",
+        "60d87f0cf03581592e0598d0173a7ee1f59db8c32f37bc11921477fec09dc38d",
     ),
     "sigma-ceiling": (dict(iq_sigma=1e100), "de2f256064a0af797747c2b97505dc0b9f3df0de4f489eac731c23ae9ca9cc31"),
-    "gate-ceiling": (dict(gate_amp_error=1e100), "4b3ae802adb956f578698f753af758f98ef7dbc970fa1d7cdaa8f985a6a64c7d"),
+    "gate-ceiling": (dict(gate_amp_error=1e100), "4c9300f3ac714585978558e8d2ba6e5d801fc170c64937540ed6ffa76aed1311"),
     "all-ceilings": (
         dict(iq_centers=((1e100, 0.0), (0.0, 1e100), (-1e100, 0.0)), iq_sigma=1e100, gate_amp_error=1e100),
-        "3cfe6c1463256a701ebd084d470d6b8378a63237080eaff4d3fd0d4f01d2f901",
+        "be4fb7d2e42f2a2156cc99e43dabc400d0af210297ba55296835d5f493711004",
     ),
     # half gaps of exactly 1e-100, and of exactly 1e-6 max|coord|
     "gap-floor": (
         dict(iq_centers=((1e-100, 0.0), (-1e-100, 0.0), (0.0, 1e-99)), iq_sigma=3e-101),
-        "eabdeb1f9fb9043d0a132f6e31c080d80246b32bf7fe249c79b7a4726a682635",
+        "fb56e80d067a6a5e89ebe0041e26be86eb96fbfc12cd7da01f2e36cc34759f94",
     ),
     "gap-per-coord": (
         dict(iq_centers=((1e6, 0.0), (1e6 - 2.0, 0.0), (-1e6, 0.0)), iq_sigma=0.3),
-        "eabdeb1f9fb9043d0a132f6e31c080d80246b32bf7fe249c79b7a4726a682635",
+        "fb56e80d067a6a5e89ebe0041e26be86eb96fbfc12cd7da01f2e36cc34759f94",
     ),
     # the ends of each word threshold in run_batch
-    "decay10-0": (dict(p_decay_10=0.0), "05e59b02730e8d7cf57c3f63aae52922f2281f91825dfd732a2a8e06bb8f3175"),
-    "decay10-1": (dict(p_decay_10=1.0), "ad218e292e4db9fe277dba925a66c8f5463bfa5d9c3c8b86615c29983b6aef9c"),
+    "decay10-0": (dict(p_decay_10=0.0), "881c9d5ce23c9f2fde0c2ccfc44a1aab47d3b72b5605a3a5082022af05345033"),
+    "decay10-1": (dict(p_decay_10=1.0), "fe283c0309b7a2aba11bba09e8daee905060ff4169a8331a33dc1466b5ea206b"),
     "decay21-1": (
         dict(p_decay_21=1.0, p_thermal_1=0.3, p_thermal_2=0.3),
-        "6bb16bad0da364d4985aa36f86d8f79371519839faa17a5b918d91fc8c221e79",
+        "ba175d1ba0b02ff505fece8b1b0e78c8d9e077a10b0d9d3ec187e70c383581f4",
     ),
     "thermal-0.999": (
         dict(p_thermal_1=0.5, p_thermal_2=0.499),
-        "bc77d2c66b7d34e8dbb632074bcf61a35c70942a55bc5b5b99c42642129ad313",
+        "e72f0a5e94b4e9328032a093ecce9056d6d5017757968ed48fc842d712e55f03",
     ),
     # the Born band at the radius cap holds [0, 1]
-    "band-covers-all": (dict(gate_amp_error=0.5), "6f6e59400b84ef9f1551f107e924964cd7d0b64bb4e6634e8042eedc68607908"),
+    "band-covers-all": (dict(gate_amp_error=0.5), "42d0208870abce59c285af4080763c786106015bf52d0cb629520ba71163b540"),
     # R / sigma overflows, so every level's bound is 1
-    "iq-bound-1": (dict(iq_sigma=5e-324), "aafd83609b504e44fdbc288ec6ad3e56dbe16175cae1e97d7b9ad3531e8c3cdc"),
+    "iq-bound-1": (dict(iq_sigma=5e-324), "60d87f0cf03581592e0598d0173a7ee1f59db8c32f37bc11921477fec09dc38d"),
     # (R / sigma)^2 underflows
     "iq-bound-0": (
         dict(iq_centers=((1e-100, 0.0), (-1e-100, 0.0), (0.0, 1e-99)), iq_sigma=1e100),
@@ -781,25 +819,37 @@ class ColumnWords:
         return int(words[0]) if size is None else words
 
 
-def tie_rows(base, word, threshold):
-    """Copies of ``base`` with its ``word`` at threshold - 1 and at threshold,
-    where those are 64-bit words."""
+def layout_row(halves):
+    """The four column words that hold the 32-bit halves of u0-u7 in the
+    half-word table's places."""
+    words = [0, 0, 0, 0]
+    for (j, h), half in zip(LAYOUT, halves):
+        words[j] |= half << (32 * (1 - h))
+    return words
+
+
+def tie_rows(base, k, threshold):
+    """Rows of column words for the halves ``base`` of u0-u7, with uniform k
+    at the halves threshold - 1 and threshold of a word threshold, and the
+    other half of its word at 0 and at 2^32 - 1."""
+    assert threshold % 2**32 == 0
+    column = LAYOUT[k][0]
+    partner = next(m for m in range(8) if m != k and LAYOUT[m][0] == column)
     rows = []
-    for w in (threshold - 1, threshold):
-        if 0 <= w < 2**64:
-            row = list(base)
-            row[word] = w
-            rows.append(row)
+    for h in ((threshold >> 32) - 1, threshold >> 32):
+        for other in (0, TOP_HALF):
+            if 0 <= h < 2**32:
+                halves = list(base)
+                halves[k], halves[partner] = h, other
+                rows.append(layout_row(halves))
     return rows
-
-
-TOP_WORD = 2**64 - 1
 
 
 class TestWordTies:
     """Every word threshold decides as the uniform test it stands for, also
-    at a tie: a row whose deciding word is T - 1 or T gets the symbol that
-    run_trial computes from the same words."""
+    at a tie: a row whose deciding half is T - 1 or T gets the symbol that
+    run_trial computes from the same words, whatever the other half of the
+    word holds."""
 
     @staticmethod
     def config(monkeypatch, rows, **cfg):
@@ -818,19 +868,27 @@ class TestWordTies:
 
     @pytest.mark.parametrize(
         "kw",
-        [{}, dict(gate_amp_error=0.0), dict(p_thermal_1=0.3, p_thermal_2=0.3, gate_amp_error=0.2, iq_sigma=0.36)],
-        ids=["defaults", "gate-0", "wide"],
+        [
+            {},
+            dict(gate_amp_error=0.0),
+            dict(p_thermal_1=0.3, p_thermal_2=0.3, gate_amp_error=0.2, iq_sigma=0.36),
+            # thermal and decay thresholds 0 and 2^64, every IQ word but the top one early
+            dict(p_thermal_1=0.0, p_thermal_2=0.0, p_decay_10=1.0, iq_sigma=5e-324),
+            # decay threshold 0, a Born band of [0, 2^64)
+            dict(p_decay_10=0.0, gate_amp_error=0.5),
+        ],
+        ids=["defaults", "gate-0", "wide", "p-0-1", "decay-0-band-all"],
     )
     def test_noisy_thresholds(self, monkeypatch, kw):
         noise = NoiseParams(**kw)
         bounds = protocol._WordBounds.of(noise)
         lo, hi = bounds.band
-        # a ground start, no gate error, u3 = 3/4, no relaxation and no IQ
-        # noise is level 1; u3 = 1/4 makes it level 0, and a start in level 2
-        # (u0 just below p_thermal_1 + p_thermal_2) level 2
-        level1 = [TOP_WORD, 0, 0, 3 << 62, TOP_WORD, TOP_WORD, 0, 0]
-        level0 = level1[:3] + [1 << 62] + level1[4:]
-        level2 = [bounds.thermal - 1] + level1[1:]
+        # halves of u0-u7: a ground start, no gate error, u3 = 3/4, no
+        # relaxation and no IQ noise is level 1; u3 = 1/4 makes it level 0,
+        # and a start in level 2 (u0 just below p_thermal_1 + p_thermal_2) level 2
+        level1 = [TOP_HALF, 0, 0, 3 << 30, TOP_HALF, TOP_HALF, 0, 0]
+        level0 = level1[:3] + [1 << 30] + level1[4:]
+        level2 = [max((bounds.thermal >> 32) - 1, 0)] + level1[1:]
         cases = {
             "thermal": tie_rows(level1, 0, bounds.thermal),
             "radius-cap": tie_rows(level1, 1, protocol._RADIUS_CAP_WORD),
@@ -841,19 +899,21 @@ class TestWordTies:
         }
         for level, base in enumerate((level0, level1, level2)):
             cases[f"iq-{level}"] = tie_rows(base, 6, bounds.iq)
-        cfg = self.config(monkeypatch, [level0, level1, level2], noise=noise)
-        assert [run_trial(cfg, TrialRandom(0, i)).true_level for i in range(3)] == [0, 1, 2]
+        if bounds.thermal:  # with no thermal start there is no level-2 row
+            cfg = self.config(monkeypatch, [layout_row(h) for h in (level0, level1, level2)], noise=noise)
+            assert [run_trial(cfg, TrialRandom(0, i)).true_level for i in range(3)] == [0, 1, 2]
         for name, rows in cases.items():
+            assert rows, name
             symbols, expected = self.batch(monkeypatch, rows, noise=noise)
             assert symbols == expected, name
 
     def test_top_without_rotation(self, monkeypatch):
         # a gate error of -1 turns the rotation off, so a ground start stays
-        # level 0 even at the largest u3, 1 - 2^-53: its p2 is 0, so it is
+        # level 0 even at the largest u3, 1 - 2^-32: its p2 is 0, so it is
         # never drawn as level 2, and its p0 is 1
         noise = NoiseParams(gate_amp_error=0.5)
-        radius_2 = protocol._word_threshold(-math.expm1(-2.0))  # Box-Muller radius 2
-        row = [TOP_WORD, radius_2, 1 << 63, TOP_WORD, TOP_WORD, TOP_WORD, 0, 0]  # cos(2 pi u2) = -1
+        radius_2 = protocol._word_threshold(-math.expm1(-2.0)) >> 32  # Box-Muller radius 2 (1e-9 above)
+        row = layout_row([TOP_HALF, radius_2, 1 << 31, TOP_HALF, TOP_HALF, TOP_HALF, 0, 0])  # cos(2 pi u2) = -1
         assert self.batch(monkeypatch, [row], noise=noise) == ([0], [0])
 
     def test_block_without_undecided_rows(self, monkeypatch):
@@ -864,7 +924,7 @@ class TestWordTies:
 
         monkeypatch.setattr(protocol, "_born_levels", fail)
         monkeypatch.setattr(protocol, "synth_iq", fail)
-        cfg = self.config(monkeypatch, [[TOP_WORD, 0, 0, 3 << 62, TOP_WORD, TOP_WORD, 0, 0]])
+        cfg = self.config(monkeypatch, [layout_row([TOP_HALF, 0, 0, 3 << 30, TOP_HALF, TOP_HALF, 0, 0])])
         assert run_batch(cfg)[0].symbols.tolist() == [1]
 
     def test_ideal_bit_order(self, monkeypatch):
