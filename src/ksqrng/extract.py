@@ -17,11 +17,13 @@ offset falls in, and its carry into the next, with one
 starts on a word boundary carries nothing. ``np.unpackbits`` then writes the
 block's output bits into their slice of the output.
 
-A first pass counts each block's output from the table, so the output is
-allocated once at its exact size. Beyond the output, a block holds its
-packed bytes, table lookups, fields and unpacked output bits: about 1.6
-bytes per pair of the block at most, 0.4 MB at 2^18 pairs, whatever the
-stream's length. The tail of fewer than 64 pairs goes through
+Each block is packed and counted once: its laid-out bytes and output size
+are kept until every block is done, then the output is allocated once at
+its exact size and each block's bytes are unpacked into their slice. Beyond
+the output, a block holds its packed bytes, table lookups and fields: about
+1.6 bytes per pair of the block at most, 0.4 MB at 2^18 pairs, whatever
+the stream's length; the kept bytes hold at most one bit per pair, 1/16 of
+the input's bytes. The tail of fewer than 64 pairs goes through
 ``np.compress``. Blocks hold whole 64-pair words, so the output does not
 depend on the block size.
 """
@@ -67,15 +69,10 @@ def _word_blocks(bits: np.ndarray):
         yield bits[start : min(start + 2 * _BLOCK_PAIRS, end)]
 
 
-def _packed_words(block: np.ndarray) -> np.ndarray:
-    """``block`` packed least significant bit first, 8 pairs per uint16."""
-    return np.packbits(block, bitorder="little").view("<u2")
-
-
 def _block_fields(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per 64 pairs of ``block``, the accepted first bits as one uint64
     field, least significant first, and their count."""
-    words = _packed_words(block)
+    words = np.packbits(block, bitorder="little").view("<u2")  # 8 pairs per uint16
     v, c = _FIELDS.take(words), _COUNTS.take(words)
     for wide in (np.uint16, np.uint32, np.uint64):
         c_lo = c[0::2]
@@ -103,14 +100,17 @@ def _laid_end_to_end(v: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 def von_neumann_extract(stream: BitStream) -> BitStream:
     bits = stream.bits
-    sizes = [int(_COUNTS.take(_packed_words(block)).sum()) for block in _word_blocks(bits)]
+    laid, sizes = [], []
+    for block in _word_blocks(bits):
+        v, c = _block_fields(block)
+        laid.append(_laid_end_to_end(v, c))
+        sizes.append(int(c.sum()))
     tail = bits[len(bits) // _WORD_BITS * _WORD_BITS : len(bits) // 2 * 2]
     a, b = tail[0::2], tail[1::2]
     keep = a != b
     out = np.empty(sum(sizes) + np.count_nonzero(keep), dtype=np.uint8)
     at = 0
-    for block, size in zip(_word_blocks(bits), sizes):
-        packed = _laid_end_to_end(*_block_fields(block))
+    for packed, size in zip(laid, sizes):
         out[at : at + size] = np.unpackbits(packed, count=size, bitorder="little")
         at += size
     np.compress(keep, a, out=out[at:])

@@ -42,14 +42,14 @@ def output_digests(tmp_path, config: str, ideal: bool, workers: int) -> dict[str
 
 DIGESTS = {
     ("calibrated", "noisy"): {
-        "trace": "966aa3cacbf75cd976b9e6dc1c39e13b8e9328b451791c8ea706c5e1838e585a",
-        "gen.rpt": "f03561051696e039998baa94deb28eaf802988e834c9324349214b0c860ec77e",
-        "cert.rpt": "f88783444cab0bbac9b9a1d25bebd000617fdd620c5149716d8bb123a13fe02b",
-        "bits": "9a52ed37b8832d58d3e04a3f37101b8ab75912ef8d04dcf867aa2f59017c10a3",
-        "ext.rpt": "d89e83530c9aed1fcc91e664705c2414198631de0a85057f7d6e7c4c384cde32",
-        "stat.rpt": "3557afe99ea94d08c988c94df86e56ca55eaffe7429b00982acb36658c562197",
-        "ss.rpt": "3fbf769ca610699a99d869a468dce304fe1e637ba47a38739a262fa2544c8880",
-        "ss-10000.rpt": "3d6bc66cb7109316bc13e7ac7d461e70e01c71c79716fca6a072a83ece6422b0",
+        "trace": "5446d63728974ee8bd878a7fb418df851c0bd7ee4fe53d553cf17f855a6b2643",
+        "gen.rpt": "c7232a95d95f7ff9a11aefb36232be09e88975f790ca61f4fb5228103446fd5b",
+        "cert.rpt": "d461e9401def798fb1047fb0d9ac3aebb7833731569da94f582895f6b5744dbb",
+        "bits": "2b99837cf7c669a2c522d8f5642feed32332725224501d5961375635e4b3e020",
+        "ext.rpt": "3a427c376a82d005796d1c1d918d882c128246092fbf62d0d6c4b9878d4e6d1c",
+        "stat.rpt": "94a81805e411f6c5f7f6cc77a523a0924fd7c132b8f4d0598f53287f3b170bb0",
+        "ss.rpt": "4c9a4c4bc12c2fc9e27c26784cfae75696a3a5f501af098a28696c47e0939c45",
+        "ss-10000.rpt": "4371856e3f8bb3af330651fe8b2ecc277e0a3949bbdfcd5c1f9dd88e139c7ea8",
     },
     ("calibrated", "ideal"): {
         "trace": "e4f952d6632c90f7076f05899b36edd2a6167a0c52d9c037e182c7435550bcf8",
@@ -62,14 +62,14 @@ DIGESTS = {
         "ss-10000.rpt": "f674a43ccdddf13d7cec3291019618d51f2b987c70b033bcaa8dd685bfb44c7f",
     },
     ("criterion-8", "noisy"): {
-        "trace": "9b60849db90699338e8ace639f502564e4ea7e441124905d0dcd8cea0fdfa3f6",
-        "gen.rpt": "b4a2cb857f1c3b2979398c20812f366b63d3ea60a29a625017b8ebc5aa4fb80d",
-        "cert.rpt": "9ced9e5e06e9d187b1625743de1f4b04a99286577fc46ab40da0023cbc05cbb3",
-        "bits": "44ddbad53781a5b21742213bba7ee10cbb780b3b9ff766ffa4d84d72e00229f0",
-        "ext.rpt": "1a1fbd07954d7d437c467cdb57f5bf70866fd336d659476afe3c4e7a1d901eee",
-        "stat.rpt": "aa59fa717d909ba9c2b00c0559437edda2b54391b5436c349ab4034db691e24f",
-        "ss.rpt": "7d8b9b8fc69dcc655be946962f8ae65b4c70cf4a1777a3db9f88be1ab643067a",
-        "ss-10000.rpt": "39f0748b6c1ca4417ea984dc0ee2a1cc774f5de6d7a451365fb4b525c2371750",
+        "trace": "4aa674254ff7edd6c7768440ad1c88b7e6306579f89d75a452661d0ac85e1609",
+        "gen.rpt": "8ddd6733d9bf051cb13c08b376d2554116d5eedd749a1b85e3207f0f4b6b3189",
+        "cert.rpt": "fefe7f99064d9ef9003c977fc80a4b334801bdb57fdf9faadd4225216f51eb8d",
+        "bits": "fc9253655ed8dbb16a27f16124ded93b1d25bd49796c809740d4c63ff425818e",
+        "ext.rpt": "ada3f0a03be3a47134ab62e7885dfcc1ef9da848c22da3964d723f47660f34be",
+        "stat.rpt": "094e83ffd5988e995a2797042b7fdb90013dff6b1aa22157dd4b474262ae2b5c",
+        "ss.rpt": "c27d83b47314cecca75f8560bbc7afe2af8d7269b127c0106afc22ce9b95603b",
+        "ss-10000.rpt": "27bcef8eb36b2b40c4c36f62516c6a0a9c03d5f6f39da56ee5b50b9a9f127d02",
     },
     ("criterion-8", "ideal"): {
         "trace": "1b0940fd9fff59f604f5e2843e9b20afff4af65219d3e5ee0f324f5502d135f9",

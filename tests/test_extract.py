@@ -147,9 +147,10 @@ class TestVonNeumann:
         assert von_neumann_extract(stream).bits.tolist() == pair_loop(stream.bits.tolist())
 
     def test_peak_is_output_plus_one_block(self):
-        # the output, then per block its packed words, table lookups and
-        # fields, and its unpacked output bits; a whole-stream pass would
-        # hold the packed stream or its fields beside the output
+        # the output and every block's laid-out output bytes (an eighth of
+        # the output), then per block its packed words, table lookups and
+        # fields; a whole-stream pass would hold the packed stream or its
+        # fields beside the output
         bits = np.random.default_rng(13).integers(0, 2, 1 << 22, dtype=np.uint8)
         stream = BitStream(bits)
         tracemalloc.start()

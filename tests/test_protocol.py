@@ -202,29 +202,79 @@ class TestConfig:
         assert np.array_equal(TrialRandom(np.int64(5), np.int64(3)).random(8), TrialRandom(5, 3).random(8))
 
 
-def spawned_column(seed, j):
-    """Column stream ``j`` of ``seed`` built through ``SeedSequence.spawn``,
-    a second path to the seeding of ``protocol._column_stream``."""
-    return np.random.PCG64DXSM(np.random.SeedSequence(seed).spawn(4)[j])
+def spawned_words(seed):
+    """The word stream of ``seed`` built through ``SeedSequence.spawn``, a
+    second path to the seeding of ``protocol._word_stream``."""
+    return np.random.PCG64DXSM(np.random.SeedSequence(seed).spawn(2)[0])
 
 
-# the half-word table: uniform k of a noisy trial is half LAYOUT[k][1] (0 high,
-# 1 low) of the trial's word in column LAYOUT[k][0]
-LAYOUT = ((1, 1), (0, 0), (0, 1), (1, 0), (2, 0), (2, 1), (3, 0), (3, 1))
-TOP_HALF = 2**32 - 1
+def spawned_key(seed):
+    """The refinement key of ``seed`` built through ``SeedSequence.spawn``, a
+    second path to ``protocol._refinement_key``."""
+    return int(np.random.SeedSequence(seed).spawn(2)[1].generate_state(1, np.uint64)[0])
 
 
-def halves(word):
-    """The two uniforms of a 64-bit word, high half first, in Python
-    arithmetic."""
-    return (word >> 32) / 2**32, (word & TOP_HALF) / 2**32
+def splitmix(key, n):
+    """Word n of the SplitMix64 stream keyed ``key`` (Steele, Lea and Flood,
+    2014), in Python integers."""
+    z = (key + (n + 1) * 0x9E3779B97F4A7C15) % 2**64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+    return z ^ (z >> 31)
+
+
+# the bit table: the fields of each uniform u0-u7, most significant first, as
+# (word, top bit, low bit); word 0 is the screen word, words 1-3 the
+# refinement words r0-r2
+TABLE = (
+    ((0, 15, 8), (2, 63, 40)),
+    ((0, 7, 0), (2, 39, 16)),
+    ((1, 63, 32),),
+    ((0, 63, 48), (2, 15, 0)),
+    ((0, 47, 32), (3, 15, 0)),
+    ((1, 31, 0),),
+    ((0, 31, 16), (3, 31, 16)),
+    ((3, 63, 32),),
+)
+SCREEN_BITS = {k: fields[0][1] - fields[0][2] + 1 for k, fields in enumerate(TABLE) if fields[0][0] == 0}
+TOP = 2**32 - 1
+
+
+def cut(words, k):
+    """The 32-bit integer of uniform k of a trial whose screen and refinement
+    words are ``words``, in Python integers."""
+    h = 0
+    for j, top, low in TABLE[k]:
+        width = top - low + 1
+        h = (h << width) | ((words[j] >> low) & ((1 << width) - 1))
+    return h
+
+
+def trial_row(h):
+    """The screen and refinement words of a trial whose uniforms u0-u7 are
+    the 32-bit integers ``h``: ``cut`` inverted."""
+    words = [0, 0, 0, 0]
+    for k, fields in enumerate(TABLE):
+        rest = 32
+        for j, top, low in fields:
+            width = top - low + 1
+            rest -= width
+            words[j] |= ((h[k] >> rest) & ((1 << width) - 1)) << low
+    return words
+
+
+def row_words(seed, trial):
+    """Trial ``trial``'s screen word and refinement words: word ``trial`` of
+    the spawned word stream, and SplitMix64 words 3 trial + r, r in 0-2, of
+    the spawned key's stream."""
+    screen = int(spawned_words(seed).advance(trial).random_raw())
+    return [screen] + [splitmix(spawned_key(seed), 3 * trial + r) for r in range(3)]
 
 
 def layout_uniforms(seed, trial):
-    """u0-u7 of noisy trial ``trial``: the halves of word ``trial`` of the
-    four spawned columns, in the table's order."""
-    words = [int(spawned_column(seed, j).advance(trial).random_raw()) for j in range(4)]
-    return [halves(words[j])[h] for j, h in LAYOUT]
+    """u0-u7 of noisy trial ``trial``, cut from its words by the table."""
+    words = row_words(seed, trial)
+    return [cut(words, k) / 2**32 for k in range(8)]
 
 
 class TestTrialRandom:
@@ -258,12 +308,14 @@ class TestTrialRandom:
         assert rng.random(0).size == 0
 
     def test_matches_contiguous_stream(self):
-        # column word j of trial i is word i of column stream j, a contiguous
-        # PCG64DXSM stream spawned from the seed, cut into the table's halves
-        columns = [spawned_column(77, j).random_raw(9).tolist() for j in range(4)]
+        # the screen word of trial i is word i of the word stream, a
+        # contiguous PCG64DXSM stream spawned from the seed, and its
+        # refinement words are words 3i to 3i + 2 of one SplitMix64 stream
+        screens = spawned_words(77).random_raw(9).tolist()
+        refinement = [splitmix(spawned_key(77), n) for n in range(27)]
         for i in range(9):
-            expected = [halves(columns[j][i])[h] for j, h in LAYOUT]
-            assert TrialRandom(77, i).random(8).tolist() == expected
+            words = [screens[i], *refinement[3 * i : 3 * i + 3]]
+            assert TrialRandom(77, i).random(8).tolist() == [cut(words, k) / 2**32 for k in range(8)]
 
     @pytest.mark.parametrize("offset", range(4))
     @settings(max_examples=25, deadline=None)
@@ -276,12 +328,13 @@ class TestTrialRandom:
         ),
     )
     def test_matches_philox_counter(self, offset, seed, block):
-        # trial i = 4 * block + offset reads word i of each spawned column j,
-        # the word at counter position advance(i), and serves u0-u7 in the
-        # half-word table's order however the eight are split between two
-        # calls. The name and the four offsets date from Philox columns, whose
-        # 4-word blocks put each trial at position i % 4; PCG64DXSM has no
-        # blocks, and the offsets keep every residue of i mod 4 covered.
+        # trial i = 4 * block + offset reads word i of the word stream, the
+        # word at counter position advance(i), and refinement counters 3i to
+        # 3i + 2 modulo 2^64, and serves u0-u7 in the table's order however
+        # the eight are split between two calls. The name and the four
+        # offsets date from Philox columns, whose 4-word blocks put each
+        # trial at position i % 4; the offsets keep every residue of i mod 4
+        # covered.
         trial = 4 * block + offset
         expected = layout_uniforms(seed, trial)
         for k in range(9):
@@ -291,14 +344,16 @@ class TestTrialRandom:
             assert head + rng.random(8 - k).tolist() == expected, k
 
     def test_last_trial_of_a_column(self):
-        # a column stream is 2^128 words long, the period of PCG64DXSM:
-        # word 2^128 would be word 0 again
+        # the word stream is 2^128 words long, the period of PCG64DXSM: word
+        # 2^128 would be word 0 again; refinement counters wrap at 2^64, so
+        # trial 2^64 + 5 shares trial 5's refinement words, not its screen
         last = 2**128 - 1
         assert TrialRandom(3, last).random(8).tolist() == layout_uniforms(3, last)
-        for j in (0, 3):
-            assert spawned_column(3, j).advance(last).random_raw(2)[1] == spawned_column(3, j).random_raw()
+        assert spawned_words(3).advance(last).random_raw(2)[1] == spawned_words(3).random_raw()
         with pytest.raises(ValidationError, match="below 2\\^128"):
             TrialRandom(3, last + 1)
+        near, far = row_words(3, 5), row_words(3, 2**64 + 5)
+        assert near[1:] == far[1:] and near[0] != far[0]
 
     def test_interleaved_sources_draw_their_own_words(self):
         a, b = TrialRandom(9, 5), TrialRandom(10, 6)
@@ -330,8 +385,8 @@ class TestTrialRandom:
     @pytest.mark.parametrize("trial", [2**64 + 5, 2**128 - 1], ids=["2^64+5", "2^128-1"])
     def test_bit_at_large_trial_index(self, seed, trial):
         # the 64 trials of the word that holds ``trial`` are its bits, least
-        # significant first, read from the spawned column 0 advanced to it
-        word = int(spawned_column(seed, 0).advance(trial // 64).random_raw())
+        # significant first, read from the spawned word stream advanced to it
+        word = int(spawned_words(seed).advance(trial // 64).random_raw())
         base = trial - trial % 64
         bit = TrialRandom(seed, trial).bit()
         assert type(bit) is int and bit == (word >> (trial % 64)) & 1
@@ -339,58 +394,102 @@ class TestTrialRandom:
 
     @pytest.mark.parametrize("trial", [1, 3, (1 << 14) - 1, 1 << 14, 3 * (1 << 14) + 5])
     def test_stream_started_mid_column_continues_it(self, trial):
-        # a run_batch thread starts its column streams at its first trial;
-        # the words must be those a stream from trial 0 reaches there
-        for column in (0, 3):
-            whole = protocol._column_stream(2**64 - 1, column, 0).random_raw(trial + 9)
-            assert np.array_equal(protocol._column_stream(2**64 - 1, column, trial).random_raw(9), whole[trial:])
+        # a run_batch thread starts its word stream at its first trial; the
+        # words must be those a stream from trial 0 reaches there
+        whole = protocol._word_stream(2**64 - 1, 0).random_raw(trial + 9)
+        assert np.array_equal(protocol._word_stream(2**64 - 1, trial).random_raw(9), whole[trial:])
 
     @pytest.mark.parametrize("seed", [0, 77, 2**64 - 2])
     def test_columns_are_distinct(self, seed):
-        # a spawn-key mix-up would alias two columns of a seed, or a column
-        # of the seed with one of the next seed
-        heads = {
-            protocol._column_stream(s, j, 0).random_raw(1 << 10).tobytes() for s in (seed, seed + 1) for j in range(4)
-        }
-        assert len(heads) == 8
+        # a spawn-key mix-up would alias the word stream with the refinement
+        # stream, or a stream of the seed with one of the next seed
+        heads = set()
+        for s in (seed, seed + 1):
+            heads.add(protocol._word_stream(s, 0).random_raw(1 << 10).tobytes())
+            heads.add(protocol._refinement(protocol._refinement_key(s), np.arange(1 << 10), 0).tobytes())
+        assert len(heads) == 4
 
 
-def edge_words(threshold):
-    """The raw words one word and one uniform step (2^32 words) either side
-    of a word threshold, and the extreme words."""
-    near = {threshold + d for d in (-(2**32) - 1, -(2**32), -1, 0, 1, 2**32 - 1, 2**32)} | {0, 2**64 - 1}
-    return np.array(sorted(w for w in near if 0 <= w < 2**64), dtype=np.uint64)
+class TestRefinement:
+    """The refinement words are SplitMix64 words; the kernel computes them on
+    uint64 arrays, TrialRandom in Python integers."""
 
-
-def decides(words, threshold, p):
-    """Whether ``threshold`` decides each half of ``words`` as its uniform
-    against ``p``: w < T for the high half, w << 32 < T for the low half."""
-    high, low = zip(*(halves(int(w)) for w in words))
-    return np.array_equal(words < threshold, np.array(high) < p) and np.array_equal(
-        (words << 32) < threshold, np.array(low) < p
+    @pytest.mark.parametrize(
+        "key, words",
+        [
+            (0, [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]),
+            (1234567, [6457827717110365317, 3203168211198807973, 9817491932198370423]),
+        ],
+        ids=["key-0", "key-1234567"],
     )
+    def test_published_outputs(self, key, words):
+        # the first outputs of SplitMix64 seeded with these states, as other
+        # implementations publish them
+        assert [protocol._splitmix64(key, n) for n in range(3)] == words
+        assert [splitmix(key, n) for n in range(3)] == words
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        key=hst.one_of(hst.integers(0, 2**64 - 1), hst.sampled_from([0, 2**64 - 1])),
+        sampled=hst.lists(hst.integers(0, 2**63 - 1), max_size=8),
+    )
+    def test_vectorised_matches_python_ints(self, key, sampled):
+        # trial 0, the last trial of the largest batch numpy can index, and
+        # the trials whose counters 3i + r + 1 cross 2^64 (3 * 6148914691236517205 = 2^64 - 1)
+        wrap = 6148914691236517205
+        trials = [0, 1, 2**63 - 2, 2**63 - 1, wrap - 1, wrap, wrap + 1, *sampled]
+        index = np.array(trials, dtype=np.intp)
+        for r in range(3):
+            expected = [splitmix(key, 3 * i + r) for i in trials]
+            assert [protocol._splitmix64(key, 3 * i + r) for i in trials] == expected
+            assert protocol._refinement(key, index, r).tolist() == expected, r
+
+    def test_key_is_spawn_key_one(self):
+        for seed in (0, 77, 2**64 - 1):
+            assert protocol._refinement_key(seed) == spawned_key(seed)
+
+
+def cell_edges(t, bits):
+    """Screen values one and two cells either side of a screen threshold, and
+    the extreme screens."""
+    near = {t + d for d in (-2, -1, 0, 1)} | {0, 2**bits - 1}
+    return sorted(s for s in near if 0 <= s < 2**bits)
+
+
+def cell_range(s, bits):
+    """The smallest and largest uniform of screen cell ``s``."""
+    shift = 32 - bits
+    return (s << shift) / 2**32, (((s + 1) << shift) - 1) / 2**32
 
 
 class TestRawWords:
-    """run_batch draws raw PCG64DXSM words and compares them with per-run
-    thresholds; each must decide as the uniform TrialRandom serves."""
+    """run_batch decides trials on the screens of raw PCG64DXSM words with
+    per-run thresholds; each must decide as the uniforms TrialRandom serves."""
 
     @pytest.mark.parametrize("trial", [0, 1, 12_345, (1 << 14) - 3])
     def test_uniforms_match_generator(self, trial):
-        # the kernel's uniforms of each column, drawn in consecutive chunks,
-        # are the halves the layout oracle serves for every trial of them
+        # the kernel's uniforms, from screen words drawn in consecutive
+        # chunks and refinement words computed for the rows, are those the
+        # table oracle serves for every trial of them
         expected = [layout_uniforms(2718, trial + k) for k in range(12)]
-        for j in range(4):
-            bg = spawned_column(2718, j).advance(trial)
-            raw = np.concatenate([bg.random_raw(5), bg.random_raw(7)])  # consecutive draws, as chunks are
-            for half, u in enumerate(protocol._uniforms(raw)):
-                k = LAYOUT.index((j, half))
-                assert u.tolist() == [row[k] for row in expected], (j, half)
+        bg = spawned_words(2718).advance(trial)
+        screens = np.concatenate([bg.random_raw(5), bg.random_raw(7)])  # consecutive draws, as chunks are
+        index = np.arange(trial, trial + 12)
+        words = [screens, *(protocol._refinement(spawned_key(2718), index, r) for r in range(3))]
+        for k in range(8):
+            assert protocol._uniform(words, k).tolist() == [row[k] for row in expected], k
 
     def test_extreme_words(self):
-        high, low = protocol._uniforms(np.array([0, 2**64 - 1, TOP_HALF, 2**32], dtype=np.uint64))
-        assert high.tolist() == [0.0, 1.0 - 2.0**-32, 0.0, 2.0**-32]
-        assert low.tolist() == [0.0, 1.0 - 2.0**-32, 1.0 - 2.0**-32, 0.0]
+        # all bits clear, all set, and only the screen word's bits set, which
+        # gives each screened uniform 1 - 2^-bits and the others 0
+        zero, ones = np.zeros(1, dtype=np.uint64), np.full(1, 2**64 - 1, dtype=np.uint64)
+        for words, expected in (
+            ([zero] * 4, [0.0] * 8),
+            ([ones] * 4, [1.0 - 2.0**-32] * 8),
+            ([ones, zero, zero, zero], [1.0 - 2.0 ** -SCREEN_BITS.get(k, 0) for k in range(8)]),
+        ):
+            assert [float(protocol._uniform(words, k)[0]) for k in range(8)] == expected
+            assert [protocol._uniform([int(w[0]) for w in words], k) for k in range(8)] == expected
 
     @pytest.mark.parametrize(
         "p",
@@ -400,9 +499,14 @@ class TestRawWords:
         + ["grid-32", "below-1-32", "off-grid-32"],
     )
     def test_word_threshold_is_exact(self, p):
-        t = protocol._word_threshold(p)
-        assert t % 2**32 == 0 and 0 <= t <= 2**64
-        assert decides(edge_words(t), t, p)
+        # a screen below A has its whole cell below p, one at or above B its
+        # whole cell at or above p, and at most one cell lies between
+        for bits in (8, 16, 32):
+            a, b = protocol._cut(p, bits)
+            assert b - a in (0, 1) and 0 <= a <= b <= 2**bits
+            for s in cell_edges(a, bits) + cell_edges(b, bits):
+                low, high = cell_range(s, bits)
+                assert (high < p) == (s < a) and (low >= p) == (s >= b), (bits, s)
 
     @pytest.mark.parametrize(
         "kw",
@@ -419,24 +523,31 @@ class TestRawWords:
     def test_bounds_decide_as_uniforms(self, kw):
         noise = NoiseParams(**kw)
         bounds = protocol._WordBounds.of(noise)
-        # exact: thermal excitation (u0, a low half) and 1 -> 0 relaxation (u4, a high half)
-        for t, p in ((bounds.thermal, noise.p_thermal_1 + noise.p_thermal_2), (bounds.decay_10, noise.p_decay_10)):
-            assert decides(edge_words(t), t, p)
-        # early decisions: a word below the IQ bound is classified as its
-        # level, for every level and every noise angle
+        assert all(type(t) is int for t in (bounds.thermal, *bounds.decay_10, *bounds.band, bounds.iq))
+        # exact: a u0 screen at or above the thermal bound is a ground start,
+        # and the 1 -> 0 relaxation (u4) is decided outside its cut
+        thermal = noise.p_thermal_1 + noise.p_thermal_2
+        assert bounds.thermal == protocol._cut(thermal, 8)[1]
+        assert bounds.decay_10 == protocol._cut(noise.p_decay_10, 16)
+        for s in cell_edges(bounds.thermal, 8):
+            assert (cell_range(s, 8)[0] >= thermal) == (s >= bounds.thermal)
+        # early decisions: a u6 screen below the IQ bound is classified as
+        # its level, for every level and every noise angle
         angles = np.linspace(0.0, 1.0 - 2.0**-32, 65)
-        assert type(bounds.iq) is int
-        words = edge_words(bounds.iq)
-        u = protocol._uniforms(words[words < bounds.iq])[0][:, None]
+        cells = [s for s in cell_edges(bounds.iq, 16) if s < bounds.iq]
+        u = np.array([cell_range(s, 16)[1] for s in cells])[:, None]
         for level in range(3):
             assert np.all(classify(*synth_iq(level, u, angles, noise), noise) == level)
+        # a capped u1 screen has a radius below the cap, and a u3 screen
+        # outside the band has its whole cell outside the Born band there
+        assert cell_range(protocol._CAP_SCREEN - 1, 8)[1] < protocol._CAP_SCREEN / 256
         lo, hi = bounds.band
-        cap = protocol._uniforms(np.uint64(protocol._RADIUS_CAP_WORD))[0]
-        band = (protocol._BORN_SLOPE * noise.gate_amp_error) * _radius(cap) + protocol._ABS_MARGIN
-        words = np.concatenate([edge_words(lo), edge_words(hi)])
-        u = protocol._uniforms(words[(words < lo) | (words >= hi)])[0]
-        assert np.all(np.abs(u - 0.5) > band)
-        assert all(t % 2**32 == 0 for t in (bounds.thermal, bounds.decay_10, lo, hi, bounds.iq))
+        cap = _radius(protocol._CAP_SCREEN / 256)
+        band = (protocol._BORN_SLOPE * noise.gate_amp_error) * cap + protocol._ABS_MARGIN
+        for s in cell_edges(lo, 16) + cell_edges(hi, 16):
+            if s < lo or s >= hi:
+                low, high = cell_range(s, 16)
+                assert high < 0.5 - band or low > 0.5 + band, s
 
 
 class TestIdealMode:
@@ -554,7 +665,7 @@ class TestChunking:
     @pytest.mark.parametrize(
         "kw",
         # at iq_sigma 0.36 and p_decay_10 0.4 every whole 2^10-trial chunk of these
-        # runs holds exact-tier and IQ-tier rows (19 and 134 at least)
+        # runs holds exact-tier and IQ-tier rows (22 and 136 at least)
         [{}, dict(noise=NoiseParams(iq_sigma=0.36, p_decay_10=0.4)), dict(ideal=True)],
         ids=["noisy", "wide", "ideal"],
     )
@@ -583,7 +694,7 @@ class TestChunking:
     @pytest.mark.parametrize(
         "ideal, digest",
         [
-            (False, "029274948894ad04db86235433146d0997aa94b8ed19e0048a7985de9c5860b4"),
+            (False, "56591e61e77fce1a7626f4a2d73d3a215cb2c448df0f517d48e8f8157e840e5a"),
             (True, "45a4f9dca474789ad4b282c3eadc588d8c49d37819ff931b9e0c977cfb7e36b7"),
         ],
         ids=["noisy", "ideal"],
@@ -601,20 +712,42 @@ class TestChunking:
     )
     def test_ideal_layout_matches_bit_oracle(self, seed, chunk, workers, data):
         # ideal trial i is bit i % 64, least significant first, of word
-        # i // 64 of column 0; at these chunk sizes a chunk, and a thread,
+        # i // 64 of the word stream; at these chunk sizes a chunk, and a thread,
         # can start inside a word
         n = data.draw(hst.integers(1, 3 * chunk + 129), label="n_trials")
         cfg = ProtocolConfig(n_trials=n, seed=seed, ideal=True)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(protocol, "_CHUNK", chunk)
             symbols = run_batch(cfg, workers=workers)[0].symbols.tolist()
-        words = [int(protocol._column_stream(seed, 0, k).random_raw()) for k in range(-(-n // 64))]
+        words = [int(protocol._word_stream(seed, k).random_raw()) for k in range(-(-n // 64))]
         assert symbols == [(words[i // 64] >> (i % 64)) & 1 for i in range(n)]
         # run_trial at every chunk edge, the first words' trials and a sample
         checked = set(range(min(n, 130))) | {n - 1} | {i for lo in range(chunk, n, chunk) for i in (lo - 1, lo)}
         checked |= set(data.draw(hst.lists(hst.integers(0, n - 1), max_size=16), label="sampled"))
         for i in sorted(checked):
             assert run_trial(cfg, TrialRandom(seed, i)).symbol == symbols[i], i
+
+    @pytest.mark.parametrize("chunk", [1000, 1 << 10, 1 << 15])
+    def test_undecided_rows_on_both_sides_of_a_thread_split(self, monkeypatch, chunk):
+        # 3 * chunk + 1234 trials, not a whole number of chunks: two threads
+        # split them at chunk 2, three at chunks 1 and 2, and undecided rows
+        # lie within a few trials on both sides of every split; every thread
+        # count, and chunk sizes whose splits fall elsewhere, give one output
+        monkeypatch.setattr(protocol, "_CHUNK", chunk)
+        n = 3 * chunk + 1234
+        cfg = ProtocolConfig(n_trials=n, seed=43)
+        words = protocol._word_stream(43, 0).random_raw(n)
+        _, (exact, _) = protocol._batch_symbols(words, protocol._WordBounds.of(cfg.noise), 0)
+        for split in (chunk, 2 * chunk):
+            assert np.any((exact[0] >= split - 64) & (exact[0] < split))
+            assert np.any((exact[0] >= split) & (exact[0] < split + 64))
+        reference = run_batch(cfg, workers=1)[0].symbols
+        for workers in (2, 3):
+            assert np.array_equal(run_batch(cfg, workers=workers)[0].symbols, reference), workers
+        monkeypatch.setattr(protocol, "_CHUNK", 1 << 14)
+        assert np.array_equal(run_batch(cfg, workers=2)[0].symbols, reference)
+        for i in exact[0][(exact[0] >= chunk - 64) & (exact[0] < 2 * chunk + 64)]:
+            assert int(run_trial(cfg, TrialRandom(43, int(i))).symbol) == reference[i], i
 
     def test_threads_capped_at_chunk_count(self, monkeypatch):
         requested = []
@@ -634,8 +767,8 @@ class TestChunking:
 
     def test_generation_holds_one_chunk_of_words_per_thread(self):
         # 1 B/trial of output and 1 B/trial of RawStream tallies, plus one
-        # chunk of raw words per thread and its temporaries; a chunk's words
-        # kept alive across the next draw would add a chunk per thread
+        # chunk of screen words per thread and its temporaries; a chunk's
+        # words kept alive across the next draw would add a chunk per thread
         n = 1 << 18
         cfg = ProtocolConfig(n_trials=n, seed=61)
         run_batch(cfg, workers=2)
@@ -645,7 +778,7 @@ class TestChunking:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        chunk_bytes = protocol._CHUNK * protocol._COLUMNS * 8  # one word of each column per trial
+        chunk_bytes = protocol._CHUNK * 8  # one screen word per trial
         temporaries = 2 * protocol._CHUNK * 8  # two 8-byte temporaries per trial of a chunk
         assert peak <= 2 * n + 2 * (chunk_bytes + temporaries)
 
@@ -655,7 +788,7 @@ class TestChunking:
         # held until its block is resolved. The threads run one after the
         # other, so the peak is one thread's block: doubling n (from one
         # block per thread to two) adds only the output and the RawStream
-        # tallies, 2 B/trial, not the held rows or their float temporaries
+        # tallies, 2 B/trial, not the held rows or their temporaries
         monkeypatch.setattr(protocol, "ThreadPoolExecutor", SerialPool)
         noise = NoiseParams(p_thermal_1=0.5, gate_amp_error=0.5)
         n = 2 * protocol._BLOCK * protocol._CHUNK
@@ -668,9 +801,9 @@ class TestChunking:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        chunk_bytes = protocol._CHUNK * protocol._COLUMNS * 8  # one word of each column per trial
-        assert peaks[0] > protocol._BLOCK * chunk_bytes * 3 // 4  # a block's columns 0-2 were held
-        assert peaks[1] - peaks[0] <= 2 * n + chunk_bytes // 4
+        row_bytes = 16  # a held row's trial index and screen word
+        assert peaks[0] > protocol._BLOCK * protocol._CHUNK * row_bytes  # a block's rows were held
+        assert peaks[1] - peaks[0] <= 2 * n + protocol._CHUNK * 2
 
 
 def reference_symbols(words, noise):
@@ -693,60 +826,69 @@ def reference_symbols(words, noise):
 
 
 def trial_words(seed, n):
-    """The uniforms u0-u7 of trials [0, n), one row per uniform, cut from the
-    words of the spawned columns in the half-word table's places."""
-    words = [spawned_column(seed, j).random_raw(n) for j in range(4)]
-    cut = [((w >> 32) * 2.0**-32, (w & TOP_HALF) * 2.0**-32) for w in words]
-    return np.stack([cut[j][h] for j, h in LAYOUT])
+    """The uniforms u0-u7 of trials [0, n), one row per uniform, cut by the
+    table from the spawned word stream's words and the refinement words
+    (whose vectorised SplitMix64 TestRefinement pins to the Python one)."""
+    index = np.arange(n)
+    words = [spawned_words(seed).random_raw(n)]
+    words += [protocol._refinement(spawned_key(seed), index, r) for r in range(3)]
+    rows = []
+    for fields in TABLE:
+        h = np.zeros(n, dtype=np.uint64)
+        for j, top, low in fields:
+            width = top - low + 1
+            h = (h << np.uint64(width)) | ((words[j] >> np.uint64(low)) & np.uint64((1 << width) - 1))
+        rows.append(h * 2.0**-32)
+    return np.stack(rows)
 
 
 # noise model keywords, and the SHA-256 of the 2^16 symbols run_batch writes for them at seed 52
 EARLY_DECISION_CONFIGS = {
-    "defaults": ({}, "ecb29edd2302ba694d56ac4316db5ebdf324de7d545a231554e9d2266ba296a8"),
-    "sigma-0.12": (dict(iq_sigma=0.12), "60d87f0cf03581592e0598d0173a7ee1f59db8c32f37bc11921477fec09dc38d"),
-    "sigma-0.36": (dict(iq_sigma=0.36), "3682516c338617b664c8f3c68fca13e6286589ef1bc38551125e661ac1413765"),
-    "sigma-1": (dict(iq_sigma=1.0), "944a87b47128afe3a23808345ff0bf782f5b0061cfd489a0790e0944132b17c1"),
-    "gate-0": (dict(gate_amp_error=0.0), "b9cf6a693215e6dfbb77387d1d283de7dfe314eb6af0605499cb006d17ff8abd"),
-    "gate-0.2": (dict(gate_amp_error=0.2), "6d89fc3cc10ce54ebc7bb14cbf138fec9c2e156e60a4be8b36bf014b85b10ac9"),
+    "defaults": ({}, "ab3c9319be33d9ffe81f9fd5b72122311b290766a1ce8dbb26590011f54bb764"),
+    "sigma-0.12": (dict(iq_sigma=0.12), "a728a439f93d5ad0b91b18556f734d3783731b825a398cb7bd0c42cfe8570797"),
+    "sigma-0.36": (dict(iq_sigma=0.36), "b51fe0ca744fbecdaaba80b1a124f0d01dbd1f4e1730f3ccb3bc2f3f4b58b3ef"),
+    "sigma-1": (dict(iq_sigma=1.0), "cb4070e3b37caf2618a831c15ea53e9410c7a11eca74efc60b6df86b1aec3e42"),
+    "gate-0": (dict(gate_amp_error=0.0), "34cf09a2518d195ba432461ae9451f00528f3897247f9f8545584a3071e404cb"),
+    "gate-0.2": (dict(gate_amp_error=0.2), "09a5074cc03351a4f7764113e6edd78c519e819be91f1eb12f0fc2871242dffd"),
     "thermal-0.3": (
         dict(p_thermal_1=0.3, p_thermal_2=0.3),
-        "98539eae49f6ec859453eba88e43aca1b96ee43fd80cf662af6c6b6976ad3f6a",
+        "cabc7ea24934cfd6c0d4079267c332cf9dc4f17e8dc038f5bd5254449e70d914",
     ),
     # the edges of the float64 domain NoiseParams accepts
     "coord-ceiling": (
         dict(iq_centers=((1e100, 0.0), (0.0, 1e100), (-1e100, 0.0)), iq_sigma=1e99),
-        "60d87f0cf03581592e0598d0173a7ee1f59db8c32f37bc11921477fec09dc38d",
+        "a728a439f93d5ad0b91b18556f734d3783731b825a398cb7bd0c42cfe8570797",
     ),
     "sigma-ceiling": (dict(iq_sigma=1e100), "de2f256064a0af797747c2b97505dc0b9f3df0de4f489eac731c23ae9ca9cc31"),
-    "gate-ceiling": (dict(gate_amp_error=1e100), "4c9300f3ac714585978558e8d2ba6e5d801fc170c64937540ed6ffa76aed1311"),
+    "gate-ceiling": (dict(gate_amp_error=1e100), "0a8fa4b987d9df1b8684225a017266e15b33031a4555ce99029a2388e0ad1dab"),
     "all-ceilings": (
         dict(iq_centers=((1e100, 0.0), (0.0, 1e100), (-1e100, 0.0)), iq_sigma=1e100, gate_amp_error=1e100),
-        "be4fb7d2e42f2a2156cc99e43dabc400d0af210297ba55296835d5f493711004",
+        "cd4df3f3ed4fa9d0198db99a76231de5a1ef9677b207170552ed8d4fe4b434d1",
     ),
     # half gaps of exactly 1e-100, and of exactly 1e-6 max|coord|
     "gap-floor": (
         dict(iq_centers=((1e-100, 0.0), (-1e-100, 0.0), (0.0, 1e-99)), iq_sigma=3e-101),
-        "fb56e80d067a6a5e89ebe0041e26be86eb96fbfc12cd7da01f2e36cc34759f94",
+        "834a272f3cb58f8090bdd8a3cdabc3c83c2292f67b577b81af4dd022f7427423",
     ),
     "gap-per-coord": (
         dict(iq_centers=((1e6, 0.0), (1e6 - 2.0, 0.0), (-1e6, 0.0)), iq_sigma=0.3),
-        "fb56e80d067a6a5e89ebe0041e26be86eb96fbfc12cd7da01f2e36cc34759f94",
+        "834a272f3cb58f8090bdd8a3cdabc3c83c2292f67b577b81af4dd022f7427423",
     ),
     # the ends of each word threshold in run_batch
-    "decay10-0": (dict(p_decay_10=0.0), "881c9d5ce23c9f2fde0c2ccfc44a1aab47d3b72b5605a3a5082022af05345033"),
-    "decay10-1": (dict(p_decay_10=1.0), "fe283c0309b7a2aba11bba09e8daee905060ff4169a8331a33dc1466b5ea206b"),
+    "decay10-0": (dict(p_decay_10=0.0), "4aaa9fe2c96a59231f9c9009a4035bc1293699233ca939942fba2d66b610361c"),
+    "decay10-1": (dict(p_decay_10=1.0), "5f3f16c2b039375dba02148d945281b94981e37f29c76ee6bcd5dcfcd348e6d1"),
     "decay21-1": (
         dict(p_decay_21=1.0, p_thermal_1=0.3, p_thermal_2=0.3),
-        "ba175d1ba0b02ff505fece8b1b0e78c8d9e077a10b0d9d3ec187e70c383581f4",
+        "ad9458f0c1e7e36baa3ee9e9cf3e5766a7b6b59e427e31b5877b9060252799fb",
     ),
     "thermal-0.999": (
         dict(p_thermal_1=0.5, p_thermal_2=0.499),
-        "e72f0a5e94b4e9328032a093ecce9056d6d5017757968ed48fc842d712e55f03",
+        "c917bf85b21282a35da61278b294073289fef5e053b5283d08ac3ef7449b5826",
     ),
     # the Born band at the radius cap holds [0, 1]
-    "band-covers-all": (dict(gate_amp_error=0.5), "42d0208870abce59c285af4080763c786106015bf52d0cb629520ba71163b540"),
+    "band-covers-all": (dict(gate_amp_error=0.5), "7b39fc6b1db4c03759c38c4bd7832e65ecedce6944dab96708d37cc5084de0e3"),
     # R / sigma overflows, so every level's bound is 1
-    "iq-bound-1": (dict(iq_sigma=5e-324), "60d87f0cf03581592e0598d0173a7ee1f59db8c32f37bc11921477fec09dc38d"),
+    "iq-bound-1": (dict(iq_sigma=5e-324), "a728a439f93d5ad0b91b18556f734d3783731b825a398cb7bd0c42cfe8570797"),
     # (R / sigma)^2 underflows
     "iq-bound-0": (
         dict(iq_centers=((1e-100, 0.0), (-1e-100, 0.0), (0.0, 1e-99)), iq_sigma=1e100),
@@ -795,68 +937,121 @@ class TestEarlyDecisions:
         assert np.array_equal(stream.symbols, reference_symbols(trial_words(seed, 4096), noise))
 
 
+    @settings(max_examples=100, deadline=None)
+    @given(name=hst.sampled_from(sorted(EARLY_DECISION_CONFIGS)), data=hst.data())
+    def test_decided_trials_ignore_refinement(self, name, data):
+        # a trial its screens decide gets the kernel's level from run_trial
+        # whatever its refinement words hold; screens are drawn at and
+        # beside each threshold as often as anywhere else
+        noise = NoiseParams(**EARLY_DECISION_CONFIGS[name][0])
+        bounds = protocol._WordBounds.of(noise)
+
+        def screen(bits, *cuts):
+            near = sorted({t + d for t in cuts for d in (-1, 0, 1)} & set(range(2**bits)))
+            return data.draw(hst.one_of(hst.sampled_from(near), hst.integers(0, 2**bits - 1)))
+
+        s0 = screen(8, bounds.thermal)
+        s1 = screen(8, protocol._CAP_SCREEN)
+        s3 = screen(16, *bounds.band, protocol._HALF_SCREEN)
+        s4 = screen(16, *bounds.decay_10)
+        s6 = screen(16, bounds.iq)
+        word = s3 << 48 | s4 << 32 | s6 << 16 | s0 << 8 | s1
+        levels, (exact, iq) = protocol._batch_symbols(np.array([word], dtype=np.uint64), bounds, 0)
+        edges = hst.sampled_from([0, 2**64 - 1])
+        refinement = data.draw(hst.lists(hst.one_of(edges, hst.integers(0, 2**64 - 1)), min_size=3, max_size=3))
+        record = run_trial(ProtocolConfig(n_trials=1, seed=0, noise=noise), WordsRandom([word, *refinement]))
+        if not exact[0].size:
+            assert record.true_level == levels[0]
+            if not iq[0].size:
+                assert record.symbol == levels[0]
+
+
 class ColumnSource:
-    """A ``_column_stream`` stand-in whose column stream j holds the raw
-    words ``columns[j]``, started at any trial."""
+    """A ``_word_stream`` stand-in whose word stream holds the raw words
+    ``words``, started at any word."""
 
-    def __init__(self, columns):
-        self._columns = np.array(columns, dtype=np.uint64)
+    def __init__(self, words):
+        self._words = np.array(words, dtype=np.uint64)
 
-    def __call__(self, seed, column, trial):
-        return ColumnWords(self._columns[column][trial:])
+    def __call__(self, seed, word):
+        return ColumnWords(self._words[word:])
 
 
 class ColumnWords:
-    """The unread words of one stand-in column stream."""
+    """The unread words of one stand-in word stream."""
 
     def __init__(self, words):
         self._words = words
 
     def random_raw(self, size=None):
         n = 1 if size is None else size
-        assert n <= self._words.size, "drew past the end of a stand-in column"
+        assert n <= self._words.size, "drew past the end of a stand-in word stream"
         words, self._words = self._words[:n], self._words[n:]
         return int(words[0]) if size is None else words
 
 
-def layout_row(halves):
-    """The four column words that hold the 32-bit halves of u0-u7 in the
-    half-word table's places."""
-    words = [0, 0, 0, 0]
-    for (j, h), half in zip(LAYOUT, halves):
-        words[j] |= half << (32 * (1 - h))
-    return words
+class RefinementSource:
+    """Stand-ins for ``_refinement`` and ``_splitmix64`` whose refinement
+    word r of trial i is ``rows[i][r]``, whatever the key."""
+
+    def __init__(self, rows):
+        self._rows = np.array(rows, dtype=np.uint64).reshape(-1, 3)
+
+    def vectorised(self, key, index, r):
+        return self._rows[index, r]
+
+    def python_ints(self, key, n):
+        return int(self._rows[n // 3, n % 3])
+
+
+class WordsRandom:
+    """A ``TrialRandom`` stand-in that serves the u0-u7 the table cuts from
+    one trial's screen and refinement words."""
+
+    def __init__(self, words):
+        self._u = np.array([cut(words, k) / 2**32 for k in range(8)])
+
+    def random(self, size):
+        assert size == 8
+        return self._u
 
 
 def tie_rows(base, k, threshold):
-    """Rows of column words for the halves ``base`` of u0-u7, with uniform k
-    at the halves threshold - 1 and threshold of a word threshold, and the
-    other half of its word at 0 and at 2^32 - 1."""
-    assert threshold % 2**32 == 0
-    column = LAYOUT[k][0]
-    partner = next(m for m in range(8) if m != k and LAYOUT[m][0] == column)
+    """Word rows for the 32-bit uniforms ``base``, with uniform k's screen at
+    threshold - 1 and at threshold of a screen threshold, its refinement
+    bits at 0 and at all ones, and the screen beside it in the screen word
+    at 0 and at its top, so a decision that reads a bit outside its screen
+    fails."""
+    bits = SCREEN_BITS[k]
+    beside = {3: 4, 4: 6, 6: 0, 0: 1, 1: 0}[k]  # the screen in the bits below uniform k's (above, for u1)
     rows = []
-    for h in ((threshold >> 32) - 1, threshold >> 32):
-        for other in (0, TOP_HALF):
-            if 0 <= h < 2**32:
-                halves = list(base)
-                halves[k], halves[partner] = h, other
-                rows.append(layout_row(halves))
+    for screen in (threshold - 1, threshold):
+        for rest in (0, 2 ** (32 - bits) - 1):
+            for neighbour in (0, TOP):
+                if 0 <= screen < 2**bits:
+                    h = list(base)
+                    h[k] = screen << (32 - bits) | rest
+                    h[beside] = neighbour
+                    rows.append(trial_row(h))
     return rows
 
 
 class TestWordTies:
-    """Every word threshold decides as the uniform test it stands for, also
-    at a tie: a row whose deciding half is T - 1 or T gets the symbol that
-    run_trial computes from the same words, whatever the other half of the
-    word holds."""
+    """Every screen threshold decides as the uniform test it stands for, also
+    at a tie: a row whose deciding screen is T - 1 or T gets the symbol that
+    run_trial computes from the same words, whatever the bits below the
+    screen hold."""
 
     @staticmethod
     def config(monkeypatch, rows, **cfg):
-        """A config of ``len(rows)`` trials whose column streams, for
-        ``run_batch`` and ``TrialRandom`` alike, hold the raw word rows
-        ``rows``: trial i reads row i."""
-        monkeypatch.setattr(protocol, "_column_stream", ColumnSource(np.array(rows, dtype=np.uint64).T))
+        """A config of ``len(rows)`` trials whose screen and refinement words,
+        for ``run_batch`` and ``TrialRandom`` alike, are the rows ``rows``:
+        trial i reads row i."""
+        rows = np.array(rows, dtype=np.uint64)
+        refinement = RefinementSource(rows[:, 1:])
+        monkeypatch.setattr(protocol, "_word_stream", ColumnSource(rows[:, 0]))
+        monkeypatch.setattr(protocol, "_refinement", refinement.vectorised)
+        monkeypatch.setattr(protocol, "_splitmix64", refinement.python_ints)
         return ProtocolConfig(n_trials=len(rows), seed=0, **cfg)
 
     def batch(self, monkeypatch, rows, **cfg):
@@ -872,35 +1067,52 @@ class TestWordTies:
             {},
             dict(gate_amp_error=0.0),
             dict(p_thermal_1=0.3, p_thermal_2=0.3, gate_amp_error=0.2, iq_sigma=0.36),
-            # thermal and decay thresholds 0 and 2^64, every IQ word but the top one early
+            # thermal and decay thresholds 0 and 2^32, every IQ screen but the top one early
             dict(p_thermal_1=0.0, p_thermal_2=0.0, p_decay_10=1.0, iq_sigma=5e-324),
-            # decay threshold 0, a Born band of [0, 2^64)
+            # decay threshold 0, a Born band of every u3 screen
             dict(p_decay_10=0.0, gate_amp_error=0.5),
+            # an IQ bound of 6.4 cells, so the cell at the bound reaches past
+            # the half gap: 50 sqrt(-2 ln(1 - 7 / 2^16)) = 0.73 > sqrt(2) / 2
+            dict(iq_sigma=50.0),
         ],
-        ids=["defaults", "gate-0", "wide", "p-0-1", "decay-0-band-all"],
+        ids=["defaults", "gate-0", "wide", "p-0-1", "decay-0-band-all", "iq-cell"],
     )
     def test_noisy_thresholds(self, monkeypatch, kw):
         noise = NoiseParams(**kw)
         bounds = protocol._WordBounds.of(noise)
         lo, hi = bounds.band
-        # halves of u0-u7: a ground start, no gate error, u3 = 3/4, no
+        # 32-bit uniforms u0-u7: a ground start, no gate error, u3 = 3/4, no
         # relaxation and no IQ noise is level 1; u3 = 1/4 makes it level 0,
-        # and a start in level 2 (u0 just below p_thermal_1 + p_thermal_2) level 2
-        level1 = [TOP_HALF, 0, 0, 3 << 30, TOP_HALF, TOP_HALF, 0, 0]
+        # and a start in level 2 (u0 = 0, below p_thermal_1 + p_thermal_2) level 2
+        level1 = [TOP, 0, 0, 3 << 30, TOP, TOP, 0, 0]
         level0 = level1[:3] + [1 << 30] + level1[4:]
-        level2 = [max((bounds.thermal >> 32) - 1, 0)] + level1[1:]
+        level2 = [0] + level1[1:]
+        # the largest capped radius at gate angle pi puts c^2 above 1/2 and
+        # at angle 0 below it, so u3 just outside the band, above or below,
+        # is decided by a margin of one cell; past the cap it is not
+        rim = (protocol._CAP_SCREEN << 24) - 1
+        above = [TOP, rim, 1 << 31, min(hi, 2**16 - 1) << 16, TOP, TOP, 0, 0]
+        below = [TOP, rim, 0, (max(lo, 1) << 16) - 1, TOP, TOP, 0, 0]
+        # a gate error of 1 (radius 2, 1e-9 above, at angle 0) turns the
+        # rotation by pi, so c^2 is about 1e-18 and a u3 anywhere in cell 0
+        # but its first value is level 1
+        flipped = [TOP, math.ceil(-math.expm1(-2.0) * 2**32), 0, 0, TOP, TOP, 0, 0]
         cases = {
             "thermal": tie_rows(level1, 0, bounds.thermal),
-            "radius-cap": tie_rows(level1, 1, protocol._RADIUS_CAP_WORD),
-            "band-lo": tie_rows(level1, 3, lo),
-            "half": tie_rows(level1, 3, protocol._HALF_WORD),
-            "band-hi": tie_rows(level1, 3, hi),
-            "decay_10": tie_rows(level1, 4, bounds.decay_10),
+            "radius-cap": tie_rows(above, 1, protocol._CAP_SCREEN) + tie_rows(below, 1, protocol._CAP_SCREEN),
+            "band-lo": tie_rows(level1, 3, lo) + tie_rows(below, 3, lo) + tie_rows(flipped, 3, lo),
+            "half": tie_rows(level1, 3, protocol._HALF_SCREEN),
+            "band-hi": tie_rows(level1, 3, hi) + tie_rows(above, 3, hi),
+            "decay_10-lo": tie_rows(level1, 4, bounds.decay_10[0]),
+            "decay_10-hi": tie_rows(level1, 4, bounds.decay_10[1]),
         }
+        # IQ noise at angle 0 and toward each other centre of the defaults
         for level, base in enumerate((level0, level1, level2)):
-            cases[f"iq-{level}"] = tie_rows(base, 6, bounds.iq)
-        if bounds.thermal:  # with no thermal start there is no level-2 row
-            cfg = self.config(monkeypatch, [layout_row(h) for h in (level0, level1, level2)], noise=noise)
+            cases[f"iq-{level}"] = [
+                row for eighth in (0, 1, 3, 5, 7) for row in tie_rows(base[:7] + [eighth << 29], 6, bounds.iq)
+            ]
+        if noise.p_thermal_1 + noise.p_thermal_2:  # with no thermal start there is no level-2 row
+            cfg = self.config(monkeypatch, [trial_row(h) for h in (level0, level1, level2)], noise=noise)
             assert [run_trial(cfg, TrialRandom(0, i)).true_level for i in range(3)] == [0, 1, 2]
         for name, rows in cases.items():
             assert rows, name
@@ -912,26 +1124,27 @@ class TestWordTies:
         # level 0 even at the largest u3, 1 - 2^-32: its p2 is 0, so it is
         # never drawn as level 2, and its p0 is 1
         noise = NoiseParams(gate_amp_error=0.5)
-        radius_2 = protocol._word_threshold(-math.expm1(-2.0)) >> 32  # Box-Muller radius 2 (1e-9 above)
-        row = layout_row([TOP_HALF, radius_2, 1 << 31, TOP_HALF, TOP_HALF, TOP_HALF, 0, 0])  # cos(2 pi u2) = -1
+        radius_2 = math.ceil(-math.expm1(-2.0) * 2**32)  # Box-Muller radius 2 (1e-9 above)
+        row = trial_row([TOP, radius_2, 1 << 31, TOP, TOP, TOP, 0, 0])  # cos(2 pi u2) = -1
         assert self.batch(monkeypatch, [row], noise=noise) == ([0], [0])
 
     def test_block_without_undecided_rows(self, monkeypatch):
         # a ground start, no gate error, u3 = 3/4, no relaxation and no IQ
-        # noise is decided on its words, so its block resolves no row
+        # noise is decided on its screens, so its block computes no
+        # refinement word and resolves no row
         def fail(*args):
-            raise AssertionError("an exact or IQ step ran on a block with no undecided row")
+            raise AssertionError("a refinement word, exact or IQ step ran on a block with no undecided row")
 
-        monkeypatch.setattr(protocol, "_born_levels", fail)
-        monkeypatch.setattr(protocol, "synth_iq", fail)
-        cfg = self.config(monkeypatch, [layout_row([TOP_HALF, 0, 0, 3 << 30, TOP_HALF, TOP_HALF, 0, 0])])
+        cfg = self.config(monkeypatch, [trial_row([TOP, 0, 0, 3 << 30, TOP, TOP, 0, 0])])
+        for name in ("_refinement", "_born_levels", "synth_iq"):
+            monkeypatch.setattr(protocol, name, fail)
         assert run_batch(cfg)[0].symbols.tolist() == [1]
 
     def test_ideal_bit_order(self, monkeypatch):
-        # column 0 holds the top bit of word 0 and the bottom bit of word 1,
+        # the word stream holds the top bit of word 0 and the bottom bit of word 1,
         # so trials 63 and 64 alone are 1; a most-significant-first order or
         # an off-by-one word would set others
-        monkeypatch.setattr(protocol, "_column_stream", ColumnSource([[1 << 63, 1, 0]]))
+        monkeypatch.setattr(protocol, "_word_stream", ColumnSource([1 << 63, 1, 0]))
         cfg = ProtocolConfig(n_trials=192, seed=0, ideal=True)
         expected = [int(i in (63, 64)) for i in range(192)]
         assert run_batch(cfg)[0].symbols.tolist() == expected

@@ -3,15 +3,19 @@ tests miss?
 
 For each ``<``, ``<=``, ``>`` and ``>=`` in ``src/ksqrng/<module>.py``, one at
 a time, the script flips the operator's strictness (``<`` and ``<=``, ``>``
-and ``>=``) in a temporary copy of ``src/`` and ``tests/``, runs the module's
-test files there with ``pytest -x`` and counts the mutant killed when they
-fail. A flip is keyed "<module>.py: <function>: <mutant>" by the innermost
-``def`` that holds it. It prints every survivor and the counts, and exits 1
-when a survivor is not in ``tools/equivalent_mutants.txt``, the survivors
-accepted as changing no output, or when an entry there names more than one
-flip of its module. The checkout is never edited. It uses the standard
-library only, and takes minutes, so it is not part of Tier-1; CI runs it on
-every module as a job of its own.
+and ``>=``) in a temporary copy of ``src/`` and ``tests/`` and runs the
+module's test files there with ``pytest -x``. A flaky test would count a
+mutant killed that no test detects, so the unmutated tests run twice first,
+and the module is not surveyed unless both runs pass; and a mutant counts
+as killed only when the test node that failed, rerun alone on the mutant,
+fails again. That node is printed beside the kill. A flip is keyed
+"<module>.py: <function>: <mutant>" by the innermost ``def`` that holds it.
+It prints every survivor and the counts, and exits 1 when a survivor is not
+in ``tools/equivalent_mutants.txt``, the survivors accepted as changing no
+output, or when an entry there names more than one flip of its module. The
+checkout is never edited. It uses the standard library only, and takes
+minutes, so it is not part of Tier-1; CI runs it on every module as a job
+of its own.
 
     python tools/mutants.py protocol readout extract bits formats certify config cli qutrit stats primality
 """
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import json
 import os
 import re
 import shutil
@@ -105,23 +110,27 @@ def accepted() -> dict[str, str]:
     return out
 
 
-def run_tests(workdir: Path, tests: list[str], timeout: float | None) -> tuple[bool, float]:
-    """Run the test files in ``workdir``; return (passed, seconds)."""
+def run_tests(workdir: Path, tests: list[str], timeout: float | None) -> tuple[int | None, list[str], float]:
+    """Run the test files or nodes ``tests`` in ``workdir``; return pytest's
+    exit code (None when the run timed out), the failing nodes, from
+    pytest's last-failed cache, cleared before each run, and the seconds."""
     env = {**os.environ, "PYTHONPATH": str(workdir / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "-o", "addopts="]
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "--cache-clear", "-o", "addopts="]
     t0 = time.perf_counter()
     try:
-        done = subprocess.run(
-            cmd + [f"tests/{t}" for t in tests], cwd=workdir, env=env, capture_output=True, timeout=timeout
-        )
+        done = subprocess.run(cmd + tests, cwd=workdir, env=env, capture_output=True, timeout=timeout)
     except subprocess.TimeoutExpired:
-        return False, time.perf_counter() - t0
-    return done.returncode == 0, time.perf_counter() - t0
+        return None, [], time.perf_counter() - t0
+    seconds = time.perf_counter() - t0
+    lastfailed = workdir / ".pytest_cache" / "v" / "cache" / "lastfailed"
+    nodes = sorted(json.loads(lastfailed.read_text())) if done.returncode and lastfailed.exists() else []
+    return done.returncode, nodes, seconds
 
 
 def survey(module: str, tests: list[str]) -> tuple[int, list[str]]:
     """Run every mutant of ``module``; return the count and the survivors'
-    keys."""
+    keys. Exits before any mutant runs unless the unmutated tests pass
+    twice."""
     with tempfile.TemporaryDirectory(prefix="ksqrng-mutants-") as tmp:
         workdir = Path(tmp)
         for name in ("src", "tests"):
@@ -130,17 +139,31 @@ def survey(module: str, tests: list[str]) -> tuple[int, list[str]]:
             shutil.copy2(ROOT / name, workdir / name)
         path = workdir / "src" / "ksqrng" / f"{module}.py"
         source = path.read_bytes()
-        passed, seconds = run_tests(workdir, tests, None)
-        if not passed:
-            sys.exit(f"{module}: the unmutated tests {tests} fail; fix them before counting mutants")
+        files = [f"tests/{t}" for t in tests]
+        seconds = 0.0
+        for attempt in (1, 2):
+            code, nodes, took = run_tests(workdir, files, None)
+            if code != 0:
+                sys.exit(f"{module}: unmutated run {attempt} of {tests} failed at {nodes or code}; fix or steady them first")
+            seconds = max(seconds, took)
+        timeout = 10 * seconds + 60
         found = mutants(source)
         survivors = []
         for k, m in enumerate(found, 1):
             path.write_bytes(source[: m.start] + m.flipped + source[m.end :])
-            killed = not run_tests(workdir, tests, 10 * seconds + 60)[0]
-            print(f"  [{k}/{len(found)}] {'killed' if killed else 'SURVIVED'} line {m.line}: {m.text}", flush=True)
-            if not killed:
+            code, nodes, _ = run_tests(workdir, files, timeout)
+            if code is None:
+                verdict = "killed (timed out)"
+            elif nodes and run_tests(workdir, nodes[:1], timeout)[0] != 0:
+                verdict = f"killed by {nodes[0]}"
+            else:
                 survivors.append(m.key(module))
+                verdict = "SURVIVED"
+                if nodes:
+                    verdict += f" ({nodes[0]} failed, then passed alone)"
+                elif code:
+                    verdict += f" (pytest exit code {code} without a failing node)"
+            print(f"  [{k}/{len(found)}] {verdict} line {m.line}: {m.text}", flush=True)
     return len(found), survivors
 
 
