@@ -7,6 +7,14 @@ ones, approximate entropy) and bucketed zero-frequency analysis. Each SP
 p >= 0.01. Tests fed less data than they support report not-applicable
 rather than a made-up p-value. ``scipy.special`` is imported inside the
 tests that need it, so importing the package (and the CLI) does not load it.
+
+The costly kernels read the stream packed least significant bit first
+(``np.packbits(..., bitorder="little")``), not one byte per bit: block and
+bucket one-counts are SWAR popcounts of each block's packed words, the
+longest run is ``hi`` shift-AND passes over each block's words, and the
+approximate-entropy window counts are reshape-sums of bincounts of at most
+(m+8)-bit values read at byte strides. They count the same integers as the
+byte-per-bit formulas, so every statistic is the same double.
 """
 
 from __future__ import annotations
@@ -20,7 +28,14 @@ from .bits import BitStream
 from .errors import ValidationError
 
 ALPHA = 0.01
-_COUNT_SLICE = 1 << 16  # window codes per bincount: 512 KiB once widened to int64
+_U64 = np.uint64
+# SWAR popcount masks (bits, bit pairs, nibbles) and the byte-sum multiplier
+_M1, _M2, _M4, _H01 = (
+    _U64(0x5555555555555555),
+    _U64(0x3333333333333333),
+    _U64(0x0F0F0F0F0F0F0F0F),
+    _U64(0x0101010101010101),
+)
 
 # (minimum stream length, block length, chi-square dof, run-length class
 # bounds, reference class probabilities) per SP 800-22 longest-run regimes
@@ -69,6 +84,29 @@ def _not_applicable(name: str, note: str) -> TestResult:
     )
 
 
+def _row_words(stream: BitStream, size: int, n_rows: int, spare: int = 0) -> np.ndarray:
+    """The first ``n_rows * size`` bits as ``n_rows`` rows of uint64 words:
+    bit j of a row is bit j % 64 of its word j // 64, each row zero-padded to
+    whole words and followed by ``spare`` zero words."""
+    rows = np.packbits(stream.bits[: n_rows * size].reshape(n_rows, size), axis=1, bitorder="little")
+    words = np.zeros((n_rows, 8 * (-(-size // 64) + spare)), dtype=np.uint8)
+    words[:, : rows.shape[1]] = rows
+    return words.view("<u8")
+
+
+def _ones_per_row(stream: BitStream, size: int, n_rows: int) -> np.ndarray:
+    """Number of ones in each of the first ``n_rows`` ``size``-bit blocks,
+    by a SWAR popcount of the packed words."""
+    x = _row_words(stream, size, n_rows)
+    x = x - ((x >> _U64(1)) & _M1)
+    x = (x & _M2) + ((x >> _U64(2)) & _M2)
+    x += x >> _U64(4)
+    x &= _M4
+    x *= _H01
+    x >>= _U64(56)
+    return x.sum(axis=1)
+
+
 def entropy_per_byte(stream: BitStream) -> float:
     """Shannon entropy of the empirical distribution of non-overlapping
     bytes, in bits per byte. Trailing bits short of a full byte are ignored."""
@@ -105,7 +143,7 @@ def block_frequency(stream: BitStream, block_size: int = 128) -> TestResult:
         return _not_applicable("block_frequency", f"needs at least {block_size} bits")
     from scipy.special import gammaincc
 
-    pi = stream.bits[: n_blocks * block_size].reshape(n_blocks, block_size).mean(axis=1)
+    pi = _ones_per_row(stream, block_size, n_blocks) / block_size
     chi2 = 4.0 * block_size * float(np.sum((pi - 0.5) ** 2))
     p = float(gammaincc(n_blocks / 2.0, chi2 / 2.0))
     return TestResult("block_frequency", chi2, p, p >= ALPHA)
@@ -132,6 +170,23 @@ def runs(stream: BitStream) -> TestResult:
     return TestResult("runs", float(v_obs), p, p >= ALPHA)
 
 
+def _longest_runs(stream: BitStream, size: int, n_blocks: int, hi: int) -> np.ndarray:
+    """min(longest run of ones, hi) in each of the first ``n_blocks``
+    ``size``-bit blocks.
+
+    After pass j (from 0) bit i of a row is set when its bits i..i+j are all
+    ones, so ``longest`` counts the lengths 1..hi some run reaches. A shift
+    carries bit 0 of the next word into bit 63, and a row's zero padding and
+    spare word end a run at the row's end."""
+    rows = _row_words(stream, size, n_blocks, spare=1)
+    run = rows.ravel()
+    longest = np.zeros(n_blocks, dtype=np.int64)
+    for _ in range(hi):
+        longest += rows.any(axis=1)
+        run[:-1] &= (run[:-1] >> _U64(1)) | (run[1:] << _U64(63))
+    return longest
+
+
 def longest_run_of_ones(stream: BitStream) -> TestResult:
     """Longest-run-of-ones test with the standard block-size regimes."""
     n = len(stream)
@@ -143,14 +198,7 @@ def longest_run_of_ones(stream: BitStream) -> TestResult:
         if n >= min_n:
             break
     n_blocks = n // m
-    # in pass j (from 1) run[:, i] is true when bits i..i+j-1 are all ones, so
-    # ``longest`` counts the lengths 1..hi some run reaches: min(longest run, hi)
-    run = stream.bits[: n_blocks * m].reshape(n_blocks, m).astype(bool)
-    longest = np.zeros(n_blocks, dtype=np.int64)
-    for _ in range(hi):
-        longest += run.any(axis=1)
-        run = run[:, 1:] & run[:, :-1]
-    classes = np.maximum(longest, lo) - lo
+    classes = np.maximum(_longest_runs(stream, m, n_blocks, hi), lo) - lo
     nu = np.bincount(classes, minlength=k + 1)
     expected = n_blocks * np.asarray(ref)
     chi2 = float(np.sum((nu - expected) ** 2 / expected))
@@ -161,6 +209,52 @@ def longest_run_of_ones(stream: BitStream) -> TestResult:
 def _phi(counts: np.ndarray, n: int) -> float:
     freqs = counts[counts > 0] / n
     return float(np.sum(freqs * np.log(freqs)))
+
+
+def _window_counts(stream: BitStream, m: int) -> np.ndarray:
+    """Counts of the n circular (m+1)-bit windows, indexed by the window
+    read most significant bit first.
+
+    The windows that start at bit 8j + s and end inside the stream come from
+    one bincount per offset s = 0, w, 2w, ... below 8, where w = min(8,
+    max(1, 18 - m)) holds a histogram to 2^max(18, m+1) bins: value j is
+    bits 8j+s .. 8j+s+m+u-1 (u = min(w, 8 - s)) of the packed stream,
+    read least significant bit first from an int64 at byte j, and holds u
+    windows; summing the histogram over the bits outside a window counts
+    that window. The last windows, the m circular ones among them, are
+    counted directly."""
+    n = len(stream)
+    n_codes = 2 << m
+    counts = np.zeros(n_codes, dtype=np.int64)
+    packed = np.packbits(stream.bits, bitorder="little")
+    # a window that starts in these bytes ends inside the stream, and the
+    # int64 read at each ends inside ``packed``
+    n_bytes = min((n - m) // 8, packed.size - 7)
+    words = np.ndarray((n_bytes,), dtype="<i8", buffer=packed, strides=(1,))
+    step = min(8, max(1, 18 - m))
+    for s in range(0, 8, step):
+        u = min(step, 8 - s)
+        values = words >> s
+        values &= (1 << (m + u)) - 1
+        hist = np.bincount(values, minlength=1 << (m + u))
+        del values  # before the histogram's halvings allocate
+        for _ in range(u):
+            # the window is the low m+1 bits of a histogram whose lowest
+            # bits are summed out one at a time
+            counts += hist.reshape(-1, n_codes).sum(axis=0)
+            hist = hist[0::2] + hist[1::2]
+    tail = np.concatenate([stream.bits[8 * n_bytes :], stream.bits[:m]]).astype(np.int64)
+    k = n - 8 * n_bytes
+    codes = np.zeros(k, dtype=np.int64)
+    for j in range(m + 1):
+        codes |= tail[j : j + k] << j
+    counts += np.bincount(codes, minlength=n_codes)
+    # reversing a code's m+1 bits turns its first bit into the most significant
+    index = np.arange(n_codes)
+    reverse = np.zeros(n_codes, dtype=np.int64)
+    for j in range(m + 1):
+        reverse |= ((index >> j) & 1) << (m - j)
+    return counts[reverse]
 
 
 def approximate_entropy(stream: BitStream, m: int = 10) -> TestResult:
@@ -175,16 +269,8 @@ def approximate_entropy(stream: BitStream, m: int = 10) -> TestResult:
         )
     from scipy.special import gammaincc
 
-    # circular (m+1)-bit window codes; an m-bit count sums its two extensions
-    aug = np.concatenate([stream.bits, stream.bits[:m]])
-    codes = np.zeros(n, dtype=np.min_scalar_type((2 << m) - 1))
-    for j in range(m + 1):
-        codes <<= 1
-        codes |= aug[j : j + n]
-    # bincount widens its input to int64, so count in slices, not all at once
-    counts = np.zeros(2 << m, dtype=np.int64)
-    for lo in range(0, n, _COUNT_SLICE):
-        counts += np.bincount(codes[lo : lo + _COUNT_SLICE], minlength=2 << m)
+    counts = _window_counts(stream, m)
+    # an m-bit count sums its two (m+1)-bit extensions
     ap_en = _phi(counts.reshape(-1, 2).sum(axis=1), n) - _phi(counts, n)
     chi2 = 2.0 * n * (math.log(2.0) - ap_en)
     p = float(gammaincc(float(1 << (m - 1)), chi2 / 2.0))
@@ -215,8 +301,7 @@ def bucket_frequency(stream: BitStream, bucket_size: int) -> BucketStats:
         raise ValidationError(
             f"need at least one complete bucket of {bucket_size} bits, have {len(stream)}"
         )
-    buckets = stream.bits[: n_buckets * bucket_size].reshape(n_buckets, bucket_size)
-    zero_freq = 1.0 - buckets.mean(axis=1)
+    zero_freq = 1.0 - _ones_per_row(stream, bucket_size, n_buckets) / bucket_size
     stddev = float(zero_freq.std(ddof=1)) if n_buckets > 1 else 0.0
     return BucketStats(
         mean=float(zero_freq.mean()),

@@ -1,10 +1,14 @@
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 from scipy.special import gammaincc
 
+from ksqrng import stats
 from ksqrng.bits import BitStream, random_bits
 from ksqrng.errors import ValidationError
 from ksqrng.stats import (
@@ -19,6 +23,43 @@ from ksqrng.stats import (
     nist_subset,
     runs,
 )
+
+# sources fair, biased to ones (long runs) and nearly constant
+P_ONES = hst.sampled_from([0.5, 0.8, 0.97])
+SEEDS = hst.integers(0, 2**32 - 1)
+
+
+def biased_bits(seed, n, p_one):
+    return BitStream((np.random.default_rng(seed).random(n) < p_one).astype(np.uint8))
+
+
+def rows(bits, size):
+    n_rows = len(bits) // size
+    return bits.bits[: n_rows * size].reshape(n_rows, size)
+
+
+def shift_or_counts(bits, m):
+    """Circular (m+1)-bit window counts, each window read most significant
+    bit first, built one code per bit by shift-or and counted by bincount."""
+    n = len(bits)
+    aug = np.concatenate([bits.bits, bits.bits[:m]])
+    codes = np.zeros(n, dtype=np.min_scalar_type((2 << m) - 1))
+    for j in range(m + 1):
+        codes <<= 1
+        codes |= aug[j : j + n]
+    return np.bincount(codes, minlength=2 << m)
+
+
+def longest_run_loop(bits, size, hi):
+    """min(longest run of ones, hi) of each whole block, one bit at a time."""
+    out = []
+    for row in rows(bits, size).tolist():
+        best = cur = 0
+        for v in row:
+            cur = cur + 1 if v else 0
+            best = max(best, cur)
+        out.append(min(best, hi))
+    return out
 
 
 class TestEntropy:
@@ -98,6 +139,49 @@ class TestBlockFrequency:
         assert math.isnan(result.p_value)
 
 
+class TestUnpackedFormulas:
+    """Statistics equal their formulas on one byte per bit, with ``==``."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(n=hst.integers(1, 5000), block_size=hst.integers(1, 700), seed=SEEDS, p_one=P_ONES)
+    def test_block_frequency(self, n, block_size, seed, p_one):
+        bits = biased_bits(seed, n, p_one)
+        result = block_frequency(bits, block_size)
+        if n < block_size:
+            assert not result.applicable
+            return
+        pi = rows(bits, block_size).mean(axis=1)
+        assert result.statistic == 4.0 * block_size * float(np.sum((pi - 0.5) ** 2))
+
+    @settings(deadline=None, max_examples=60)
+    @given(n=hst.integers(1, 5000), bucket_size=hst.integers(1, 700), seed=SEEDS, p_one=P_ONES)
+    def test_bucket_frequency(self, n, bucket_size, seed, p_one):
+        bits = biased_bits(seed, n, p_one)
+        if n < bucket_size:
+            return
+        zero_freq = 1.0 - rows(bits, bucket_size).mean(axis=1)
+        result = bucket_frequency(bits, bucket_size)
+        assert result.mean == float(zero_freq.mean())
+        assert result.stddev == (float(zero_freq.std(ddof=1)) if zero_freq.size > 1 else 0.0)
+
+    @settings(deadline=None, max_examples=60)
+    @given(n=hst.integers(2, 5000), seed=SEEDS, p_one=P_ONES)
+    def test_runs(self, n, seed, p_one):
+        bits = biased_bits(seed, n, p_one)
+        result = runs(bits)
+        if result.note:
+            assert result.p_value == 0.0
+            return
+        assert result.statistic == float(1 + np.count_nonzero(bits.bits[1:] != bits.bits[:-1]))
+
+    @settings(deadline=None, max_examples=60)
+    @given(n=hst.integers(1, 5000), seed=SEEDS, p_one=P_ONES)
+    def test_monobit(self, n, seed, p_one):
+        bits = biased_bits(seed, n, p_one)
+        ones = int(bits.bits.sum())
+        assert monobit(bits).statistic == abs(2 * ones - n) / math.sqrt(n)
+
+
 class TestRuns:
     def test_worked_example(self):
         result = runs(BitStream([1, 0, 0, 1, 1, 0, 1, 0, 1, 1]))
@@ -170,6 +254,49 @@ class TestLongestRun:
         result = longest_run_of_ones(BitStream([1] * 10_000))
         assert not result.passed
 
+    @settings(deadline=None, max_examples=60)
+    @given(
+        regime=hst.sampled_from(stats._LONGEST_RUN_REGIMES),
+        n_blocks=hst.integers(1, 6),
+        seed=SEEDS,
+        p_one=P_ONES,
+    )
+    def test_regime_classes_match_loop(self, regime, n_blocks, seed, p_one):
+        _, size, _, (_, hi), _ = regime
+        bits = biased_bits(seed, n_blocks * size + seed % size, p_one)
+        assert stats._longest_runs(bits, size, n_blocks, hi).tolist() == longest_run_loop(bits, size, hi)
+
+    @settings(deadline=None, max_examples=100)
+    @given(size=hst.integers(1, 300), n_blocks=hst.integers(1, 8), hi=hst.integers(1, 140), seed=SEEDS, p_one=P_ONES)
+    def test_runs_across_words_match_loop(self, size, n_blocks, hi, seed, p_one):
+        # runs longer than a word, and blocks of any length
+        bits = biased_bits(seed, n_blocks * size, p_one)
+        assert stats._longest_runs(bits, size, n_blocks, hi).tolist() == longest_run_loop(bits, size, hi)
+
+    @pytest.mark.parametrize("n", [128, 6272, 750_000])
+    @pytest.mark.parametrize("p_one", [0.5, 0.97])
+    def test_statistic_equals_loop_chi_square(self, n, p_one):
+        bits = biased_bits(n, n, p_one)
+        _, size, k, (lo, hi), ref = next(r for r in reversed(stats._LONGEST_RUN_REGIMES) if n >= r[0])
+        nu = np.bincount(np.maximum(longest_run_loop(bits, size, hi), lo) - lo, minlength=k + 1)
+        expected = (n // size) * np.asarray(ref)
+        assert longest_run_of_ones(bits).statistic == float(np.sum((nu - expected) ** 2 / expected))
+
+    def test_allocates_at_most_one_byte_per_bit(self):
+        # the packed block rows, their padded words and one pass's shifted
+        # words, about 0.5 B/bit at 10^4-bit blocks; a bool copy of the
+        # blocks and one shifted AND of it took 2 B/bit
+        n = 1 << 20
+        bits = random_bits(7, n)
+        tracemalloc.start()
+        try:
+            result = longest_run_of_ones(bits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.applicable
+        assert peak <= n
+
 
 class TestApproximateEntropy:
     def test_matches_bruteforce_oracle(self):
@@ -209,6 +336,15 @@ class TestApproximateEntropy:
             tracemalloc.stop()
         assert result.applicable
         assert peak <= 4 * n
+
+    @settings(deadline=None, max_examples=60)
+    @given(m=hst.integers(1, 17), extra=hst.integers(0, 4095), seed=SEEDS, p_one=P_ONES)
+    @example(m=16, extra=0, seed=1, p_one=0.5)  # the applicability edge
+    @example(m=17, extra=7, seed=2, p_one=0.97)  # one window per value
+    def test_window_counts_match_shift_or(self, m, extra, seed, p_one):
+        # n = 2^(m+5) + extra: the applicability edge and every residue mod 8
+        bits = biased_bits(seed, (1 << (m + 5)) + extra, p_one)
+        assert np.array_equal(stats._window_counts(bits, m), shift_or_counts(bits, m))
 
     def test_not_applicable_when_short(self):
         assert not approximate_entropy(random_bits(1, 1000), m=10).applicable
@@ -319,6 +455,32 @@ class TestStatsReport:
         report = build_stats_report(random_bits(3, 1000), bucket_size=1000)
         assert report.bucket is not None
         assert report.bucket.n_buckets == 1
+
+    def test_calls_each_timed_test_once(self, monkeypatch):
+        # perfbench/run.py times these seven names and reports a span that
+        # never fires as 0 s, so a kernel that bypassed one would look free
+        names = (
+            "entropy_per_byte",
+            "monobit",
+            "block_frequency",
+            "runs",
+            "longest_run_of_ones",
+            "approximate_entropy",
+            "bucket_frequency",
+        )
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in names:
+            monkeypatch.setattr(stats, name, counting(name, getattr(stats, name)))
+        stats.build_stats_report(random_bits(3, 1 << 16), bucket_size=1 << 14)
+        assert calls == Counter(names)
 
     def test_bucket_skipped_when_small(self):
         report = build_stats_report(random_bits(3, 1000), bucket_size=999302)
