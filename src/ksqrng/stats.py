@@ -8,12 +8,12 @@ p >= 0.01. Tests fed less data than they support report not-applicable
 rather than a made-up p-value. ``scipy.special`` is imported inside the
 tests that need it, so importing the package (and the CLI) does not load it.
 
-The costly kernels read the stream packed least significant bit first
-(``np.packbits(..., bitorder="little")``), not one byte per bit: block and
-bucket one-counts are SWAR popcounts of each block's packed words, the
-longest run is ``hi`` shift-AND passes over each block's words, and the
-approximate-entropy window counts are reshape-sums of bincounts of at most
-(m+8)-bit values read at byte strides. They count the same integers as the
+The costly kernels read the stream packed eight bits to a byte
+(``np.packbits``), not one byte per bit: block and bucket one-counts are
+SWAR popcounts of each block's packed words, the longest run is ``hi``
+shift-AND passes over each block's words, and the approximate-entropy
+window counts are reshape-sums of bincounts of at most (m+8)-bit values
+read at byte strides. They count the same integers as the
 byte-per-bit formulas, so every statistic is the same double.
 """
 
@@ -212,49 +212,43 @@ def _phi(counts: np.ndarray, n: int) -> float:
 
 
 def _window_counts(stream: BitStream, m: int) -> np.ndarray:
-    """Counts of the n circular (m+1)-bit windows, indexed by the window
-    read most significant bit first.
+    """Counts of the n circular (m+1)-bit windows, each read most
+    significant bit first.
 
     The windows that start at bit 8j + s and end inside the stream come from
     one bincount per offset s = 0, w, 2w, ... below 8, where w = min(8,
     max(1, 18 - m)) holds a histogram to 2^max(18, m+1) bins: value j is
-    bits 8j+s .. 8j+s+m+u-1 (u = min(w, 8 - s)) of the packed stream,
-    read least significant bit first from an int64 at byte j, and holds u
-    windows; summing the histogram over the bits outside a window counts
-    that window. The last windows, the m circular ones among them, are
-    counted directly."""
+    bits 8j+s .. 8j+s+m+u-1 (u = min(w, 8 - s)) of the packed stream, read
+    from a big-endian int64 at byte j, and holds u windows; summing the
+    histogram over the bits outside a window counts that window. The last
+    windows, the m circular ones among them, are counted directly."""
     n = len(stream)
     n_codes = 2 << m
     counts = np.zeros(n_codes, dtype=np.int64)
-    packed = np.packbits(stream.bits, bitorder="little")
+    packed = np.packbits(stream.bits)
     # a window that starts in these bytes ends inside the stream, and the
     # int64 read at each ends inside ``packed``
     n_bytes = min((n - m) // 8, packed.size - 7)
-    words = np.ndarray((n_bytes,), dtype="<i8", buffer=packed, strides=(1,))
+    words = np.ndarray((n_bytes,), dtype=">i8", buffer=packed, strides=(1,))
     step = min(8, max(1, 18 - m))
     for s in range(0, 8, step):
         u = min(step, 8 - s)
-        values = words >> s
+        values = words >> (64 - s - m - u)
         values &= (1 << (m + u)) - 1
         hist = np.bincount(values, minlength=1 << (m + u))
         del values  # before the histogram's halvings allocate
         for _ in range(u):
-            # the window is the low m+1 bits of a histogram whose lowest
-            # bits are summed out one at a time
+            # a window is the low m+1 bits of the histogram's index once the
+            # bits below it are summed out, one halving at a time
             counts += hist.reshape(-1, n_codes).sum(axis=0)
             hist = hist[0::2] + hist[1::2]
-    tail = np.concatenate([stream.bits[8 * n_bytes :], stream.bits[:m]]).astype(np.int64)
+    tail = np.concatenate([stream.bits[8 * n_bytes :], stream.bits[:m]])
     k = n - 8 * n_bytes
     codes = np.zeros(k, dtype=np.int64)
     for j in range(m + 1):
-        codes |= tail[j : j + k] << j
-    counts += np.bincount(codes, minlength=n_codes)
-    # reversing a code's m+1 bits turns its first bit into the most significant
-    index = np.arange(n_codes)
-    reverse = np.zeros(n_codes, dtype=np.int64)
-    for j in range(m + 1):
-        reverse |= ((index >> j) & 1) << (m - j)
-    return counts[reverse]
+        codes <<= 1
+        codes |= tail[j : j + k]
+    return counts + np.bincount(codes, minlength=n_codes)
 
 
 def approximate_entropy(stream: BitStream, m: int = 10) -> TestResult:
