@@ -1,6 +1,7 @@
 """Symbol and bit streams: the ternary outcome trace with its frequencies,
-binary bit sequences and the simulated unbiased bit source, with the seed
-and integer checks every seeded entry point shares."""
+binary bit sequences packed eight bits to a byte in the bit file's body
+layout, and the simulated unbiased bit source, with the seed and integer
+checks every seeded entry point shares."""
 
 from __future__ import annotations
 
@@ -30,16 +31,14 @@ def _check_seed(seed: int) -> int:
 
 def small_uints(values, top: int, what: str) -> tuple[np.ndarray, int]:
     """``values``, integers or bools in [0, top], checked before the cast to a
-    read-only 1-D uint8 array, and their maximum (0 when there are none); a
-    uint8 array costs one pass and no copy."""
+    1-D uint8 array, and their maximum (0 when there are none); a uint8
+    array costs one pass and no copy."""
     arr = np.asarray(values)
     kind = arr.dtype.kind
     high = int(arr.max()) if arr.ndim == 1 and arr.size and kind in "biu" else 0
     if arr.ndim != 1 or arr.size and (kind not in "biu" or high > top or (kind == "i" and arr.min() < 0)):
         raise ValidationError(f"{what} must be 1-D integers in [0, {top}], got {arr.dtype} of shape {arr.shape}")
-    arr = arr.astype(np.uint8, copy=False)
-    arr.setflags(write=False)
-    return arr, high
+    return arr.astype(np.uint8, copy=False), high
 
 
 class RawStream:
@@ -49,6 +48,7 @@ class RawStream:
 
     def __init__(self, symbols):
         arr, high = small_uints(symbols, 2, "symbol trace")
+        arr.setflags(write=False)
         self.symbols = arr
         # count_nonzero of a uint8 array needs no temporary; only a trace
         # that holds a discard (its maximum is 2) pays for a comparison
@@ -110,30 +110,54 @@ class Outcomes:
 
 
 class BitStream:
-    """Immutable sequence of bits stored one per byte (values 0/1)."""
+    """Immutable sequence of bits in the bit file's body layout: ``packed``
+    holds them eight to a byte, least significant bit first, with zero
+    padding in the final byte. ``BitStream(bits)`` packs a 0/1 sequence."""
 
-    __slots__ = ("bits",)
+    __slots__ = ("packed", "_n")
 
     def __init__(self, bits):
-        self.bits = small_uints(bits, 1, "bit sequence")[0]
+        arr = small_uints(bits, 1, "bit sequence")[0]
+        self._set(np.packbits(arr, bitorder="little"), arr.size)
+
+    @classmethod
+    def from_packed(cls, packed: np.ndarray, n_bits: int) -> BitStream:
+        """The stream held by ``packed``, a uint8 array of exactly
+        ceil(n_bits / 8) bytes with zero padding; neither is checked."""
+        stream = cls.__new__(cls)
+        stream._set(packed, n_bits)
+        return stream
+
+    def _set(self, packed: np.ndarray, n_bits: int) -> None:
+        packed.setflags(write=False)
+        self.packed = packed
+        self._n = n_bits
+
+    @property
+    def bits(self) -> np.ndarray:
+        """A fresh copy of the bits unpacked, one 0/1 uint8 each."""
+        return np.unpackbits(self.packed, count=self._n, bitorder="little")
 
     def __len__(self):
-        return self.bits.size
+        return self._n
 
     def __eq__(self, other):
-        return isinstance(other, BitStream) and np.array_equal(self.bits, other.bits)
+        # zero padding makes equal streams equal bytes
+        return isinstance(other, BitStream) and self._n == other._n and np.array_equal(self.packed, other.packed)
 
     def __repr__(self):
         return f"BitStream(length={len(self)})"
 
 
 def random_bits(seed: int, n_bits: int) -> BitStream:
-    """Seeded unbiased bit source (counter-based generator, byte expanded)."""
+    """Seeded unbiased bit source: ceil(n_bits / 8) counter-based generator
+    bytes, the bits past ``n_bits`` in the final one cleared."""
     seed = _check_seed(seed)
     n_bits = _integer(n_bits, "n_bits")
     if n_bits < 0:
         raise ValidationError("n_bits must be nonnegative")
     gen = np.random.Generator(np.random.Philox(key=seed))
-    n_bytes = (n_bits + 7) // 8
-    raw = np.frombuffer(gen.bytes(n_bytes), dtype=np.uint8)
-    return BitStream(np.unpackbits(raw, bitorder="little")[:n_bits])
+    raw = np.frombuffer(bytearray(gen.bytes((n_bits + 7) // 8)), dtype=np.uint8)
+    if n_bits % 8:
+        raw[-1] &= (1 << n_bits % 8) - 1
+    return BitStream.from_packed(raw, n_bits)

@@ -198,10 +198,13 @@ _COMMANDS = {
 }
 
 
+# built once per process: parsing keeps no state between calls
+_PARSER = _build_parser()
+
+
 def run_cli(argv) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -8,6 +8,11 @@ Bit file:     magic "KSQBITS1" | u64-LE bit count | packed bits,
 Report file:  UTF-8 text, one ``key = value`` line per entry in insertion
               order, ``true``/``false`` booleans, shortest round-trip floats
 
+A bit file's body is a :class:`BitStream`'s own layout: ``write_bits``
+writes the stream's packed bytes as they are, and ``read_bits`` returns a
+stream that views the bytes it read, checking only the final byte's
+padding.
+
 Writes are atomic (write to a temporary file, then rename); reads raise a
 :class:`FormatError` subclass for any malformed file.
 """
@@ -76,31 +81,32 @@ def _check_body(size: int, expected: int, kind: str, unit: str) -> None:
 
 
 def pack_bits(stream: BitStream) -> bytes:
-    """Pack bits LSB-first into ceil(n/8) bytes, zero padding at the end."""
-    return np.packbits(stream.bits, bitorder="little").tobytes()
+    """The stream's packed bytes: LSB-first, ceil(n/8) bytes, zero padding."""
+    return stream.packed.tobytes()
 
 
-def unpack_bits(body: bytes, n_bits: int) -> BitStream:
-    """Inverse of :func:`pack_bits` given the bit count. Checks the body
-    length and that all padding bits are zero."""
+def unpack_bits(body, n_bits: int) -> BitStream:
+    """Inverse of :func:`pack_bits` given the bit count: a view of ``body``
+    (bytes or a uint8 array), not a copy. Checks the body length and that
+    the padding bits of the final byte are zero."""
     if n_bits < 0:
         raise FormatError("negative bit count")
-    _check_body(len(body), (n_bits + 7) // 8, "bit", f"bytes for {n_bits} bits")
-    unpacked = np.unpackbits(np.frombuffer(body, dtype=np.uint8), bitorder="little")
-    if np.any(unpacked[n_bits:]):
+    body = np.frombuffer(body, dtype=np.uint8)
+    _check_body(body.size, (n_bits + 7) // 8, "bit", f"bytes for {n_bits} bits")
+    if n_bits % 8 and body[-1] >> n_bits % 8:
         raise NonzeroPaddingError("padding bits in the final byte are not zero")
-    return BitStream(unpacked[:n_bits])
+    return BitStream.from_packed(body, n_bits)
 
 
 def write_bits(stream: BitStream, path) -> None:
     header = BITS_MAGIC + struct.pack("<Q", len(stream))
-    atomic_write(path, header, pack_bits(stream))
+    atomic_write(path, header, stream.packed)
 
 
 def read_bits(path) -> BitStream:
     data = _read_file(path, BITS_MAGIC, 16, "bit")
     (n_bits,) = struct.unpack("<Q", data[8:16])
-    return unpack_bits(data[16:], n_bits)
+    return unpack_bits(memoryview(data)[16:], n_bits)
 
 
 def write_trace(stream: RawStream, path) -> None:

@@ -40,11 +40,12 @@ class BitSource:
     """Sequential reader over a BitStream with consumption accounting.
 
     ``take(k)`` returns the next k bits as an integer, first bit drawn as
-    the most significant.
+    the most significant, read from the stream's packed bytes.
     """
 
     def __init__(self, stream: BitStream):
-        self._bits = stream.bits
+        self._packed = stream.packed
+        self._n = len(stream)
         self._pos = 0
 
     @property
@@ -53,16 +54,18 @@ class BitSource:
 
     @property
     def bits_remaining(self) -> int:
-        return self._bits.size - self._pos
+        return self._n - self._pos
 
     def take(self, k: int) -> int:
         if k < 0:
             raise ValidationError("cannot take a negative number of bits")
-        if self._pos + k > self._bits.size:
+        if self._pos + k > self._n:
             raise BitSourceExhaustedError(f"bit source exhausted: wanted {k} bits, {self.bits_remaining} left")
-        value = 0
-        for b in self._bits[self._pos : self._pos + k]:
-            value = (value << 1) | int(b)
+        pos = self._pos
+        skip = pos % 8
+        chunk = np.unpackbits(self._packed[pos // 8 : (pos + k + 7) // 8], bitorder="little")
+        # repacked most significant bit first, the k bits end in -k % 8 zeros
+        value = int.from_bytes(np.packbits(chunk[skip : skip + k]).tobytes(), "big") >> -k % 8
         self._pos += k
         return value
 

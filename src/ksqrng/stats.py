@@ -8,13 +8,17 @@ p >= 0.01. Tests fed less data than they support report not-applicable
 rather than a made-up p-value. ``scipy.special`` is imported inside the
 tests that need it, so importing the package (and the CLI) does not load it.
 
-The costly kernels read the stream packed eight bits to a byte
-(``np.packbits``), not one byte per bit: block and bucket one-counts are
-SWAR popcounts of each block's packed words, the longest run is ``hi``
-shift-AND passes over each block's words, and the approximate-entropy
-window counts are reshape-sums of bincounts of at most (m+8)-bit values
-read at byte strides. They count the same integers as the
-byte-per-bit formulas, so every statistic is the same double.
+Every kernel reads the stream's packed bytes (eight bits to a byte, least
+significant first) or uint64 words of them, never one byte per bit: the
+entropy is a bincount of the bytes; monobit, runs and the block and bucket
+one-counts are ``np.bitwise_count`` popcounts of words (runs of each word
+XORed with itself shifted by one bit, block counts as differences of
+running counts at the block edges); the longest run is ``hi`` shift-AND
+passes over each block's words; and the approximate-entropy window counts
+are reshape-sums of bincounts of at most (m+8)-bit values read at byte
+strides. They count the same integers as the byte-per-bit formulas, and
+sum the same doubles in the same order, so every statistic is the same
+double.
 """
 
 from __future__ import annotations
@@ -29,13 +33,6 @@ from .errors import ValidationError
 
 ALPHA = 0.01
 _U64 = np.uint64
-# SWAR popcount masks (bits, bit pairs, nibbles) and the byte-sum multiplier
-_M1, _M2, _M4, _H01 = (
-    _U64(0x5555555555555555),
-    _U64(0x3333333333333333),
-    _U64(0x0F0F0F0F0F0F0F0F),
-    _U64(0x0101010101010101),
-)
 
 # (minimum stream length, block length, chi-square dof, run-length class
 # bounds, reference class probabilities) per SP 800-22 longest-run regimes
@@ -84,27 +81,71 @@ def _not_applicable(name: str, note: str) -> TestResult:
     )
 
 
-def _row_words(stream: BitStream, size: int, n_rows: int, spare: int = 0) -> np.ndarray:
-    """The first ``n_rows * size`` bits as ``n_rows`` rows of uint64 words:
-    bit j of a row is bit j % 64 of its word j // 64, each row zero-padded to
-    whole words and followed by ``spare`` zero words."""
-    rows = np.packbits(stream.bits[: n_rows * size].reshape(n_rows, size), axis=1, bitorder="little")
-    words = np.zeros((n_rows, 8 * (-(-size // 64) + spare)), dtype=np.uint8)
-    words[:, : rows.shape[1]] = rows
-    return words.view("<u8")
+def _words(stream: BitStream) -> np.ndarray:
+    """The packed stream as uint64 words, bit j in bit j % 64 of word
+    j // 64, zero-padded to whole words and followed by one zero word."""
+    packed = stream.packed
+    words = np.zeros(-(-packed.size // 8) + 1, dtype="<u8")
+    words.view(np.uint8)[: packed.size] = packed
+    return words
+
+
+def _row_words(stream: BitStream, size: int, n_rows: int) -> np.ndarray:
+    """The first ``n_rows * size`` bits as ``n_rows`` rows of uint64 words,
+    one row per column: bit j of row r is bit j % 64 of word [j // 64, r],
+    each row zero-padded to whole words and followed by one zero word.
+
+    Word i of row r holds the 64 bits from bit r * size + 64 i: when size
+    is a multiple of 64 that is a stream word, and otherwise a funnel shift
+    of the two stream words it straddles, gathered for every row at once.
+    With the rows along the last axis every step runs over all of them,
+    however short a row is."""
+    k = -(-size // 64)
+    words = _words(stream)
+    rows = np.zeros((k + 1, n_rows), dtype=_U64)
+    if size % 64 == 0:
+        rows[:k] = words[: n_rows * k].reshape(n_rows, k).T
+        return rows
+    starts = np.arange(n_rows, dtype=np.int64) * size
+    at = np.arange(k)[:, None] + (starts >> 6)
+    shift = (starts & 63).astype(_U64)
+    low = words.take(at)
+    low >>= shift
+    # the next word's bits above the shift, without a shift by 64
+    high = words[1:].take(at)
+    high <<= _U64(1)
+    high <<= _U64(63) - shift
+    np.bitwise_or(low, high, out=rows[:k])
+    rows[k - 1] &= _U64((1 << size % 64) - 1)
+    return rows
+
+
+def _ones(words: np.ndarray) -> int:
+    """Number of ones in ``words``, by a popcount."""
+    return int(np.bitwise_count(words).sum())
+
+
+def _transitions(words: np.ndarray, n: int) -> int:
+    """Number of bits that differ from the next one among the first ``n``
+    (at least one) bits held in ``words``, which are zero past them."""
+    # bit j of x is bit j xor bit j + 1; past the stream both are zero, so
+    # only the last bit's xor with the padding is not a transition
+    x = words[:-1] ^ (words[:-1] >> _U64(1) | words[1:] << _U64(63))
+    last = int(words[(n - 1) >> 6]) >> (n - 1) % 64 & 1
+    return _ones(x) - last
 
 
 def _ones_per_row(stream: BitStream, size: int, n_rows: int) -> np.ndarray:
-    """Number of ones in each of the first ``n_rows`` ``size``-bit blocks,
-    by a SWAR popcount of the packed words."""
-    x = _row_words(stream, size, n_rows)
-    x = x - ((x >> _U64(1)) & _M1)
-    x = (x & _M2) + ((x >> _U64(2)) & _M2)
-    x += x >> _U64(4)
-    x &= _M4
-    x *= _H01
-    x >>= _U64(56)
-    return x.sum(axis=1)
+    """Number of ones in each of the first ``n_rows`` ``size``-bit blocks:
+    the differences of the ones before each block edge, read from running
+    word popcounts plus the popcount of the edge word's bits below it."""
+    words = _words(stream)
+    ahead = np.zeros(words.size + 1, dtype=np.int64)  # ones before word i
+    np.cumsum(np.bitwise_count(words), dtype=np.int64, out=ahead[1:])
+    edges = np.arange(n_rows + 1, dtype=np.int64) * size
+    at = edges >> 6
+    below = (_U64(1) << (edges & 63).astype(_U64)) - _U64(1)
+    return np.diff(ahead[at] + np.bitwise_count(words[at] & below))
 
 
 def entropy_per_byte(stream: BitStream) -> float:
@@ -114,8 +155,7 @@ def entropy_per_byte(stream: BitStream) -> float:
     if n < 8:
         raise ValidationError("entropy per byte needs at least 8 bits")
     n_bytes = n // 8
-    byte_vals = np.packbits(stream.bits[: n_bytes * 8], bitorder="little")
-    counts = np.bincount(byte_vals, minlength=256)
+    counts = np.bincount(stream.packed[:n_bytes], minlength=256)
     freqs = counts[counts > 0] / n_bytes
     return float(-np.sum(freqs * np.log2(freqs)))
 
@@ -127,7 +167,7 @@ def monobit(stream: BitStream) -> TestResult:
         return _not_applicable("monobit", "empty stream")
     from scipy.special import erfc
 
-    ones = int(np.count_nonzero(stream.bits))
+    ones = _ones(_words(stream))
     s_obs = abs(2 * ones - n) / math.sqrt(n)
     p = float(erfc(s_obs / math.sqrt(2.0)))
     return TestResult("monobit", s_obs, p, p >= ALPHA)
@@ -159,11 +199,11 @@ def runs(stream: BitStream) -> TestResult:
         return _not_applicable("runs", "needs at least 2 bits")
     from scipy.special import erfc
 
-    bits = stream.bits
-    pi = float(np.count_nonzero(bits)) / n
+    words = _words(stream)
+    pi = float(_ones(words)) / n
     if abs(pi - 0.5) >= 2.0 / math.sqrt(n) or pi in (0.0, 1.0):
         return TestResult("runs", float("nan"), 0.0, False, note="one-fraction precondition failed")
-    v_obs = 1 + int(np.count_nonzero(bits[1:] != bits[:-1]))
+    v_obs = 1 + _transitions(words, n)
     num = abs(v_obs - 2.0 * n * pi * (1.0 - pi))
     den = 2.0 * math.sqrt(2.0 * n) * pi * (1.0 - pi)
     p = float(erfc(num / den))
@@ -176,14 +216,19 @@ def _longest_runs(stream: BitStream, size: int, n_blocks: int, hi: int) -> np.nd
 
     After pass j (from 0) bit i of a row is set when its bits i..i+j are all
     ones, so ``longest`` counts the lengths 1..hi some run reaches. A shift
-    carries bit 0 of the next word into bit 63, and a row's zero padding and
-    spare word end a run at the row's end."""
-    rows = _row_words(stream, size, n_blocks, spare=1)
-    run = rows.ravel()
+    carries bit 0 of the row's next word into bit 63, and a row's zero
+    padding and spare word end a run at the row's end. Each pass writes
+    into the same two buffers."""
+    rows = _row_words(stream, size, n_blocks)
+    now, after = rows[:-1], rows[1:]
+    shifted, carry = np.empty_like(now), np.empty_like(now)
     longest = np.zeros(n_blocks, dtype=np.int64)
     for _ in range(hi):
-        longest += rows.any(axis=1)
-        run[:-1] &= (run[:-1] >> _U64(1)) | (run[1:] << _U64(63))
+        longest += rows.any(axis=0)
+        np.right_shift(now, _U64(1), out=shifted)
+        np.left_shift(after, _U64(63), out=carry)
+        shifted |= carry
+        now &= shifted
     return longest
 
 
@@ -218,22 +263,25 @@ def _window_counts(stream: BitStream, m: int) -> np.ndarray:
     The windows that start at bit 8j + s and end inside the stream come from
     one bincount per offset s = 0, w, 2w, ... below 8, where w = min(8,
     max(1, 18 - m)) holds a histogram to 2^max(18, m+1) bins: value j is
-    bits 8j+s .. 8j+s+m+u-1 (u = min(w, 8 - s)) of the packed stream, read
-    from a big-endian int64 at byte j, and holds u windows; summing the
-    histogram over the bits outside a window counts that window. The last
-    windows, the m circular ones among them, are counted directly."""
+    bits 8j+s .. 8j+s+m+u-1 (u = min(w, 8 - s)) of the packed stream, first
+    bit least significant, read from a little-endian int64 at byte j, and
+    holds u windows; summing the histogram over the bits outside a window
+    counts that window. The last windows, the m circular ones among them,
+    are counted directly. Every window is counted at its code read least
+    significant bit first, and the counts are then put in most significant
+    first order, the order in which :func:`_phi` sums them."""
     n = len(stream)
     n_codes = 2 << m
     counts = np.zeros(n_codes, dtype=np.int64)
-    packed = np.packbits(stream.bits)
+    packed = stream.packed
     # a window that starts in these bytes ends inside the stream, and the
     # int64 read at each ends inside ``packed``
     n_bytes = min((n - m) // 8, packed.size - 7)
-    words = np.ndarray((n_bytes,), dtype=">i8", buffer=packed, strides=(1,))
+    words = np.ndarray((n_bytes,), dtype="<i8", buffer=packed, strides=(1,))
     step = min(8, max(1, 18 - m))
     for s in range(0, 8, step):
         u = min(step, 8 - s)
-        values = words >> (64 - s - m - u)
+        values = words >> s
         values &= (1 << (m + u)) - 1
         hist = np.bincount(values, minlength=1 << (m + u))
         del values  # before the histogram's halvings allocate
@@ -242,13 +290,18 @@ def _window_counts(stream: BitStream, m: int) -> np.ndarray:
             # bits below it are summed out, one halving at a time
             counts += hist.reshape(-1, n_codes).sum(axis=0)
             hist = hist[0::2] + hist[1::2]
-    tail = np.concatenate([stream.bits[8 * n_bytes :], stream.bits[:m]])
     k = n - 8 * n_bytes
+    last = np.unpackbits(packed[n_bytes:], count=k, bitorder="little")
+    tail = np.r_[last, np.unpackbits(packed, count=m, bitorder="little")].astype(np.int64)
     codes = np.zeros(k, dtype=np.int64)
     for j in range(m + 1):
-        codes <<= 1
-        codes |= tail[j : j + k]
-    return counts + np.bincount(codes, minlength=n_codes)
+        codes |= tail[j : j + k] << j
+    counts += np.bincount(codes, minlength=n_codes)
+    index = np.arange(n_codes)
+    reversed_index = np.zeros(n_codes, dtype=np.int64)
+    for j in range(m + 1):
+        reversed_index |= (index >> j & 1) << (m - j)
+    return counts[reversed_index]
 
 
 def approximate_entropy(stream: BitStream, m: int = 10) -> TestResult:

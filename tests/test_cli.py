@@ -356,6 +356,39 @@ class TestUsage:
         assert exc.value.code == code
         capsys.readouterr()
 
+    def test_one_parser_serves_every_call(self, tmp_path, capsys, monkeypatch):
+        # one process's run of calls, a usage error and --help among them,
+        # gives the exit codes, output and files of a fresh process per call
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to it
+        config = tmp_path / "run.cfg"
+        config.write_text("trials = 20000\nseed = 9\n")
+        write_bits(random_bits(3, 5000), tmp_path / "in.bits")
+
+        def calls(out):
+            out.mkdir()
+            return [
+                ["generate", "--config", str(config), "--out", str(out / "a.trace"), "--report", str(out / "gen.rpt")],
+                ["stats", "--in", str(tmp_path / "in.bits"), "--bucket", "0"],
+                ["generate", "--config", str(config)],
+                ["stats", "--in", str(tmp_path / "in.bits"), "--bucket", "1000", "--report", str(out / "stats.rpt")],
+                ["--help"],
+            ]
+
+        shared = []
+        for argv in calls(tmp_path / "shared"):
+            shared.append((run_cli(argv), *capsys.readouterr()))
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        fresh = []
+        for argv in calls(tmp_path / "fresh"):
+            done = subprocess.run([sys.executable, "-m", "ksqrng", *argv], env=env, capture_output=True, text=True)
+            fresh.append((done.returncode, done.stdout, done.stderr))
+        assert [call[0] for call in shared] == [0, 2, 2, 0, 0]
+        assert shared == fresh
+        files = sorted(path.name for path in (tmp_path / "shared").iterdir())
+        assert files == ["a.trace", "gen.rpt", "stats.rpt"]
+        for name in files:
+            assert (tmp_path / "shared" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+
 
 class TestFullPipelineDeterminism:
     def test_report_bytes_stable_end_to_end(self, tmp_path):

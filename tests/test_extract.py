@@ -141,8 +141,9 @@ class TestVonNeumann:
         # a non-contiguous view: every third bit of a longer array, over
         # several blocks, with a trailing unpaired bit
         whole = np.random.default_rng(12).integers(0, 2, 3 * (2 * BLOCK_BITS + 3), dtype=np.uint8)
-        stream = BitStream(whole[1::3])
-        assert not stream.bits.flags.c_contiguous
+        view = whole[1::3]
+        assert not view.flags.c_contiguous
+        stream = BitStream(view)
         assert len(stream) % 2 == 1
         assert von_neumann_extract(stream).bits.tolist() == pair_loop(stream.bits.tolist())
 
@@ -198,11 +199,18 @@ class TestToBits:
     def test_all_discards(self):
         assert len(to_bits(RawStream(np.array([2, 2], dtype=np.uint8)))) == 0
 
-    def test_trace_without_discards_is_not_copied(self):
-        stream = RawStream(np.array([0, 1, 1, 0, 1], dtype=np.uint8))
-        bits = to_bits(stream).bits
-        assert np.shares_memory(bits, stream.symbols)
-        assert bits.tolist() == [0, 1, 1, 0, 1]
+    def test_trace_without_discards_allocates_only_the_packed_bits(self):
+        # one byte per eight symbols; a byte-per-bit copy would take n
+        n = 1 << 20
+        stream = RawStream(np.random.default_rng(3).integers(0, 2, n, dtype=np.uint8))
+        tracemalloc.start()
+        try:
+            bits = to_bits(stream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= n // 8 + (1 << 16)
+        assert np.array_equal(bits.bits, stream.symbols)
 
     def test_trace_with_discards_is_copied(self):
         stream = RawStream(np.array([0, 1, 2, 0], dtype=np.uint8))

@@ -110,6 +110,20 @@ class TestBitFile:
         write_bits(BitStream([0, 1, 1]), path)
         assert list(read_bits(path).bits) == [0, 1, 1]
 
+    def test_read_bits_allocates_only_the_file(self, tmp_path):
+        # the stream views the file's bytes; unpacking them took 8 bytes
+        # per byte of the file
+        path = tmp_path / "big.bits"
+        write_bits(random_bits(8, (1 << 23) + 5), path)
+        tracemalloc.start()
+        try:
+            stream = read_bits(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= path.stat().st_size + (1 << 16)
+        assert stream == random_bits(8, (1 << 23) + 5)
+
 
 class TestTraceFile:
     def test_round_trip_large(self, tmp_path):

@@ -93,9 +93,18 @@ class TestStreamValues:
         assert repr(stream_type([0, 1, top])) == expected[stream_type]
 
     def test_uint8_input_is_not_copied(self, stream_type, top):
-        values = np.zeros(4, dtype=np.uint8)
-        stream = stream_type(values)
-        assert (stream.symbols if stream_type is RawStream else stream.bits) is values
+        # a RawStream holds the array itself; a BitStream packs it straight
+        # into its n/8 bytes, with no byte-per-bit copy on the way
+        values = np.zeros(1 << 20, dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            stream = stream_type(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= values.size // 8 + (1 << 16)
+        if stream_type is RawStream:
+            assert stream.symbols is values
 
 
 class TestConfig:
