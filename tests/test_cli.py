@@ -390,6 +390,83 @@ class TestUsage:
             assert (tmp_path / "shared" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
 
 
+BIASED_STATS_REPORT = """\
+report = stats
+n_bits = 1000
+entropy_bits_per_byte = 5.855304285058291
+test.monobit.applicable = true
+test.monobit.statistic = 12.83884730028362
+test.monobit.p_value = 9.934260056552911e-38
+test.monobit.pass = false
+test.block_frequency.applicable = true
+test.block_frequency.statistic = 152.0
+test.block_frequency.p_value = 1.5431491022103078e-29
+test.block_frequency.pass = false
+test.runs.applicable = true
+test.runs.statistic = nan
+test.runs.p_value = 0.0
+test.runs.pass = false
+test.runs.note = one-fraction precondition failed
+test.longest_run_of_ones.applicable = true
+test.longest_run_of_ones.statistic = 109.06465082522357
+test.longest_run_of_ones.p_value = 1.7443060017119245e-23
+test.longest_run_of_ones.pass = false
+test.approximate_entropy.applicable = false
+test.approximate_entropy.statistic = nan
+test.approximate_entropy.p_value = nan
+test.approximate_entropy.pass = false
+test.approximate_entropy.note = needs at least 2^15 bits for m=10
+bucket.size = 999302
+bucket.applicable = false
+"""
+
+ODD_EXTRACT_REPORT = """\
+report = extract
+input_bits = 7
+pairs = 3
+accepted_pairs = 2
+dropped_trailing_bit = true
+output_bits = 2
+realized_yield = 0.2857142857142857
+input_zero_fraction = 0.42857142857142855
+expected_yield = 0.24489795918367344
+"""
+
+DISCARD_EXTRACT_REPORT = """\
+report = extract
+input_bits = 0
+pairs = 0
+accepted_pairs = 0
+dropped_trailing_bit = false
+output_bits = 0
+realized_yield = 0.0
+input_zero_fraction = nan
+expected_yield = nan
+"""
+
+
+class TestReportBytes:
+    # the report lines that no digest in test_digests.py covers: notes, a
+    # missing bucket, an odd binary count and a trace with no binary symbol
+    def test_biased_stats_report(self, tmp_path):
+        bits = np.random.default_rng(7).random(1000) < 0.7
+        write_bits(BitStream(bits.astype(np.uint8)), tmp_path / "b.bits")
+        report = tmp_path / "s.rpt"
+        assert run_cli(["stats", "--in", str(tmp_path / "b.bits"), "--report", str(report)]) == 0
+        assert report.read_bytes() == BIASED_STATS_REPORT.encode()
+
+    @pytest.mark.parametrize(
+        "symbols, expected",
+        [([0, 2, 1, 1, 0, 1, 2, 1, 0], ODD_EXTRACT_REPORT), ([2, 2, 2], DISCARD_EXTRACT_REPORT)],
+        ids=["odd", "all-discard"],
+    )
+    def test_extract_report(self, tmp_path, symbols, expected):
+        trace, report = tmp_path / "t.trace", tmp_path / "e.rpt"
+        write_trace(RawStream(np.array(symbols, dtype=np.uint8)), trace)
+        assert run_cli(["extract", "--in", str(trace), "--out", str(tmp_path / "o.bits"), "--report", str(report)]) == 0
+        assert report.read_bytes() == expected.encode()
+
+
 class TestFullPipelineDeterminism:
     def test_report_bytes_stable_end_to_end(self, tmp_path):
         config = tmp_path / "p.cfg"

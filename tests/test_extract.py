@@ -148,10 +148,11 @@ class TestVonNeumann:
         assert von_neumann_extract(stream).bits.tolist() == pair_loop(stream.bits.tolist())
 
     def test_peak_is_output_plus_one_block(self):
-        # the output and every block's laid-out output bytes (an eighth of
-        # the output), then per block its packed words, table lookups and
-        # fields; a whole-stream pass would hold the packed stream or its
-        # fields beside the output
+        # the output words at one bit per input pair (n / 16 bytes), the
+        # copy of their used bytes, then per block its table lookups and
+        # fields (about 1.3 bytes per pair); a whole-stream pass would hold
+        # a copy of the packed stream (n / 8 bytes) or its fields beside
+        # the output
         bits = np.random.default_rng(13).integers(0, 2, 1 << 22, dtype=np.uint8)
         stream = BitStream(bits)
         tracemalloc.start()
@@ -160,7 +161,7 @@ class TestVonNeumann:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= len(out) + 9 * extract._BLOCK_PAIRS + (1 << 16)
+        assert peak <= len(stream) // 16 + len(out) // 8 + 2 * extract._BLOCK_PAIRS + (1 << 16)
 
     def test_not_idempotent(self):
         rng = np.random.default_rng(2)
