@@ -37,6 +37,11 @@ class CertificationReport(Outcomes):
     certified_fraction_raw: float
     certified_fraction_final: float
 
+    def entries(self):
+        """The ``certify`` report's ``(key, value)`` lines."""
+        yield "report", "certify"
+        yield from asdict(self).items()
+
 
 def estimate_overlaps(p0: float, p1: float) -> tuple[float, float]:
     """Overlap estimates (sqrt(p0), sqrt(p1)) from outcome frequencies."""

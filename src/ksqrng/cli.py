@@ -1,5 +1,8 @@
 """Command-line pipeline: generate -> certify -> extract -> stats -> consume-ss.
 
+A subcommand calls the library, writes its output file and emits the
+``entries()`` of the report dataclass it got; ``--gate`` reads its fields.
+
 Exit codes: 0 success, 1 analysis failure (a --gate check did not hold, or
 the bit supply ran out mid-analysis), 2 usage or configuration error, or
 the run did not fit in memory, 3 I/O or file-parse error.
@@ -14,7 +17,6 @@ import sys
 from . import certify as certify_mod
 from . import extract as extract_mod
 from . import stats as stats_mod
-from .bits import Outcomes
 from .config import load_config
 from .errors import BitSourceExhaustedError, ConfigError, FormatError, ValidationError
 from .formats import emit_report, read_bits, read_trace, write_bits, write_trace
@@ -75,118 +77,48 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _finish(args, report, failure: str | None) -> int:
+    """Emit ``report``; under ``--gate``, a ``failure`` fails the run."""
+    emit_report(report.entries(), args.report)
+    if failure is not None and args.gate:
+        print(f"gate failed: {failure}", file=sys.stderr)
+        return EXIT_ANALYSIS
+    return EXIT_OK
+
+
 def _cmd_generate(args) -> int:
     config = load_config(args.config)
     if args.ideal:
         config = dataclasses.replace(config, ideal=True)
     stream, summary = run_batch(config, workers=args.workers)
     write_trace(stream, args.out)
-    fields = dataclasses.asdict(summary)
-    emit_report(
-        [
-            ("report", "generate"),
-            ("trials", fields.pop("n_trials")),
-            ("seed", config.seed),
-            ("ideal", config.ideal),
-            *fields.items(),
-        ],
-        args.report,
-    )
-    return EXIT_OK
+    return _finish(args, summary, None)
 
 
 def _cmd_certify(args) -> int:
     report = certify_mod.build_report(read_trace(args.infile))
-    emit_report(
-        [
-            ("report", "certify"),
-            *dataclasses.asdict(report).items(),
-        ],
-        args.report,
-    )
-    if args.gate and not (report.certified_plus and report.certified_minus):
-        print("gate failed: at least one outcome is not certified", file=sys.stderr)
-        return EXIT_ANALYSIS
-    return EXIT_OK
+    certified = report.certified_plus and report.certified_minus
+    return _finish(args, report, None if certified else "at least one outcome is not certified")
 
 
 def _cmd_extract(args) -> int:
     trace = read_trace(args.infile)
-    binary = extract_mod.to_bits(trace)
-    out = extract_mod.von_neumann_extract(binary)
+    out = extract_mod.von_neumann_extract(extract_mod.to_bits(trace))
     write_bits(out, args.out)
-    n_in, n_out = len(binary), len(out)
-    zero_fraction = Outcomes.of(trace).p0
-    emit_report(
-        [
-            ("report", "extract"),
-            ("input_bits", n_in),
-            ("pairs", n_in // 2),
-            ("accepted_pairs", n_out),
-            ("dropped_trailing_bit", bool(n_in % 2)),
-            ("output_bits", n_out),
-            ("realized_yield", n_out / n_in if n_in else 0.0),
-            ("input_zero_fraction", zero_fraction),
-            ("expected_yield", extract_mod.expected_yield(zero_fraction)),
-        ],
-        args.report,
-    )
-    return EXIT_OK
+    return _finish(args, extract_mod.ExtractReport.of(trace, out), None)
 
 
 def _cmd_stats(args) -> int:
-    bits = read_bits(args.infile)
-    report = stats_mod.build_stats_report(bits, args.bucket)
-    entries = [
-        ("report", "stats"),
-        ("n_bits", report.n_bits),
-        ("entropy_bits_per_byte", report.entropy_bits_per_byte),
-    ]
-    for t in report.tests:
-        entries.append((f"test.{t.name}.applicable", t.applicable))
-        entries.append((f"test.{t.name}.statistic", t.statistic))
-        entries.append((f"test.{t.name}.p_value", t.p_value))
-        entries.append((f"test.{t.name}.pass", t.passed))
-        if t.note:
-            entries.append((f"test.{t.name}.note", t.note))
-    entries.append(("bucket.size", report.bucket_size))
-    entries.append(("bucket.applicable", report.bucket is not None))
-    if report.bucket is not None:
-        entries.append(("bucket.n_buckets", report.bucket.n_buckets))
-        entries.append(("bucket.mean_zero_frequency", report.bucket.mean))
-        entries.append(("bucket.stddev", report.bucket.stddev))
-        entries.append(("bucket.binomial_stddev", report.bucket.binomial_stddev))
-    emit_report(entries, args.report)
-    if args.gate:
-        applicable = [t for t in report.tests if t.applicable]
-        failures = sum(1 for t in applicable if not t.passed)
-        if failures > 1:
-            print(f"gate failed: {failures} of {len(applicable)} tests failed", file=sys.stderr)
-            return EXIT_ANALYSIS
-    return EXIT_OK
+    report = stats_mod.build_stats_report(read_bits(args.infile), args.bucket)
+    applicable = [t for t in report.tests if t.applicable]
+    failures = sum(1 for t in applicable if not t.passed)
+    failure = f"{failures} of {len(applicable)} tests failed" if failures > 1 else None
+    return _finish(args, report, failure)
 
 
 def _cmd_consume_ss(args) -> int:
-    bits = read_bits(args.infile)
-    result = carmichael_harness(args.limit, BitSource(bits), args.witnesses)
-    entries = [
-        ("report", "consume-ss"),
-        ("limit", args.limit),
-        ("max_witnesses", args.witnesses),
-        ("numbers_tested", len(result.verdicts)),
-    ]
-    for v in result.verdicts:
-        entries.append((f"ss.{v.number}.verdict", v.verdict))
-        entries.append((f"ss.{v.number}.witnesses_used", v.witnesses_used))
-        entries.append((f"ss.{v.number}.bits_consumed", v.bits_consumed))
-    entries.append(("total_bits_consumed", result.total_bits_consumed))
-    entries.append(("total_witnesses", result.total_witnesses))
-    entries.append(("all_composite", result.all_composite))
-    emit_report(entries, args.report)
-    if args.gate and not result.all_composite:
-        print("gate failed: some numbers were not declared composite", file=sys.stderr)
-        return EXIT_ANALYSIS
-    return EXIT_OK
+    result = carmichael_harness(args.limit, BitSource(read_bits(args.infile)), args.witnesses)
+    return _finish(args, result, None if result.all_composite else "some numbers were not declared composite")
 
 
 _COMMANDS = {

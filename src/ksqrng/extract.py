@@ -30,9 +30,11 @@ the output does not depend on the block size.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from .bits import BitStream, RawStream
+from .bits import BitStream, Outcomes, RawStream
 
 _BLOCK_PAIRS = 1 << 18  # a multiple of 64
 _WORD_BITS = 128  # the input bits behind one uint64 field
@@ -123,6 +125,34 @@ def von_neumann_extract(stream: BitStream) -> BitStream:
     for block in _word_blocks(packed, n):
         at = _lay(*_block_fields(block), out, at)
     return BitStream.from_packed(out.view(np.uint8)[: (at + 7) // 8].copy(), at)
+
+
+@dataclass(frozen=True)
+class ExtractReport:
+    """The binary input bits of an extraction, its output bits and the
+    input's zero fraction, :class:`Outcomes`'s p0 (NaN without binary
+    input)."""
+
+    input_bits: int
+    output_bits: int
+    input_zero_fraction: float
+
+    @classmethod
+    def of(cls, trace: RawStream, out: BitStream) -> ExtractReport:
+        return cls(trace.n0 + trace.n1, len(out), Outcomes.of(trace).p0)
+
+    def entries(self):
+        """The ``extract`` report's ``(key, value)`` lines."""
+        n_in, n_out = self.input_bits, self.output_bits
+        yield "report", "extract"
+        yield "input_bits", n_in
+        yield "pairs", n_in // 2
+        yield "accepted_pairs", n_out
+        yield "dropped_trailing_bit", bool(n_in % 2)
+        yield "output_bits", n_out
+        yield "realized_yield", n_out / n_in if n_in else 0.0
+        yield "input_zero_fraction", self.input_zero_fraction
+        yield "expected_yield", expected_yield(self.input_zero_fraction)
 
 
 def expected_yield(p0: float) -> float:

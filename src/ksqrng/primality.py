@@ -27,6 +27,8 @@ class SSVerdict:
 
 @dataclass(frozen=True)
 class HarnessResult:
+    limit: int
+    max_witnesses: int
     verdicts: tuple[SSVerdict, ...]
     total_bits_consumed: int
     total_witnesses: int
@@ -34,6 +36,20 @@ class HarnessResult:
     @property
     def all_composite(self) -> bool:
         return all(v.verdict == "composite" for v in self.verdicts)
+
+    def entries(self):
+        """The ``consume-ss`` report's ``(key, value)`` lines."""
+        yield "report", "consume-ss"
+        yield "limit", self.limit
+        yield "max_witnesses", self.max_witnesses
+        yield "numbers_tested", len(self.verdicts)
+        for v in self.verdicts:
+            yield f"ss.{v.number}.verdict", v.verdict
+            yield f"ss.{v.number}.witnesses_used", v.witnesses_used
+            yield f"ss.{v.number}.bits_consumed", v.bits_consumed
+        yield "total_bits_consumed", self.total_bits_consumed
+        yield "total_witnesses", self.total_witnesses
+        yield "all_composite", self.all_composite
 
 
 class BitSource:
@@ -176,6 +192,8 @@ def carmichael_harness(limit: int, source: BitSource, max_witnesses: int) -> Har
                 f"bit source exhausted at number {n} (index {index} of {len(numbers)})"
             ) from exc
     return HarnessResult(
+        limit=limit,
+        max_witnesses=max_witnesses,
         verdicts=tuple(verdicts),
         total_bits_consumed=sum(v.bits_consumed for v in verdicts),
         total_witnesses=sum(v.witnesses_used for v in verdicts),

@@ -83,7 +83,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -178,9 +178,20 @@ class ProtocolConfig:
 
 @dataclass(frozen=True)
 class BatchSummary(Outcomes):
-    """The :class:`Outcomes` of a batch and its trial count."""
+    """The :class:`Outcomes` of a batch, its trial count, seed and mode."""
 
     n_trials: int
+    seed: int
+    ideal: bool
+
+    def entries(self):
+        """The ``generate`` report's ``(key, value)`` lines."""
+        fields = asdict(self)
+        yield "report", "generate"
+        yield "trials", fields.pop("n_trials")
+        yield "seed", fields.pop("seed")
+        yield "ideal", fields.pop("ideal")
+        yield from fields.items()
 
 
 def _word_stream(seed: int, word: int):
@@ -495,4 +506,4 @@ def run_batch(config: ProtocolConfig, workers: int = 1) -> tuple[RawStream, Batc
             list(pool.map(fill, range(threads)))
 
     stream = RawStream(out)
-    return stream, BatchSummary.of(stream, n_trials=n)
+    return stream, BatchSummary.of(stream, n_trials=n, seed=config.seed, ideal=config.ideal)

@@ -69,6 +69,26 @@ class StatsReport:
     bucket_size: int
     bucket: BucketStats | None
 
+    def entries(self):
+        """The ``stats`` report's ``(key, value)`` lines."""
+        yield "report", "stats"
+        yield "n_bits", self.n_bits
+        yield "entropy_bits_per_byte", self.entropy_bits_per_byte
+        for t in self.tests:
+            yield f"test.{t.name}.applicable", t.applicable
+            yield f"test.{t.name}.statistic", t.statistic
+            yield f"test.{t.name}.p_value", t.p_value
+            yield f"test.{t.name}.pass", t.passed
+            if t.note:
+                yield f"test.{t.name}.note", t.note
+        yield "bucket.size", self.bucket_size
+        yield "bucket.applicable", self.bucket is not None
+        if self.bucket is not None:
+            yield "bucket.n_buckets", self.bucket.n_buckets
+            yield "bucket.mean_zero_frequency", self.bucket.mean
+            yield "bucket.stddev", self.bucket.stddev
+            yield "bucket.binomial_stddev", self.bucket.binomial_stddev
+
 
 def _not_applicable(name: str, note: str) -> TestResult:
     return TestResult(

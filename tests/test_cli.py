@@ -467,6 +467,79 @@ class TestReportBytes:
         assert report.read_bytes() == expected.encode()
 
 
+def report_lines(entries):
+    """The lines of a report file holding ``entries``."""
+    return [f"{key} = {str(value).lower() if isinstance(value, bool) else value}" for key, value in entries]
+
+
+class TestEntries:
+    # each report dataclass, built through the library, has as entries()
+    # the lines the CLI writes for the same input
+    @pytest.mark.parametrize("ideal", [False, True], ids=["noisy", "ideal"])
+    def test_batch_summary(self, tmp_path, ideal):
+        from ksqrng.protocol import ProtocolConfig, run_batch
+
+        config = tmp_path / "run.cfg"
+        config.write_text("trials = 20000\nseed = 77\n")
+        report = tmp_path / "gen.rpt"
+        argv = ["generate", "--config", str(config), "--out", str(tmp_path / "t.trace"), "--report", str(report)]
+        assert run_cli(argv + (["--ideal"] if ideal else [])) == 0
+        _, summary = run_batch(ProtocolConfig(n_trials=20000, seed=77, ideal=ideal))
+        assert report_lines(summary.entries()) == report.read_text().splitlines()
+
+    @pytest.mark.parametrize("symbols", [[0, 1, 1, 2, 0], [0] * 7 + [1] * 5], ids=["discards", "binary"])
+    def test_certification_report(self, tmp_path, symbols):
+        from ksqrng.certify import build_report
+
+        trace, report = tmp_path / "t.trace", tmp_path / "cert.rpt"
+        write_trace(RawStream(np.array(symbols, dtype=np.uint8)), trace)
+        assert run_cli(["certify", "--in", str(trace), "--report", str(report)]) == 0
+        assert report_lines(build_report(read_trace(trace)).entries()) == report.read_text().splitlines()
+
+    @pytest.mark.parametrize(
+        "symbols",
+        [[0, 2, 1, 1, 0, 1, 2, 1, 0], [2, 2, 2], np.random.default_rng(4).integers(0, 3, 5001)],
+        ids=["odd", "all-discard", "drawn"],
+    )
+    def test_extract_report(self, tmp_path, symbols):
+        from ksqrng.extract import ExtractReport, to_bits, von_neumann_extract
+
+        trace, report = tmp_path / "t.trace", tmp_path / "e.rpt"
+        write_trace(RawStream(np.array(symbols, dtype=np.uint8)), trace)
+        assert run_cli(["extract", "--in", str(trace), "--out", str(tmp_path / "o.bits"), "--report", str(report)]) == 0
+        stream = read_trace(trace)
+        expected = ExtractReport.of(stream, von_neumann_extract(to_bits(stream)))
+        assert report_lines(expected.entries()) == report.read_text().splitlines()
+
+    @pytest.mark.parametrize(
+        "bits, bucket",
+        [
+            (random_bits(12, 50_000), 10_000),
+            (BitStream((np.random.default_rng(7).random(1000) < 0.7).astype(np.uint8)), 999302),
+        ],
+        ids=["buckets", "biased-no-bucket"],
+    )
+    def test_stats_report(self, tmp_path, bits, bucket):
+        from ksqrng.stats import build_stats_report
+
+        path, report = tmp_path / "b.bits", tmp_path / "s.rpt"
+        write_bits(bits, path)
+        assert run_cli(["stats", "--in", str(path), "--bucket", str(bucket), "--report", str(report)]) == 0
+        assert report_lines(build_stats_report(bits, bucket).entries()) == report.read_text().splitlines()
+
+    @pytest.mark.parametrize("limit, witnesses", [(2000, 8), (562, 1)])
+    def test_harness_result(self, tmp_path, limit, witnesses):
+        from ksqrng.primality import BitSource, carmichael_harness
+
+        bits = random_bits(6, 100_000)
+        path, report = tmp_path / "b.bits", tmp_path / "ss.rpt"
+        write_bits(bits, path)
+        argv = ["consume-ss", "--in", str(path), "--limit", str(limit), "--witnesses", str(witnesses)]
+        assert run_cli(argv + ["--report", str(report)]) == 0
+        result = carmichael_harness(limit, BitSource(bits), witnesses)
+        assert report_lines(result.entries()) == report.read_text().splitlines()
+
+
 class TestFullPipelineDeterminism:
     def test_report_bytes_stable_end_to_end(self, tmp_path):
         config = tmp_path / "p.cfg"

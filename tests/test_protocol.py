@@ -1182,7 +1182,7 @@ class TestWordTies:
 class TestSummary:
     def test_frequencies_and_errors(self):
         stream = RawStream(np.array([0] * 60 + [1] * 39 + [2], dtype=np.uint8))
-        s = protocol.BatchSummary.of(stream, n_trials=len(stream))
+        s = protocol.BatchSummary.of(stream, n_trials=len(stream), seed=0, ideal=False)
         assert (s.n_trials, s.n0, s.n1, s.n_discard) == (100, 60, 39, 1)
         assert s.p0 == 60 / 99
         assert s.p1 == 39 / 99
