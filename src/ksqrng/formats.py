@@ -80,15 +80,11 @@ def _check_body(size: int, expected: int, kind: str, unit: str) -> None:
         raise FormatError(f"{kind} body has trailing data: expected {expected} {unit}, got {size}")
 
 
-def pack_bits(stream: BitStream) -> bytes:
-    """The stream's packed bytes: LSB-first, ceil(n/8) bytes, zero padding."""
-    return stream.packed.tobytes()
-
-
 def unpack_bits(body, n_bits: int) -> BitStream:
-    """Inverse of :func:`pack_bits` given the bit count: a view of ``body``
-    (bytes or a uint8 array), not a copy. Checks the body length and that
-    the padding bits of the final byte are zero."""
+    """The stream of ``n_bits`` bits whose packed bytes, LSB-first with zero
+    padding, are ``body``: a view of ``body`` (bytes or a uint8 array), not
+    a copy. Checks the body length and that the padding bits of the final
+    byte are zero."""
     if n_bits < 0:
         raise FormatError("negative bit count")
     body = np.frombuffer(body, dtype=np.uint8)

@@ -72,11 +72,9 @@ every step would give. The bounds hold on the float64 domain that
 ``readout.NoiseParams`` owns and enforces, so every accepted noise model
 takes this one path.
 
-Screen words are drawn and compared per chunk of ``_CHUNK`` trials, but the
-undecided rows, their trial indices and screen words, are kept and resolved
-once per block of ``_BLOCK`` chunks, so the exact path's few dozen numpy calls
-run once per block, not once per chunk. Each symbol is still a function of
-its trial's own words.
+Each chunk of ``_CHUNK`` trials is screened and its undecided rows resolved
+as it is drawn, so the exact path's few dozen numpy calls run once per
+chunk. Each symbol is still a function of its trial's own words.
 """
 
 from __future__ import annotations
@@ -105,8 +103,12 @@ from .readout import (
 
 _UNIFORMS = 8  # a noisy trial's uniforms, u0-u7
 _STREAM_LENGTH = 1 << 128  # words of the word stream: the period of PCG64DXSM
-_CHUNK = 1 << 15  # trials per chunk: 256 KiB of screen words, 64 KiB per screen lane
-_BLOCK = 4  # chunks per block: noisy mode resolves its undecided rows once per block
+# Trials per chunk, a multiple of 64. A noisy chunk's screen words, lanes and
+# temporaries peak at about 17 B/trial in each thread. On a loaded 2-core
+# x86-64 host 2^23 noisy trials on one worker took 141, 113, 111 and 113 ms
+# at 2^15, 2^16, 2^17 and 2^18 trials per chunk (medians of eleven): the
+# per-chunk numpy calls stop mattering at 2^17.
+_CHUNK = 1 << 17
 
 # SplitMix64: word n of the stream keyed k is _mix(k + (n + 1) _GAMMA mod 2^64),
 # where _mix multiplies by each of _MIX after an xor-shift by its shift
@@ -378,9 +380,15 @@ def _born_levels(initial, u_a, u_b, u, noise: NoiseParams):
     return _sample_levels(p0, p2, u)
 
 
-def _batch_symbols(words: np.ndarray, bounds: _WordBounds, first: int):
-    """Levels of the noisy trials whose screen words are ``words``, and the
-    rows their screens leave undecided.
+def _lanes(words: np.ndarray) -> np.ndarray:
+    """The screen words ``words`` as their four 16-bit lanes, one contiguous
+    row per lane, so each comparison runs unstrided."""
+    return words.astype("<u8", copy=False).view("<u2").reshape(-1, 4).T.copy()
+
+
+def _batch_symbols(lanes: np.ndarray, bounds: _WordBounds):
+    """Levels of the noisy trials whose screen words have the ``_lanes``
+    ``lanes``, and the positions of the rows their screens leave undecided.
 
     A ground-state trial with a capped gate radius and u3 outside the Born
     band of ``_WordBounds.of`` is level [u3 >= 1/2] at any gate angle, so
@@ -388,13 +396,10 @@ def _batch_symbols(words: np.ndarray, bounds: _WordBounds, first: int):
     screens. The other trials, and those whose u4 cell straddles
     p_decay_10, are the exact-tier rows. A response whose noise uniform is
     below ``bounds.iq``, one bound for every level, is classified as its
-    relaxed level; the others are the IQ-tier rows. Each tier's rows are
-    returned as [trial indices, screen words], indices counted from
-    ``first`` for the first trial of ``words``. :func:`_resolve` computes
-    their symbols.
+    relaxed level; the others are the IQ-tier rows. :func:`_resolve`
+    computes their symbols.
     """
-    # one contiguous array per 16-bit lane, so each comparison runs unstrided
-    s01, s6, s4, s3 = words.astype("<u8", copy=False).view("<u2").reshape(-1, 4).T.copy()
+    s01, s6, s4, s3 = lanes
     decay_lo, decay_hi = bounds.decay_10
     levels = ((s3 >= _HALF_SCREEN) & (s4 >= decay_hi)).view(np.uint8)
     lo, hi = bounds.band
@@ -404,40 +409,31 @@ def _batch_symbols(words: np.ndarray, bounds: _WordBounds, first: int):
         | ((s3 >= lo) & (s3 < hi))
         | ((s4 >= decay_lo) & (s4 < decay_hi))
     )
-    iq = np.flatnonzero(s6 >= bounds.iq)
-    return levels, ([exact + first, words[exact]], [iq + first, words[iq]])
+    return levels, exact, np.flatnonzero(s6 >= bounds.iq)
 
 
-def _rows(tier):
-    """One tier's rows of every chunk of a block, concatenated: their trial
-    indices and screen words."""
-    return (np.concatenate(c) for c in zip(*tier))
-
-
-def _resolve(out: np.ndarray, pending: list, noise: NoiseParams, key: int) -> None:
-    """Write into ``out`` the symbols of the undecided rows of
-    ``pending``, the two row tiers ``_batch_symbols`` returned for each
-    chunk of a block, whose refinement words are those of the stream keyed
-    ``key``.
+def _resolve(levels, lanes, exact, iq, first: int, noise: NoiseParams, key: int) -> None:
+    """Write into ``levels`` the symbols of the undecided rows ``exact`` and
+    ``iq`` that ``_batch_symbols`` found in ``lanes``, the screen word lanes
+    of the trials from ``first`` on, whose refinement words are those of the
+    stream keyed ``key``.
 
     The exact-tier rows read all three refinement words and take the exact
     steps on their uniforms: thermal start, gate rotation and Born sampling,
     relaxation. Then the IQ-tier rows, which need only r2, synthesise and
-    classify a response from the relaxed levels in ``out``, whichever tier
-    wrote them.
+    classify a response from the relaxed levels, whichever tier wrote them.
     """
-    exact, iq = zip(*pending)
-    index, screens = _rows(exact)
-    if index.size:
-        words = [screens, *(_refinement(key, index, r) for r in range(_REFINEMENT_WORDS))]
-        u0, u1, u2, u3, u4, u5 = (_uniform(words, k) for k in range(6))
+    if exact.size:
+        screens = lanes.T[exact].view("<u8")[:, 0]  # rebuilt from their lanes
+        rows = [screens, *(_refinement(key, exact + first, r) for r in range(_REFINEMENT_WORDS))]
+        u0, u1, u2, u3, u4, u5 = (_uniform(rows, k) for k in range(6))
         projected = _born_levels(thermal_init(u0, noise), u1, u2, u3, noise)
-        out[index] = apply_relaxation(projected, u4, u5, noise)
-    index, screens = _rows(iq)
-    if index.size:
-        words = [screens, None, None, _refinement(key, index, 2)]
-        i, q = synth_iq(out[index], _uniform(words, 6), _uniform(words, 7), noise)
-        out[index] = classify(i, q, noise)
+        levels[exact] = apply_relaxation(projected, u4, u5, noise)
+    if iq.size:
+        # u6 and u7 read only the u6 screen, bits 16-31 of the screen word
+        rows = [lanes[1, iq].astype(np.uint64) << 16, None, None, _refinement(key, iq + first, 2)]
+        i, q = synth_iq(levels[iq], _uniform(rows, 6), _uniform(rows, 7), noise)
+        levels[iq] = classify(i, q, noise)
 
 
 def run_batch(config: ProtocolConfig, workers: int = 1) -> tuple[RawStream, BatchSummary]:
@@ -446,22 +442,21 @@ def run_batch(config: ProtocolConfig, workers: int = 1) -> tuple[RawStream, Batc
     Output is bit-identical for identical configs regardless of ``workers``:
     randomness is addressed by absolute trial index, so how trials are split
     only decides who computes them. The trials are cut into ``_CHUNK``-trial
-    chunks (sized so one chunk's words and temporaries stay in L2 cache), and
-    ``min(workers, chunks)`` threads each take a contiguous run of chunks.
-    A thread starts one PCG64DXSM generator on the word stream at the word
-    of its first trial, and draws each chunk as a contiguous run of raw
-    words, releasing them before the next draw, so consecutive draws
-    continue at the next trial.
+    chunks, and ``min(workers, chunks)`` threads each take a contiguous run
+    of chunks. The calling thread takes the first run, so one pool thread
+    fewer keeps a chunk's freed memory in its own allocator arena. A thread
+    starts one PCG64DXSM generator on the word stream at the word of its
+    first trial, and draws each chunk as a contiguous run of raw words,
+    releasing them before the next draw, so consecutive draws continue at
+    the next trial.
 
     In ideal mode a chunk draws the words that hold its trials' bits and
-    expands them with ``np.unpackbits``. ``_CHUNK`` is a multiple of 64, so
-    every chunk and every thread starts on a word; at any other chunk size a
-    chunk that starts inside a word the chunk before it drew restarts the
-    stream at that word. In noisy mode a chunk draws one screen word per
-    trial; screen thresholds and the refinement key are computed once per
-    call, each chunk keeps the rows its screens leave undecided, and a
-    thread resolves them once per block of ``_BLOCK`` chunks, so each numpy
-    call of the exact steps covers a block.
+    expands them with ``np.unpackbits``; ``_CHUNK`` is a multiple of 64, so
+    every chunk and every thread starts on a word. In noisy mode a chunk
+    draws one screen word per trial and keeps only their ``_lanes``, from
+    which it rebuilds the screen words of the rows its screens leave
+    undecided; it resolves those rows before the next draw. Screen
+    thresholds and the refinement key are computed once per call.
     """
     workers = _integer(workers, "workers")
     if workers < 1:
@@ -477,33 +472,30 @@ def run_batch(config: ProtocolConfig, workers: int = 1) -> tuple[RawStream, Batc
         key = _refinement_key(config.seed)
     n_chunks = -(-n // _CHUNK)
     threads = min(workers, n_chunks)
-    block = _BLOCK * _CHUNK
 
     def fill(t):
         start = t * n_chunks // threads * _CHUNK
         stop = min(n, (t + 1) * n_chunks // threads * _CHUNK)
         gen = _word_stream(config.seed, start // 64 if config.ideal else start)
-        for first in range(start, stop, block):
-            pending = []
-            for lo in range(first, min(first + block, stop), _CHUNK):
-                m = min(_CHUNK, stop - lo)
-                if config.ideal:
-                    skip = lo % 64
-                    if skip and lo != start:  # the chunk before drew the word this one starts in
-                        gen = _word_stream(config.seed, lo // 64)
-                    words = gen.random_raw(-(-(skip + m) // 64)).astype("<u8", copy=False)
-                    out[lo : lo + m] = np.unpackbits(words.view(np.uint8), bitorder="little")[skip : skip + m]
-                else:
-                    out[lo : lo + m], rows = _batch_symbols(gen.random_raw(m), bounds, lo)
-                    pending.append(rows)
-            if pending:
-                _resolve(out, pending, config.noise, key)
+        for lo in range(start, stop, _CHUNK):
+            m = min(_CHUNK, stop - lo)
+            if config.ideal:
+                words = gen.random_raw(-(-m // 64)).astype("<u8", copy=False)
+                out[lo : lo + m] = np.unpackbits(words.view(np.uint8), count=m, bitorder="little")
+            else:
+                lanes = _lanes(gen.random_raw(m))
+                levels, exact, iq = _batch_symbols(lanes, bounds)
+                _resolve(levels, lanes, exact, iq, lo, config.noise, key)
+                out[lo : lo + m] = levels
+                del lanes  # released before the next draw
 
     if threads == 1:
         fill(0)
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, range(threads)))
+        with ThreadPoolExecutor(max_workers=threads - 1) as pool:
+            rest = pool.map(fill, range(1, threads))
+            fill(0)
+            list(rest)
 
     stream = RawStream(out)
     return stream, BatchSummary.of(stream, n_trials=n, seed=config.seed, ideal=config.ideal)

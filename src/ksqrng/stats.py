@@ -203,7 +203,7 @@ def block_frequency(stream: BitStream, block_size: int = 128) -> TestResult:
         return _not_applicable("block_frequency", f"needs at least {block_size} bits")
     from scipy.special import gammaincc
 
-    pi = _ones_per_row(stream, block_size, n_blocks) / block_size
+    pi = np.bitwise_count(_row_words(stream, block_size, n_blocks)).sum(axis=0) / block_size
     chi2 = 4.0 * block_size * float(np.sum((pi - 0.5) ** 2))
     p = float(gammaincc(n_blocks / 2.0, chi2 / 2.0))
     return TestResult("block_frequency", chi2, p, p >= ALPHA)

@@ -19,7 +19,7 @@ from ksqrng.errors import (
     TruncatedFileError,
 )
 from ksqrng.extract import expected_yield, to_bits, von_neumann_extract
-from ksqrng.formats import pack_bits, read_bits, read_trace, unpack_bits
+from ksqrng.formats import read_bits, read_trace, unpack_bits
 from ksqrng.primality import BitSource, carmichael_harness, carmichael_numbers, jacobi
 from ksqrng.protocol import ProtocolConfig, run_batch
 from ksqrng.qutrit import measurement_unitary
@@ -264,7 +264,7 @@ def test_criterion_8_determinism_and_formats(tmp_path):
     trace_stream = read_trace(tmp_path / "a.trace")
     bit_stream = read_bits(tmp_path / "a.bits")
     round_trip_ok = (
-        unpack_bits(pack_bits(bit_stream), len(bit_stream)) == bit_stream
+        unpack_bits(bit_stream.packed.tobytes(), len(bit_stream)) == bit_stream
         and len(trace_stream) == 200000
     )
 

@@ -196,27 +196,16 @@ class TestExtract:
         assert int(fields["output_bits"]) == len(stream)
         assert int(fields["input_bits"]) == read_trace(trace).n0 + read_trace(trace).n1
 
-        # binary bits 0 1 1: one pair accepted, the odd last bit dropped
+        # binary bits 0 1 1: one pair accepted, the odd last bit dropped; the
+        # report fields of this trace and the next are pinned in TestReportBytes
         write_trace(RawStream(np.array([0, 2, 1, 1], dtype=np.uint8)), trace)
         assert run_cli(["extract", "--in", str(trace), "--out", str(bits), "--report", str(report)]) == 0
-        fields = parse_report(report)
         assert list(read_bits(bits).bits) == [0]
-        assert fields["input_bits"] == "3"
-        assert fields["pairs"] == "1"
-        assert fields["accepted_pairs"] == "1"
-        assert fields["dropped_trailing_bit"] == "true"
-        assert fields["output_bits"] == "1"
-        assert fields["input_zero_fraction"] == repr(1 / 3)
 
-        # discards only: no binary input, so no zero fraction and no yield model
+        # discards only: no output bits
         write_trace(RawStream(np.array([2, 2], dtype=np.uint8)), trace)
         assert run_cli(["extract", "--in", str(trace), "--out", str(bits), "--report", str(report)]) == 0
-        fields = parse_report(report)
         assert len(read_bits(bits)) == 0
-        assert (fields["input_bits"], fields["pairs"], fields["output_bits"]) == ("0", "0", "0")
-        assert fields["realized_yield"] == "0.0"
-        assert fields["input_zero_fraction"] == "nan"
-        assert fields["expected_yield"] == "nan"
 
     def test_matches_library_extraction(self, workspace):
         from ksqrng.extract import to_bits, von_neumann_extract

@@ -21,7 +21,6 @@ from ksqrng.formats import (
     BITS_MAGIC,
     TRACE_MAGIC,
     emit_report,
-    pack_bits,
     read_bits,
     read_trace,
     unpack_bits,
@@ -32,23 +31,23 @@ from ksqrng.formats import (
 
 class TestPackBits:
     def test_lsb_first_definition(self):
-        assert pack_bits(BitStream([1, 0, 1, 1, 0, 0, 0, 0])) == b"\x0d"
+        assert BitStream([1, 0, 1, 1, 0, 0, 0, 0]).packed.tobytes() == b"\x0d"
 
     def test_padding_is_zero(self):
-        assert pack_bits(BitStream([1, 1, 1])) == b"\x07"
+        assert BitStream([1, 1, 1]).packed.tobytes() == b"\x07"
 
     @given(hst.lists(hst.integers(min_value=0, max_value=1), max_size=300))
     @settings(max_examples=200, deadline=None)
     def test_round_trip(self, bits):
         stream = BitStream(bits)
-        assert unpack_bits(pack_bits(stream), len(stream)) == stream
+        assert unpack_bits(stream.packed.tobytes(), len(stream)) == stream
 
     def test_round_trip_large(self):
         stream = random_bits(1, 10**5)
-        assert unpack_bits(pack_bits(stream), len(stream)) == stream
+        assert unpack_bits(stream.packed.tobytes(), len(stream)) == stream
 
     def test_truncated_body(self):
-        body = pack_bits(BitStream([1] * 16))
+        body = BitStream([1] * 16).packed.tobytes()
         with pytest.raises(TruncatedFileError, match="expected 2 bytes.*got 1"):
             unpack_bits(body[:1], 16)
 

@@ -680,20 +680,17 @@ class TestChunking:
     )
     @pytest.mark.parametrize("n", [1, (1 << 14) - 1, (1 << 14) + 1, 70_001])
     def test_chunk_size_invariance(self, monkeypatch, n, kw):
-        # undecided rows are resolved once per block of _BLOCK chunks within
-        # a thread's trials, so blocks of 1, 3 and more chunks than the run
-        # has put block edges at chunk edges, between them and past the end
+        # each chunk resolves its own undecided rows; these chunk sizes put
+        # chunk and thread edges at different trials, or past the end of the run
         cfg = ProtocolConfig(n_trials=n, seed=41, **kw)
         reference = None
         for chunk in (1 << 10, 1 << 14, 1 << 18):
             monkeypatch.setattr(protocol, "_CHUNK", chunk)
-            for block in (1, 3, 1 << 10):
-                monkeypatch.setattr(protocol, "_BLOCK", block)
-                for workers in (1, 2, 3):
-                    symbols = run_batch(cfg, workers=workers)[0].symbols
-                    if reference is None:
-                        reference = symbols
-                    assert np.array_equal(symbols, reference), (chunk, block, workers)
+            for workers in (1, 2, 3):
+                symbols = run_batch(cfg, workers=workers)[0].symbols
+                if reference is None:
+                    reference = symbols
+                assert np.array_equal(symbols, reference), (chunk, workers)
             edges = {0, n - 1}
             for boundary in range(chunk, n, chunk):
                 edges |= {boundary - 1, boundary}
@@ -715,14 +712,14 @@ class TestChunking:
     @settings(max_examples=20, deadline=None)
     @given(
         seed=hst.integers(0, 2**64 - 1),
-        chunk=hst.sampled_from([1, 63, 65, 16383]),
+        chunk=hst.sampled_from([64, 128, 16384]),
         workers=hst.integers(1, 3),
         data=hst.data(),
     )
     def test_ideal_layout_matches_bit_oracle(self, seed, chunk, workers, data):
         # ideal trial i is bit i % 64, least significant first, of word
-        # i // 64 of the word stream; at these chunk sizes a chunk, and a thread,
-        # can start inside a word
+        # i // 64 of the word stream; chunks of one, two and 256 words, and
+        # runs that end inside a word
         n = data.draw(hst.integers(1, 3 * chunk + 129), label="n_trials")
         cfg = ProtocolConfig(n_trials=n, seed=seed, ideal=True)
         with pytest.MonkeyPatch.context() as patch:
@@ -736,7 +733,7 @@ class TestChunking:
         for i in sorted(checked):
             assert run_trial(cfg, TrialRandom(seed, i)).symbol == symbols[i], i
 
-    @pytest.mark.parametrize("chunk", [1000, 1 << 10, 1 << 15])
+    @pytest.mark.parametrize("chunk", [960, 1 << 10, 1 << 15])
     def test_undecided_rows_on_both_sides_of_a_thread_split(self, monkeypatch, chunk):
         # 3 * chunk + 1234 trials, not a whole number of chunks: two threads
         # split them at chunk 2, three at chunks 1 and 2, and undecided rows
@@ -746,17 +743,21 @@ class TestChunking:
         n = 3 * chunk + 1234
         cfg = ProtocolConfig(n_trials=n, seed=43)
         words = protocol._word_stream(43, 0).random_raw(n)
-        _, (exact, _) = protocol._batch_symbols(words, protocol._WordBounds.of(cfg.noise), 0)
+        _, exact, _ = protocol._batch_symbols(protocol._lanes(words), protocol._WordBounds.of(cfg.noise))
         for split in (chunk, 2 * chunk):
-            assert np.any((exact[0] >= split - 64) & (exact[0] < split))
-            assert np.any((exact[0] >= split) & (exact[0] < split + 64))
+            assert np.any((exact >= split - 64) & (exact < split))
+            assert np.any((exact >= split) & (exact < split + 64))
         reference = run_batch(cfg, workers=1)[0].symbols
         for workers in (2, 3):
             assert np.array_equal(run_batch(cfg, workers=workers)[0].symbols, reference), workers
         monkeypatch.setattr(protocol, "_CHUNK", 1 << 14)
         assert np.array_equal(run_batch(cfg, workers=2)[0].symbols, reference)
-        for i in exact[0][(exact[0] >= chunk - 64) & (exact[0] < 2 * chunk + 64)]:
+        for i in exact[(exact >= chunk - 64) & (exact < 2 * chunk + 64)]:
             assert int(run_trial(cfg, TrialRandom(43, int(i))).symbol) == reference[i], i
+
+    def test_chunk_is_whole_words(self):
+        # ideal mode starts every chunk, and every thread, on a word of 64 trials
+        assert protocol._CHUNK % 64 == 0
 
     def test_threads_capped_at_chunk_count(self, monkeypatch):
         requested = []
@@ -769,16 +770,17 @@ class TestChunking:
         monkeypatch.setattr(protocol, "ThreadPoolExecutor", RecordingPool)
         cfg = ProtocolConfig(n_trials=3 * (1 << 10) - 5, seed=42)  # 3 chunks
         wide, _ = run_batch(cfg, workers=64)
-        assert requested == [3]
+        assert requested == [2]  # the calling thread takes the first run of chunks
         serial, _ = run_batch(cfg, workers=1)
-        assert requested == [3]
+        assert requested == [2]
         assert wide == serial
 
     def test_generation_holds_one_chunk_of_words_per_thread(self):
         # 1 B/trial of output and 1 B/trial of RawStream tallies, plus one
-        # chunk of screen words per thread and its temporaries; a chunk's
-        # words kept alive across the next draw would add a chunk per thread
-        n = 1 << 18
+        # chunk of screen words per thread and its temporaries; each thread
+        # draws four chunks, so words kept alive across later draws would
+        # add up to three chunks per thread
+        n = 8 * protocol._CHUNK
         cfg = ProtocolConfig(n_trials=n, seed=61)
         run_batch(cfg, workers=2)
         tracemalloc.start()
@@ -791,16 +793,16 @@ class TestChunking:
         temporaries = 2 * protocol._CHUNK * 8  # two 8-byte temporaries per trial of a chunk
         assert peak <= 2 * n + 2 * (chunk_bytes + temporaries)
 
-    def test_held_rows_bounded_per_block(self, monkeypatch):
+    def test_held_rows_bounded_per_chunk(self, monkeypatch):
         # p_thermal_1 = 0.5 sends half the trials to the exact tier, and at
-        # gate_amp_error 0.5 the Born band holds [0, 1], so every row is
-        # held until its block is resolved. The threads run one after the
-        # other, so the peak is one thread's block: doubling n (from one
-        # block per thread to two) adds only the output and the RawStream
-        # tallies, 2 B/trial, not the held rows or their temporaries
+        # gate_amp_error 0.5 the Born band holds [0, 1], so every row of a
+        # chunk is held while the chunk is resolved. The threads run one
+        # after the other, so the peak is one thread's chunk: doubling n
+        # (from one chunk per thread to two) adds only the output and the
+        # RawStream tallies, 2 B/trial, not the held rows or their temporaries
         monkeypatch.setattr(protocol, "ThreadPoolExecutor", SerialPool)
         noise = NoiseParams(p_thermal_1=0.5, gate_amp_error=0.5)
-        n = 2 * protocol._BLOCK * protocol._CHUNK
+        n = 2 * protocol._CHUNK
         peaks = []
         run_batch(ProtocolConfig(n_trials=n, seed=63, noise=noise), workers=2)
         for trials in (n, 2 * n):
@@ -810,8 +812,8 @@ class TestChunking:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        row_bytes = 16  # a held row's trial index and screen word
-        assert peaks[0] > protocol._BLOCK * protocol._CHUNK * row_bytes  # a block's rows were held
+        row_bytes = 16  # a held row's position and screen word
+        assert peaks[0] > protocol._CHUNK * row_bytes  # a chunk's rows were held
         assert peaks[1] - peaks[0] <= 2 * n + protocol._CHUNK * 2
 
 
@@ -965,13 +967,13 @@ class TestEarlyDecisions:
         s4 = screen(16, *bounds.decay_10)
         s6 = screen(16, bounds.iq)
         word = s3 << 48 | s4 << 32 | s6 << 16 | s0 << 8 | s1
-        levels, (exact, iq) = protocol._batch_symbols(np.array([word], dtype=np.uint64), bounds, 0)
+        levels, exact, iq = protocol._batch_symbols(protocol._lanes(np.array([word], dtype=np.uint64)), bounds)
         edges = hst.sampled_from([0, 2**64 - 1])
         refinement = data.draw(hst.lists(hst.one_of(edges, hst.integers(0, 2**64 - 1)), min_size=3, max_size=3))
         record = run_trial(ProtocolConfig(n_trials=1, seed=0, noise=noise), WordsRandom([word, *refinement]))
-        if not exact[0].size:
+        if not exact.size:
             assert record.true_level == levels[0]
-            if not iq[0].size:
+            if not iq.size:
                 assert record.symbol == levels[0]
 
 
@@ -1137,12 +1139,12 @@ class TestWordTies:
         row = trial_row([TOP, radius_2, 1 << 31, TOP, TOP, TOP, 0, 0])  # cos(2 pi u2) = -1
         assert self.batch(monkeypatch, [row], noise=noise) == ([0], [0])
 
-    def test_block_without_undecided_rows(self, monkeypatch):
+    def test_chunk_without_undecided_rows(self, monkeypatch):
         # a ground start, no gate error, u3 = 3/4, no relaxation and no IQ
-        # noise is decided on its screens, so its block computes no
+        # noise is decided on its screens, so its chunk computes no
         # refinement word and resolves no row
         def fail(*args):
-            raise AssertionError("a refinement word, exact or IQ step ran on a block with no undecided row")
+            raise AssertionError("a refinement word, exact or IQ step ran on a chunk with no undecided row")
 
         cfg = self.config(monkeypatch, [trial_row([TOP, 0, 0, 3 << 30, TOP, TOP, 0, 0])])
         for name in ("_refinement", "_born_levels", "synth_iq"):
