@@ -41,6 +41,9 @@ def small_uints(values, top: int, what: str) -> tuple[np.ndarray, int]:
     return arr.astype(np.uint8, copy=False), high
 
 
+_COUNT_SLICE = 1 << 16  # symbols per discard comparison: a 64 KiB bool temporary
+
+
 class RawStream:
     """Ordered ternary symbol trace with its tallies."""
 
@@ -51,8 +54,12 @@ class RawStream:
         arr.setflags(write=False)
         self.symbols = arr
         # count_nonzero of a uint8 array needs no temporary; only a trace
-        # that holds a discard (its maximum is 2) pays for a comparison
-        self.n_discard = int(np.count_nonzero(arr == 2)) if high == 2 else 0
+        # that holds a discard (its maximum is 2) pays for comparisons, one
+        # slice at a time, so no temporary grows with the trace
+        self.n_discard = 0
+        if high == 2:
+            for i in range(0, arr.size, _COUNT_SLICE):
+                self.n_discard += int(np.count_nonzero(arr[i : i + _COUNT_SLICE] == 2))
         self.n1 = int(np.count_nonzero(arr)) - self.n_discard
         self.n0 = arr.size - self.n1 - self.n_discard
 

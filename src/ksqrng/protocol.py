@@ -72,9 +72,11 @@ every step would give. The bounds hold on the float64 domain that
 ``readout.NoiseParams`` owns and enforces, so every accepted noise model
 takes this one path.
 
-Each chunk of ``_CHUNK`` trials is screened and its undecided rows resolved
-as it is drawn, so the exact path's few dozen numpy calls run once per
-chunk. Each symbol is still a function of its trial's own words.
+Each chunk of ``_CHUNK`` trials is screened as it is drawn, and a thread
+holds its chunks' undecided rows and resolves them once per
+``_RESOLVE_CHUNKS`` chunks, so the exact path's short numpy calls, which
+hold the GIL, run once per batch of chunks. Each symbol is still a function
+of its trial's own words.
 """
 
 from __future__ import annotations
@@ -107,8 +109,17 @@ _STREAM_LENGTH = 1 << 128  # words of the word stream: the period of PCG64DXSM
 # temporaries peak at about 17 B/trial in each thread. On a loaded 2-core
 # x86-64 host 2^23 noisy trials on one worker took 141, 113, 111 and 113 ms
 # at 2^15, 2^16, 2^17 and 2^18 trials per chunk (medians of eleven): the
-# per-chunk numpy calls stop mattering at 2^17.
+# per-chunk numpy calls stop mattering at 2^17. Two workers resolving every
+# chunk would gain from 2^19 (67 against 85 ms), but at about 8 MB per thread.
 _CHUNK = 1 << 17
+# Chunks per resolve batch. A thread holds each chunk's undecided rows, 16 B
+# per exact-tier row (3.4% of trials at the defaults), and resolves them once
+# per batch. Resolving every chunk, 2^23 noisy trials took 84 ms on two
+# workers and 99 on one; at 2, 4 and 8 chunks per batch 76, 63 and 55 ms on
+# two and 101, 89 and 89 on one (medians of 15 interleaved rounds, shared
+# 2-core x86-64 host). The tracemalloc peak beside the output went from 4.3 MB
+# to 6.2 MB at 4 and 12.2 MB at 8 chunks on two workers.
+_RESOLVE_CHUNKS = 4
 
 # SplitMix64: word n of the stream keyed k is _mix(k + (n + 1) _GAMMA mod 2^64),
 # where _mix multiplies by each of _MIX after an xor-shift by its shift
@@ -412,28 +423,30 @@ def _batch_symbols(lanes: np.ndarray, bounds: _WordBounds):
     return levels, exact, np.flatnonzero(s6 >= bounds.iq)
 
 
-def _resolve(levels, lanes, exact, iq, first: int, noise: NoiseParams, key: int) -> None:
-    """Write into ``levels`` the symbols of the undecided rows ``exact`` and
-    ``iq`` that ``_batch_symbols`` found in ``lanes``, the screen word lanes
-    of the trials from ``first`` on, whose refinement words are those of the
+def _resolve(out, pending: list, noise: NoiseParams, key: int) -> None:
+    """Write into ``out`` the symbols of the undecided rows of ``pending``,
+    one ``(exact, screens, iq, s6)`` entry per chunk: the trial indices and
+    screen words of its exact-tier rows, and the trial indices and u6
+    screens of its IQ-tier rows, whose refinement words are those of the
     stream keyed ``key``.
 
     The exact-tier rows read all three refinement words and take the exact
     steps on their uniforms: thermal start, gate rotation and Born sampling,
     relaxation. Then the IQ-tier rows, which need only r2, synthesise and
-    classify a response from the relaxed levels, whichever tier wrote them.
+    classify a response from the relaxed levels in ``out``, whichever tier
+    wrote them.
     """
+    exact, screens, iq, s6 = (np.concatenate(rows) for rows in zip(*pending))
     if exact.size:
-        screens = lanes.T[exact].view("<u8")[:, 0]  # rebuilt from their lanes
-        rows = [screens, *(_refinement(key, exact + first, r) for r in range(_REFINEMENT_WORDS))]
+        rows = [screens, *(_refinement(key, exact, r) for r in range(_REFINEMENT_WORDS))]
         u0, u1, u2, u3, u4, u5 = (_uniform(rows, k) for k in range(6))
         projected = _born_levels(thermal_init(u0, noise), u1, u2, u3, noise)
-        levels[exact] = apply_relaxation(projected, u4, u5, noise)
+        out[exact] = apply_relaxation(projected, u4, u5, noise)
     if iq.size:
         # u6 and u7 read only the u6 screen, bits 16-31 of the screen word
-        rows = [lanes[1, iq].astype(np.uint64) << 16, None, None, _refinement(key, iq + first, 2)]
-        i, q = synth_iq(levels[iq], _uniform(rows, 6), _uniform(rows, 7), noise)
-        levels[iq] = classify(i, q, noise)
+        rows = [s6.astype(np.uint64) << 16, None, None, _refinement(key, iq, 2)]
+        i, q = synth_iq(out[iq], _uniform(rows, 6), _uniform(rows, 7), noise)
+        out[iq] = classify(i, q, noise)
 
 
 def run_batch(config: ProtocolConfig, workers: int = 1) -> tuple[RawStream, BatchSummary]:
@@ -453,9 +466,12 @@ def run_batch(config: ProtocolConfig, workers: int = 1) -> tuple[RawStream, Batc
     In ideal mode a chunk draws the words that hold its trials' bits and
     expands them with ``np.unpackbits``; ``_CHUNK`` is a multiple of 64, so
     every chunk and every thread starts on a word. In noisy mode a chunk
-    draws one screen word per trial and keeps only their ``_lanes``, from
-    which it rebuilds the screen words of the rows its screens leave
-    undecided; it resolves those rows before the next draw. Screen
+    draws one screen word per trial, keeps only their ``_lanes`` until the
+    next draw, and writes its screened levels into the output. The thread
+    holds the rows the screens leave undecided, each exact-tier row as its
+    trial index and its screen word rebuilt from the lanes, each IQ-tier row
+    as its index and its u6 screen, and resolves them into the output once
+    per ``_RESOLVE_CHUNKS`` chunks and once at the end of its run. Screen
     thresholds and the refinement key are computed once per call.
     """
     workers = _integer(workers, "workers")
@@ -477,17 +493,23 @@ def run_batch(config: ProtocolConfig, workers: int = 1) -> tuple[RawStream, Batc
         start = t * n_chunks // threads * _CHUNK
         stop = min(n, (t + 1) * n_chunks // threads * _CHUNK)
         gen = _word_stream(config.seed, start // 64 if config.ideal else start)
+        pending = []
         for lo in range(start, stop, _CHUNK):
             m = min(_CHUNK, stop - lo)
             if config.ideal:
                 words = gen.random_raw(-(-m // 64)).astype("<u8", copy=False)
                 out[lo : lo + m] = np.unpackbits(words.view(np.uint8), count=m, bitorder="little")
-            else:
-                lanes = _lanes(gen.random_raw(m))
-                levels, exact, iq = _batch_symbols(lanes, bounds)
-                _resolve(levels, lanes, exact, iq, lo, config.noise, key)
-                out[lo : lo + m] = levels
-                del lanes  # released before the next draw
+                continue
+            lanes = _lanes(gen.random_raw(m))
+            out[lo : lo + m], exact, iq = _batch_symbols(lanes, bounds)
+            # the held rows: screen words rebuilt from their lanes, and u6 screens
+            pending.append((exact + lo, lanes.T[exact].view("<u8")[:, 0], iq + lo, lanes[1, iq]))
+            del lanes  # released before the next draw
+            if len(pending) == _RESOLVE_CHUNKS:
+                _resolve(out, pending, config.noise, key)
+                pending = []
+        if pending:
+            _resolve(out, pending, config.noise, key)
 
     if threads == 1:
         fill(0)

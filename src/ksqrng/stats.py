@@ -168,6 +168,13 @@ def _ones_per_row(stream: BitStream, size: int, n_rows: int) -> np.ndarray:
     return np.diff(ahead[at] + np.bitwise_count(words[at] & below))
 
 
+# From this many bytes entropy_per_byte counts byte pairs: their 2^16 bins
+# cost about 40 us to clear and fold, and the pairs save about 0.3 ns per
+# byte (timeit, 2-core x86-64: 193 -> 184 us at 2^17 bytes, 813 -> 669 us at
+# 2^19, but 4 -> 47 us at 2,000)
+_PAIR_COUNT_BYTES = 1 << 17
+
+
 def entropy_per_byte(stream: BitStream) -> float:
     """Shannon entropy of the empirical distribution of non-overlapping
     bytes, in bits per byte. Trailing bits short of a full byte are ignored."""
@@ -175,7 +182,16 @@ def entropy_per_byte(stream: BitStream) -> float:
     if n < 8:
         raise ValidationError("entropy per byte needs at least 8 bits")
     n_bytes = n // 8
-    counts = np.bincount(stream.packed[:n_bytes], minlength=256)
+    body = stream.packed[:n_bytes]
+    if n_bytes < _PAIR_COUNT_BYTES:
+        counts = np.bincount(body, minlength=256)
+    else:
+        # bincount widens its input to intp, so count byte pairs: half as
+        # many values, whose 2^16 bins fold back to each byte's 256
+        pairs = np.bincount(body[: n_bytes & ~1].view("<u2"), minlength=1 << 16).reshape(256, 256)
+        counts = pairs.sum(axis=0) + pairs.sum(axis=1)  # low bytes, then high bytes
+        if n_bytes % 2:
+            counts[body[-1]] += 1
     freqs = counts[counts > 0] / n_bytes
     return float(-np.sum(freqs * np.log2(freqs)))
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
-from ksqrng import protocol
+from ksqrng import bits, protocol
 from ksqrng.bits import BitStream, Outcomes, RawStream, random_bits
 from ksqrng.errors import ValidationError
 from ksqrng.protocol import (
@@ -40,8 +40,8 @@ class TestRawStream:
         with pytest.raises(ValidationError):
             RawStream(np.array([0, 3], dtype=np.uint8))
 
-    def test_tallies_allocate_at_most_one_byte_per_trial(self):
-        # one bool temporary for the discards; ones need none
+    def test_tallies_allocate_at_most_one_slice(self):
+        # the discards are counted one slice's bool temporary at a time; ones need none
         n = 1 << 20
         symbols = (np.arange(n) % 3).astype(np.uint8)
         tracemalloc.start()
@@ -51,7 +51,7 @@ class TestRawStream:
         finally:
             tracemalloc.stop()
         assert (stream.n0, stream.n1, stream.n_discard) == (349526, 349525, 349525)
-        assert peak <= n + (1 << 12)
+        assert peak <= bits._COUNT_SLICE + (1 << 12)
 
     def test_tallies_without_discards_allocate_nothing_per_trial(self):
         n = 1 << 20
@@ -680,20 +680,32 @@ class TestChunking:
     )
     @pytest.mark.parametrize("n", [1, (1 << 14) - 1, (1 << 14) + 1, 70_001])
     def test_chunk_size_invariance(self, monkeypatch, n, kw):
-        # each chunk resolves its own undecided rows; these chunk sizes put
-        # chunk and thread edges at different trials, or past the end of the run
+        # a thread resolves its chunks' undecided rows once per _RESOLVE_CHUNKS
+        # chunks; these sizes put chunk, resolve-batch and thread edges at
+        # different trials, or past the end of the run
         cfg = ProtocolConfig(n_trials=n, seed=41, **kw)
+        undecided = np.array([], dtype=np.intp)
+        if not cfg.ideal:
+            words = protocol._word_stream(41, 0).random_raw(n)
+            _, exact, iq = protocol._batch_symbols(protocol._lanes(words), protocol._WordBounds.of(cfg.noise))
+            undecided = np.union1d(exact, iq)
         reference = None
         for chunk in (1 << 10, 1 << 14, 1 << 18):
             monkeypatch.setattr(protocol, "_CHUNK", chunk)
-            for workers in (1, 2, 3):
-                symbols = run_batch(cfg, workers=workers)[0].symbols
-                if reference is None:
-                    reference = symbols
-                assert np.array_equal(symbols, reference), (chunk, workers)
+            for resolve_chunks in (1, 2, 3):
+                monkeypatch.setattr(protocol, "_RESOLVE_CHUNKS", resolve_chunks)
+                for workers in (1, 2, 3):
+                    symbols = run_batch(cfg, workers=workers)[0].symbols
+                    if reference is None:
+                        reference = symbols
+                    assert np.array_equal(symbols, reference), (chunk, resolve_chunks, workers)
+            # every resolve batch and every thread starts on a chunk edge:
+            # the trials on both sides of each, and the undecided rows nearest it
             edges = {0, n - 1}
             for boundary in range(chunk, n, chunk):
                 edges |= {boundary - 1, boundary}
+                at = np.searchsorted(undecided, boundary)
+                edges |= {int(i) for i in undecided[max(at - 1, 0) : at + 1]}
             for i in sorted(edges):
                 assert int(run_trial(cfg, TrialRandom(41, i)).symbol) == reference[i], (chunk, i)
 
@@ -736,23 +748,30 @@ class TestChunking:
     @pytest.mark.parametrize("chunk", [960, 1 << 10, 1 << 15])
     def test_undecided_rows_on_both_sides_of_a_thread_split(self, monkeypatch, chunk):
         # 3 * chunk + 1234 trials, not a whole number of chunks: two threads
-        # split them at chunk 2, three at chunks 1 and 2, and undecided rows
-        # lie within a few trials on both sides of every split; every thread
-        # count, and chunk sizes whose splits fall elsewhere, give one output
+        # split them at chunk 2, three at chunks 1 and 2, and resolve batches
+        # of one, two and three chunks end at chunks 1, 2 and 3 or at a
+        # thread's end; undecided rows lie within a few trials on both sides
+        # of every such edge. Every thread count and batch size, and chunk
+        # sizes whose edges fall elsewhere, give one output
         monkeypatch.setattr(protocol, "_CHUNK", chunk)
         n = 3 * chunk + 1234
         cfg = ProtocolConfig(n_trials=n, seed=43)
         words = protocol._word_stream(43, 0).random_raw(n)
         _, exact, _ = protocol._batch_symbols(protocol._lanes(words), protocol._WordBounds.of(cfg.noise))
-        for split in (chunk, 2 * chunk):
+        for split in (chunk, 2 * chunk, 3 * chunk):
             assert np.any((exact >= split - 64) & (exact < split))
             assert np.any((exact >= split) & (exact < split + 64))
-        reference = run_batch(cfg, workers=1)[0].symbols
-        for workers in (2, 3):
-            assert np.array_equal(run_batch(cfg, workers=workers)[0].symbols, reference), workers
+        reference = None
+        for resolve_chunks in (1, 2, 3):
+            monkeypatch.setattr(protocol, "_RESOLVE_CHUNKS", resolve_chunks)
+            for workers in (1, 2, 3):
+                symbols = run_batch(cfg, workers=workers)[0].symbols
+                if reference is None:
+                    reference = symbols
+                assert np.array_equal(symbols, reference), (resolve_chunks, workers)
         monkeypatch.setattr(protocol, "_CHUNK", 1 << 14)
         assert np.array_equal(run_batch(cfg, workers=2)[0].symbols, reference)
-        for i in exact[(exact >= chunk - 64) & (exact < 2 * chunk + 64)]:
+        for i in exact[(exact >= chunk - 64) & (exact < 3 * chunk + 64)]:
             assert int(run_trial(cfg, TrialRandom(43, int(i))).symbol) == reference[i], i
 
     def test_chunk_is_whole_words(self):
@@ -793,16 +812,19 @@ class TestChunking:
         temporaries = 2 * protocol._CHUNK * 8  # two 8-byte temporaries per trial of a chunk
         assert peak <= 2 * n + 2 * (chunk_bytes + temporaries)
 
-    def test_held_rows_bounded_per_chunk(self, monkeypatch):
+    def test_held_rows_bounded_per_resolve_batch(self, monkeypatch):
         # p_thermal_1 = 0.5 sends half the trials to the exact tier, and at
         # gate_amp_error 0.5 the Born band holds [0, 1], so every row of a
-        # chunk is held while the chunk is resolved. The threads run one
-        # after the other, so the peak is one thread's chunk: doubling n
-        # (from one chunk per thread to two) adds only the output and the
-        # RawStream tallies, 2 B/trial, not the held rows or their temporaries
+        # resolve batch of _RESOLVE_CHUNKS chunks is held until the batch is
+        # resolved. The threads run one after the other, so the peak is one
+        # thread's batch: doubling n (from one batch per thread to two) adds
+        # only the output and the RawStream tallies, at most 2 B/trial, not
+        # the held rows or their temporaries. 2^15-trial chunks keep the
+        # batch's temporaries small
+        monkeypatch.setattr(protocol, "_CHUNK", 1 << 15)
         monkeypatch.setattr(protocol, "ThreadPoolExecutor", SerialPool)
         noise = NoiseParams(p_thermal_1=0.5, gate_amp_error=0.5)
-        n = 2 * protocol._CHUNK
+        n = 2 * protocol._RESOLVE_CHUNKS * protocol._CHUNK
         peaks = []
         run_batch(ProtocolConfig(n_trials=n, seed=63, noise=noise), workers=2)
         for trials in (n, 2 * n):
@@ -813,7 +835,7 @@ class TestChunking:
             finally:
                 tracemalloc.stop()
         row_bytes = 16  # a held row's position and screen word
-        assert peaks[0] > protocol._CHUNK * row_bytes  # a chunk's rows were held
+        assert peaks[0] > protocol._RESOLVE_CHUNKS * protocol._CHUNK * row_bytes  # a batch's rows were held
         assert peaks[1] - peaks[0] <= 2 * n + protocol._CHUNK * 2
 
 

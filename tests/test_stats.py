@@ -86,6 +86,18 @@ class TestEntropy:
     def test_unbiased_stream_close_to_eight(self):
         assert entropy_per_byte(random_bits(9, 10**7)) > 7.999
 
+    @pytest.mark.parametrize("extra_bits", [0, 7, 8, 15], ids=["even", "even+7", "odd", "odd+7"])
+    @pytest.mark.parametrize("offset", [-2, 0], ids=["bytes", "pairs"])
+    def test_matches_byte_counts_on_both_paths(self, offset, extra_bits):
+        # just below the byte-pair threshold and at it, with an even and an
+        # odd number of whole bytes (the odd one counted on its own) and
+        # trailing bits that are ignored; a biased source so counts differ
+        n = 8 * (stats._PAIR_COUNT_BYTES + offset) + extra_bits
+        bits = BitStream((np.random.default_rng(extra_bits).random(n) < 0.3).astype(np.uint8))
+        counts = np.bincount(bits.packed[: n // 8], minlength=256)
+        freqs = counts[counts > 0] / (n // 8)
+        assert entropy_per_byte(bits) == float(-np.sum(freqs * np.log2(freqs)))
+
 
 class TestMonobit:
     def test_worked_example(self):
