@@ -8,11 +8,13 @@ refinement stream is SplitMix64 (G. L. Steele, D. Lea, C. H. Flood, "Fast
 splittable pseudorandom number generators", OOPSLA 2014) keyed by the first
 64-bit word of ``SeedSequence(s, spawn_key=(1,)).generate_state``: word n
 is a fixed mix of key + (n + 1) gamma modulo 2^64, so any word costs a few
-integer operations. ``_word_stream`` and ``_refinement_key`` build them for
-``run_batch`` and for its reference ``TrialRandom`` alike: they are the one
-seam between the seed and the words. So trials are order-independent, and a
-batch can be generated in chunks or across workers with bit-identical
-results.
+integer operations. ``_word_stream`` and ``_refinement_key`` build the
+streams, ``_refinement`` computes refinement words on uint64 arrays, and
+``_uniform`` cuts a trial's uniforms from its words. ``run_batch`` and its
+reference ``TrialRandom`` alike read their words through these four alone:
+they are the one seam between the seed and the uniforms. So trials are
+order-independent, and a batch can be generated in chunks or across workers
+with bit-identical results.
 
 A noisy trial reads eight uniforms u0-u7, each h 2^-32 for a 32-bit integer
 h, so each lies on the 2^-32 grid in [0, 1 - 2^-32]. Noisy trial ``i``'s
@@ -218,14 +220,6 @@ def _refinement_key(seed: int) -> int:
     return int(np.random.SeedSequence(seed, spawn_key=(1,)).generate_state(1, np.uint64)[0])
 
 
-def _splitmix64(key: int, n: int) -> int:
-    """Word ``n`` of the SplitMix64 stream keyed ``key``, in Python ints."""
-    z = (key + (n + 1) * _GAMMA) & _MASK64
-    for shift, multiplier in _MIX:
-        z = ((z ^ (z >> shift)) * multiplier) & _MASK64
-    return z ^ (z >> 31)
-
-
 def _refinement(key: int, index: np.ndarray, r: int) -> np.ndarray:
     """Refinement word ``r`` of the trials ``index``: SplitMix64 word
     3 i + r of the stream keyed ``key``, computed on uint64 arrays, which wrap
@@ -237,9 +231,9 @@ def _refinement(key: int, index: np.ndarray, r: int) -> np.ndarray:
     return z ^ (z >> 31)
 
 
-def _uniform(words, k: int):
-    """Uniform u_k of the trials whose screen word and refinement words are
-    ``words``, Python ints or uint64 arrays, cut as the bit table says."""
+def _uniform(words, k: int) -> np.ndarray:
+    """Uniform u_k of the trials whose screen words and refinement words are
+    the uint64 arrays ``words``, cut as the bit table says."""
     h = 0
     for j, shift, width, at in _FIELDS[k]:
         h = h | (((words[j] >> shift) & ((1 << width) - 1)) << at)
@@ -247,15 +241,12 @@ def _uniform(words, k: int):
 
 
 class TrialRandom:
-    """Sequential uniform source over one trial's fixed budget of eight
-    uniforms: u0-u7 of the module's bit table, cut from the trial's screen
-    word and its three refinement words, or, for an ideal trial, its one
-    fair bit from ``bit()``. The bit spends the whole budget, so a trial
-    reads either its bit or its uniforms. The screen word comes from a fresh
-    ``_word_stream`` and the refinement words from ``_refinement_key``, the
-    seams ``run_batch`` reads too, computed here in Python ints. A trial
-    index runs up to 2^128 - 1, the length of the word stream; refinement
-    counters wrap modulo 2^64.
+    """The words of one trial, read through the seams ``run_batch`` reads:
+    ``uniforms()`` cuts a noisy trial's u0-u7 from its screen word, drawn
+    from a fresh ``_word_stream``, and its three ``_refinement`` words, and
+    ``bit()`` reads an ideal trial's fair bit. A trial index runs up to
+    2^128 - 1, the length of the word stream; refinement counters wrap
+    modulo 2^64.
 
     ``run_trial(config, TrialRandom(seed, i))`` reproduces trial ``i`` of
     ``run_batch`` exactly.
@@ -269,26 +260,19 @@ class TrialRandom:
         if trial_index >= _STREAM_LENGTH:
             raise ValidationError("trial_index must be below 2^128, the length of the word stream")
         self._trial = trial_index
-        self._remaining = _UNIFORMS
 
-    def random(self, size=None):
-        n = 1 if size is None else _integer(size, "size")
-        if not 0 <= n <= self._remaining:  # checked before the budget moves
-            raise ValidationError(f"size {n} lies outside [0, {self._remaining}], the trial's unread uniform budget")
-        first = _UNIFORMS - self._remaining
-        self._remaining -= n
+    def uniforms(self) -> np.ndarray:
+        """Noisy trial ``i``'s uniforms u0-u7, one float64 array."""
+        # one-element arrays: numpy warns when uint64 scalar arithmetic wraps
+        index = np.array([self._trial & _MASK64], dtype=np.uint64)
         key = _refinement_key(self._seed)
-        words = [int(_word_stream(self._seed, self._trial).random_raw())]
-        words += [_splitmix64(key, _REFINEMENT_WORDS * self._trial + r) for r in range(_REFINEMENT_WORDS)]
-        u = np.array([_uniform(words, k) for k in range(first, first + n)], dtype=np.float64)
-        return float(u[0]) if size is None else u
+        words = [_word_stream(self._seed, self._trial).random_raw(1)]
+        words += [_refinement(key, index, r) for r in range(_REFINEMENT_WORDS)]
+        return np.concatenate([_uniform(words, k) for k in range(_UNIFORMS)])
 
     def bit(self) -> int:
         """Ideal trial ``i``'s fair bit: bit ``i mod 64``, least significant
         first, of word ``i // 64`` of the word stream."""
-        if self._remaining != _UNIFORMS:  # checked before the budget moves
-            raise ValidationError("bit() needs the trial's whole budget, and some of it was read")
-        self._remaining = 0
         word = int(_word_stream(self._seed, self._trial // 64).random_raw())
         return (word >> (self._trial % 64)) & 1
 
@@ -306,15 +290,16 @@ def _check_fair_triple() -> None:
 
 
 def run_trial(config: ProtocolConfig, rng) -> TrialRecord:
-    """Run one protocol shot, drawing its uniforms u0-u7 from ``rng`` in
-    order."""
+    """Run one protocol shot on the words of ``rng``, a :class:`TrialRandom`:
+    an ideal trial reads ``rng.bit()``, a noisy trial ``rng.uniforms()`` and
+    consumes u0-u7 in order."""
     if config.ideal:
         _check_fair_triple()
         level = rng.bit()
         return TrialRecord(true_level=level, symbol=level)
 
     noise = config.noise
-    w = rng.random(_UNIFORMS)
+    w = rng.uniforms()
     initial = int(thermal_init(w[0], noise))
     theta = (np.pi / 2.0) * (1.0 + gate_error(w[1], w[2], noise))
     noisy_m = rotation("01", theta) @ rotation("12", theta)

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hst
 
 from ksqrng import bits, protocol
@@ -208,7 +208,7 @@ class TestConfig:
         config = ProtocolConfig(n_trials=np.int64(64), seed=np.uint64(5))
         assert run_batch(config, workers=np.int64(2))[0] == run_batch(ProtocolConfig(n_trials=64, seed=5))[0]
         assert random_bits(np.uint64(5), np.int64(64)) == random_bits(5, 64)
-        assert np.array_equal(TrialRandom(np.int64(5), np.int64(3)).random(8), TrialRandom(5, 3).random(8))
+        assert np.array_equal(TrialRandom(np.int64(5), np.int64(3)).uniforms(), TrialRandom(5, 3).uniforms())
 
 
 def spawned_words(seed):
@@ -221,6 +221,10 @@ def spawned_key(seed):
     """The refinement key of ``seed`` built through ``SeedSequence.spawn``, a
     second path to ``protocol._refinement_key``."""
     return int(np.random.SeedSequence(seed).spawn(2)[1].generate_state(1, np.uint64)[0])
+
+
+# 3 WRAP = 2^64 - 1: from trial WRAP on, the refinement counters 3i + r + 1 cross 2^64
+WRAP = 6148914691236517205
 
 
 def splitmix(key, n):
@@ -287,35 +291,6 @@ def layout_uniforms(seed, trial):
 
 
 class TestTrialRandom:
-    def test_budget_exhaustion(self):
-        rng = TrialRandom(1, 0)
-        rng.random(8)
-        with pytest.raises(ValidationError):
-            rng.random()
-
-    def test_negative_size_leaves_budget(self):
-        rng = TrialRandom(77, 1)
-        with pytest.raises(ValidationError):
-            rng.random(-3)
-        with pytest.raises(ValidationError):
-            rng.random(9)
-        assert np.array_equal(rng.random(8), TrialRandom(77, 1).random(8))
-        with pytest.raises(ValidationError):
-            rng.random()
-
-    @pytest.mark.parametrize("size", [2.5, np.float64(2.0), "2"], ids=["float", "float64", "str"])
-    def test_non_integer_size_leaves_budget(self, size):
-        rng = TrialRandom(0, 0)
-        with pytest.raises(ValidationError):
-            rng.random(size)
-        assert np.array_equal(rng.random(np.int64(8)), TrialRandom(0, 0).random(8))
-
-    def test_zero_size_draws_nothing(self):
-        rng = TrialRandom(77, 2)
-        assert rng.random(0).size == 0
-        assert np.array_equal(rng.random(8), TrialRandom(77, 2).random(8))
-        assert rng.random(0).size == 0
-
     def test_matches_contiguous_stream(self):
         # the screen word of trial i is word i of the word stream, a
         # contiguous PCG64DXSM stream spawned from the seed, and its
@@ -324,71 +299,42 @@ class TestTrialRandom:
         refinement = [splitmix(spawned_key(77), n) for n in range(27)]
         for i in range(9):
             words = [screens[i], *refinement[3 * i : 3 * i + 3]]
-            assert TrialRandom(77, i).random(8).tolist() == [cut(words, k) / 2**32 for k in range(8)]
+            assert TrialRandom(77, i).uniforms().tolist() == [cut(words, k) / 2**32 for k in range(8)]
 
-    @pytest.mark.parametrize("offset", range(4))
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(
         seed=hst.integers(0, 2**64 - 1),
-        block=hst.one_of(
-            hst.integers(0, 1 << 18),
-            hst.builds(lambda k, d: max(k * (protocol._CHUNK // 4) + d, 0), hst.integers(0, 64), hst.integers(-1, 0)),
-            hst.integers(2**62, 2**126 - 1),  # trial indices of 2^64 and more, up to 2^128 - 1
+        trial=hst.one_of(
+            hst.integers(0, 1 << 20),
+            hst.builds(lambda k, d: max(k * protocol._CHUNK + d, 0), hst.integers(0, 64), hst.integers(-4, 3)),
+            hst.integers(2**64, 2**128 - 1),  # trial indices of 2^64 and more, up to 2^128 - 1
         ),
     )
-    def test_matches_philox_counter(self, offset, seed, block):
-        # trial i = 4 * block + offset reads word i of the word stream, the
-        # word at counter position advance(i), and refinement counters 3i to
-        # 3i + 2 modulo 2^64, and serves u0-u7 in the table's order however
-        # the eight are split between two calls. The name and the four
-        # offsets date from Philox columns, whose 4-word blocks put each
-        # trial at position i % 4; the offsets keep every residue of i mod 4
-        # covered.
-        trial = 4 * block + offset
-        expected = layout_uniforms(seed, trial)
-        for k in range(9):
-            rng = TrialRandom(seed, trial)
-            head = [rng.random()] if k == 1 else rng.random(k).tolist()
-            assert all(type(u) is float for u in head)
-            assert head + rng.random(8 - k).tolist() == expected, k
+    # the trials whose refinement counters cross 2^64, and one past it whose
+    # index wraps in the uint64 counter arithmetic
+    @example(seed=3, trial=WRAP - 1)
+    @example(seed=3, trial=WRAP)
+    @example(seed=3, trial=WRAP + 1)
+    @example(seed=3, trial=2**64 + 5)
+    def test_matches_word_and_refinement_counters(self, seed, trial):
+        # trial i reads word i of the word stream, the word at counter
+        # position advance(i), and refinement counters 3i to 3i + 2 modulo
+        # 2^64, and serves u0-u7 in the table's order
+        u = TrialRandom(seed, trial).uniforms()
+        assert u.dtype == np.float64
+        assert u.tolist() == layout_uniforms(seed, trial)
 
-    def test_last_trial_of_a_column(self):
+    def test_last_trial_of_the_word_stream(self):
         # the word stream is 2^128 words long, the period of PCG64DXSM: word
         # 2^128 would be word 0 again; refinement counters wrap at 2^64, so
         # trial 2^64 + 5 shares trial 5's refinement words, not its screen
         last = 2**128 - 1
-        assert TrialRandom(3, last).random(8).tolist() == layout_uniforms(3, last)
+        assert TrialRandom(3, last).uniforms().tolist() == layout_uniforms(3, last)
         assert spawned_words(3).advance(last).random_raw(2)[1] == spawned_words(3).random_raw()
         with pytest.raises(ValidationError, match="below 2\\^128"):
             TrialRandom(3, last + 1)
         near, far = row_words(3, 5), row_words(3, 2**64 + 5)
         assert near[1:] == far[1:] and near[0] != far[0]
-
-    def test_interleaved_sources_draw_their_own_words(self):
-        a, b = TrialRandom(9, 5), TrialRandom(10, 6)
-        drawn = {id(a): [], id(b): []}
-        for rng in (a, b, b, a, a, b, a, b, b, a, b, a, a, b, a, b):
-            drawn[id(rng)].append(rng.random())
-        assert drawn[id(a)] == TrialRandom(9, 5).random(8).tolist()
-        assert drawn[id(b)] == TrialRandom(10, 6).random(8).tolist()
-
-    def test_bit_and_random_share_budget(self):
-        # an ideal trial reads its bit, a noisy trial its uniforms; the bit
-        # spends the whole budget, and a refused call leaves it as it was
-        rng = TrialRandom(5, 70)
-        bit = rng.bit()
-        with pytest.raises(ValidationError):
-            rng.random()
-        with pytest.raises(ValidationError):
-            rng.bit()
-        rng = TrialRandom(5, 70)
-        rng.random(1)
-        with pytest.raises(ValidationError):
-            rng.bit()
-        assert np.array_equal(rng.random(7), TrialRandom(5, 70).random(8)[1:])
-        rng = TrialRandom(5, 70)
-        assert rng.random(0).size == 0
-        assert rng.bit() == bit
 
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
     @pytest.mark.parametrize("trial", [2**64 + 5, 2**128 - 1], ids=["2^64+5", "2^128-1"])
@@ -402,14 +348,14 @@ class TestTrialRandom:
         assert sum(TrialRandom(seed, base + k).bit() << k for k in range(64)) == word
 
     @pytest.mark.parametrize("trial", [1, 3, (1 << 14) - 1, 1 << 14, 3 * (1 << 14) + 5])
-    def test_stream_started_mid_column_continues_it(self, trial):
+    def test_stream_started_mid_run_continues_it(self, trial):
         # a run_batch thread starts its word stream at its first trial; the
         # words must be those a stream from trial 0 reaches there
         whole = protocol._word_stream(2**64 - 1, 0).random_raw(trial + 9)
         assert np.array_equal(protocol._word_stream(2**64 - 1, trial).random_raw(9), whole[trial:])
 
     @pytest.mark.parametrize("seed", [0, 77, 2**64 - 2])
-    def test_columns_are_distinct(self, seed):
+    def test_streams_are_distinct(self, seed):
         # a spawn-key mix-up would alias the word stream with the refinement
         # stream, or a stream of the seed with one of the next seed
         heads = set()
@@ -420,8 +366,8 @@ class TestTrialRandom:
 
 
 class TestRefinement:
-    """The refinement words are SplitMix64 words; the kernel computes them on
-    uint64 arrays, TrialRandom in Python integers."""
+    """The refinement words are SplitMix64 words, computed on uint64 arrays
+    by ``_refinement`` for run_batch and TrialRandom alike."""
 
     @pytest.mark.parametrize(
         "key, words",
@@ -434,7 +380,8 @@ class TestRefinement:
     def test_published_outputs(self, key, words):
         # the first outputs of SplitMix64 seeded with these states, as other
         # implementations publish them
-        assert [protocol._splitmix64(key, n) for n in range(3)] == words
+        first = np.zeros(1, dtype=np.uint64)  # words 0, 1 and 2 are trial 0's r0, r1 and r2
+        assert [int(protocol._refinement(key, first, r)[0]) for r in range(3)] == words
         assert [splitmix(key, n) for n in range(3)] == words
 
     @settings(max_examples=50, deadline=None)
@@ -444,13 +391,11 @@ class TestRefinement:
     )
     def test_vectorised_matches_python_ints(self, key, sampled):
         # trial 0, the last trial of the largest batch numpy can index, and
-        # the trials whose counters 3i + r + 1 cross 2^64 (3 * 6148914691236517205 = 2^64 - 1)
-        wrap = 6148914691236517205
-        trials = [0, 1, 2**63 - 2, 2**63 - 1, wrap - 1, wrap, wrap + 1, *sampled]
+        # the trials whose counters 3i + r + 1 cross 2^64
+        trials = [0, 1, 2**63 - 2, 2**63 - 1, WRAP - 1, WRAP, WRAP + 1, *sampled]
         index = np.array(trials, dtype=np.intp)
         for r in range(3):
             expected = [splitmix(key, 3 * i + r) for i in trials]
-            assert [protocol._splitmix64(key, 3 * i + r) for i in trials] == expected
             assert protocol._refinement(key, index, r).tolist() == expected, r
 
     def test_key_is_spawn_key_one(self):
@@ -498,7 +443,6 @@ class TestRawWords:
             ([ones, zero, zero, zero], [1.0 - 2.0 ** -SCREEN_BITS.get(k, 0) for k in range(8)]),
         ):
             assert [float(protocol._uniform(words, k)[0]) for k in range(8)] == expected
-            assert [protocol._uniform([int(w[0]) for w in words], k) for k in range(8)] == expected
 
     @pytest.mark.parametrize(
         "p",
@@ -861,7 +805,7 @@ def reference_symbols(words, noise):
 def trial_words(seed, n):
     """The uniforms u0-u7 of trials [0, n), one row per uniform, cut by the
     table from the spawned word stream's words and the refinement words
-    (whose vectorised SplitMix64 TestRefinement pins to the Python one)."""
+    (whose SplitMix64 TestRefinement pins to its published outputs)."""
     index = np.arange(n)
     words = [spawned_words(seed).random_raw(n)]
     words += [protocol._refinement(spawned_key(seed), index, r) for r in range(3)]
@@ -999,7 +943,7 @@ class TestEarlyDecisions:
                 assert record.symbol == levels[0]
 
 
-class ColumnSource:
+class WordStreamSource:
     """A ``_word_stream`` stand-in whose word stream holds the raw words
     ``words``, started at any word."""
 
@@ -1007,10 +951,10 @@ class ColumnSource:
         self._words = np.array(words, dtype=np.uint64)
 
     def __call__(self, seed, word):
-        return ColumnWords(self._words[word:])
+        return StreamWords(self._words[word:])
 
 
-class ColumnWords:
+class StreamWords:
     """The unread words of one stand-in word stream."""
 
     def __init__(self, words):
@@ -1024,17 +968,14 @@ class ColumnWords:
 
 
 class RefinementSource:
-    """Stand-ins for ``_refinement`` and ``_splitmix64`` whose refinement
-    word r of trial i is ``rows[i][r]``, whatever the key."""
+    """A ``_refinement`` stand-in whose refinement word r of trial i is
+    ``rows[i][r]``, whatever the key."""
 
     def __init__(self, rows):
         self._rows = np.array(rows, dtype=np.uint64).reshape(-1, 3)
 
-    def vectorised(self, key, index, r):
+    def __call__(self, key, index, r):
         return self._rows[index, r]
-
-    def python_ints(self, key, n):
-        return int(self._rows[n // 3, n % 3])
 
 
 class WordsRandom:
@@ -1044,8 +985,7 @@ class WordsRandom:
     def __init__(self, words):
         self._u = np.array([cut(words, k) / 2**32 for k in range(8)])
 
-    def random(self, size):
-        assert size == 8
+    def uniforms(self):
         return self._u
 
 
@@ -1081,10 +1021,8 @@ class TestWordTies:
         for ``run_batch`` and ``TrialRandom`` alike, are the rows ``rows``:
         trial i reads row i."""
         rows = np.array(rows, dtype=np.uint64)
-        refinement = RefinementSource(rows[:, 1:])
-        monkeypatch.setattr(protocol, "_word_stream", ColumnSource(rows[:, 0]))
-        monkeypatch.setattr(protocol, "_refinement", refinement.vectorised)
-        monkeypatch.setattr(protocol, "_splitmix64", refinement.python_ints)
+        monkeypatch.setattr(protocol, "_word_stream", WordStreamSource(rows[:, 0]))
+        monkeypatch.setattr(protocol, "_refinement", RefinementSource(rows[:, 1:]))
         return ProtocolConfig(n_trials=len(rows), seed=0, **cfg)
 
     def batch(self, monkeypatch, rows, **cfg):
@@ -1177,7 +1115,7 @@ class TestWordTies:
         # the word stream holds the top bit of word 0 and the bottom bit of word 1,
         # so trials 63 and 64 alone are 1; a most-significant-first order or
         # an off-by-one word would set others
-        monkeypatch.setattr(protocol, "_word_stream", ColumnSource([1 << 63, 1, 0]))
+        monkeypatch.setattr(protocol, "_word_stream", WordStreamSource([1 << 63, 1, 0]))
         cfg = ProtocolConfig(n_trials=192, seed=0, ideal=True)
         expected = [int(i in (63, 64)) for i in range(192)]
         assert run_batch(cfg)[0].symbols.tolist() == expected
