@@ -301,25 +301,29 @@ class TestTrialRandom:
             words = [screens[i], *refinement[3 * i : 3 * i + 3]]
             assert TrialRandom(77, i).uniforms().tolist() == [cut(words, k) / 2**32 for k in range(8)]
 
-    @settings(max_examples=100, deadline=None)
+    @pytest.mark.parametrize("offset", range(4))
+    @settings(max_examples=25, deadline=None)
     @given(
         seed=hst.integers(0, 2**64 - 1),
-        trial=hst.one_of(
-            hst.integers(0, 1 << 20),
-            hst.builds(lambda k, d: max(k * protocol._CHUNK + d, 0), hst.integers(0, 64), hst.integers(-4, 3)),
-            hst.integers(2**64, 2**128 - 1),  # trial indices of 2^64 and more, up to 2^128 - 1
+        block=hst.one_of(
+            hst.integers(0, 1 << 18),
+            hst.builds(lambda k, d: max(k * (protocol._CHUNK // 4) + d, 0), hst.integers(0, 64), hst.integers(-1, 0)),
+            hst.integers(2**62, 2**126 - 1),  # trial indices of 2^64 and more, up to 2^128 - 1
         ),
     )
-    # the trials whose refinement counters cross 2^64, and one past it whose
-    # index wraps in the uint64 counter arithmetic
-    @example(seed=3, trial=WRAP - 1)
-    @example(seed=3, trial=WRAP)
-    @example(seed=3, trial=WRAP + 1)
-    @example(seed=3, trial=2**64 + 5)
-    def test_matches_word_and_refinement_counters(self, seed, trial):
-        # trial i reads word i of the word stream, the word at counter
-        # position advance(i), and refinement counters 3i to 3i + 2 modulo
-        # 2^64, and serves u0-u7 in the table's order
+    # the trials WRAP - 1 to WRAP + 2, whose refinement counters cross 2^64,
+    # and 2^64 + 4 to 2^64 + 7, whose indices wrap in the uint64 counter
+    # arithmetic
+    @example(seed=3, block=(WRAP - 1) // 4)
+    @example(seed=3, block=2**62 + 1)
+    def test_matches_philox_counter(self, offset, seed, block):
+        # trial i = 4 * block + offset reads word i of the word stream, the
+        # word at counter position advance(i), and refinement counters 3i to
+        # 3i + 2 modulo 2^64, and serves u0-u7 in the table's order. The name
+        # and the four offsets date from Philox columns, whose 4-word blocks
+        # put each trial at position i % 4; the offsets keep every residue of
+        # i mod 4 covered.
+        trial = 4 * block + offset
         u = TrialRandom(seed, trial).uniforms()
         assert u.dtype == np.float64
         assert u.tolist() == layout_uniforms(seed, trial)
