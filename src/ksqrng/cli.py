@@ -45,7 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output trace file")
     p.add_argument("--report", help="write the generation report here instead of stdout")
     p.add_argument("--ideal", action="store_true", help="override noise: run the ideal protocol")
-    p.add_argument("--workers", type=int, default=1, help="worker threads (output is identical)")
+    p.add_argument("--workers", type=int, default=1, help="worker threads for noisy generation (output is identical)")
 
     p = sub.add_parser("certify", help="certification report from a trace file")
     p.add_argument("--in", dest="infile", required=True, help="input trace file")

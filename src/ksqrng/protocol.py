@@ -13,8 +13,8 @@ streams, ``_refinement`` computes refinement words on uint64 arrays, and
 ``_uniform`` cuts a trial's uniforms from its words. ``run_batch`` and its
 reference ``TrialRandom`` alike read their words through these four alone:
 they are the one seam between the seed and the uniforms. So trials are
-order-independent, and a batch can be generated in chunks or across workers
-with bit-identical results.
+order-independent, and a noisy batch can be generated in chunks or across
+workers with bit-identical results.
 
 A noisy trial reads eight uniforms u0-u7, each h 2^-32 for a 32-bit integer
 h, so each lies on the 2^-32 grid in [0, 1 - 2^-32]. Noisy trial ``i``'s
@@ -43,8 +43,8 @@ distinct stream words; the word stream's 2^128 screen words never repeat.
 Ideal mode prepares Sz = 0 and measures Sx, so its Born triple is exactly
 (1/2, 1/2, 0) and each trial is one fair bit: ideal trial ``i`` is bit
 ``i mod 64``, least significant first, of word ``i // 64`` of the word
-stream, so 64 trials share a word. Noise and IQ synthesis are bypassed
-entirely and classification is the identity on the projected level.
+stream, so 64 trials share a word and a run is one draw and one unpack.
+Noise, IQ synthesis and classification are bypassed.
 ``run_trial`` and ``run_batch`` both recompute the triple and refuse to run
 unless it is (1/2, 1/2, 0), so a changed unitary cannot silently become a
 coin.
@@ -107,12 +107,12 @@ from .readout import (
 
 _UNIFORMS = 8  # a noisy trial's uniforms, u0-u7
 _STREAM_LENGTH = 1 << 128  # words of the word stream: the period of PCG64DXSM
-# Trials per chunk, a multiple of 64. A noisy chunk's screen words, lanes and
-# temporaries peak at about 17 B/trial in each thread. On a loaded 2-core
-# x86-64 host 2^23 noisy trials on one worker took 141, 113, 111 and 113 ms
-# at 2^15, 2^16, 2^17 and 2^18 trials per chunk (medians of eleven): the
-# per-chunk numpy calls stop mattering at 2^17. Two workers resolving every
-# chunk would gain from 2^19 (67 against 85 ms), but at about 8 MB per thread.
+# Noisy trials per chunk. A chunk's screen words, lanes and temporaries peak
+# at about 17 B/trial in each thread. On a loaded 2-core x86-64 host 2^23
+# noisy trials on one worker took 141, 113, 111 and 113 ms at 2^15, 2^16,
+# 2^17 and 2^18 trials per chunk (medians of eleven): the per-chunk numpy
+# calls stop mattering at 2^17. Two workers resolving every chunk would gain
+# from 2^19 (67 against 85 ms), but at about 8 MB per thread.
 _CHUNK = 1 << 17
 # Chunks per resolve batch. A thread holds each chunk's undecided rows, 16 B
 # per exact-tier row (3.4% of trials at the defaults), and resolves them once
@@ -435,23 +435,21 @@ def _resolve(out, pending: list, noise: NoiseParams, key: int) -> None:
 
 
 def run_batch(config: ProtocolConfig, workers: int = 1) -> tuple[RawStream, BatchSummary]:
-    """Generate ``config.n_trials`` symbols.
+    """Generate ``config.n_trials`` symbols, bit-identical for identical
+    configs whatever ``workers``.
 
-    Output is bit-identical for identical configs regardless of ``workers``:
-    randomness is addressed by absolute trial index, so how trials are split
-    only decides who computes them. The trials are cut into ``_CHUNK``-trial
-    chunks, and ``min(workers, chunks)`` threads each take a contiguous run
-    of chunks. The calling thread takes the first run, so one pool thread
-    fewer keeps a chunk's freed memory in its own allocator arena. A thread
-    starts one PCG64DXSM generator on the word stream at the word of its
-    first trial, and draws each chunk as a contiguous run of raw words,
-    releasing them before the next draw, so consecutive draws continue at
-    the next trial.
+    An ideal run draws the words that hold its trials' bits in one call and
+    expands them with ``np.unpackbits``; it starts no thread.
 
-    In ideal mode a chunk draws the words that hold its trials' bits and
-    expands them with ``np.unpackbits``; ``_CHUNK`` is a multiple of 64, so
-    every chunk and every thread starts on a word. In noisy mode a chunk
-    draws one screen word per trial, keeps only their ``_lanes`` until the
+    A noisy run cuts its trials into ``_CHUNK``-trial chunks, and
+    ``min(workers, chunks)`` threads each take a contiguous run of chunks.
+    Randomness is addressed by absolute trial index, so how trials are split
+    only decides who computes them. The calling thread takes the first run,
+    so one pool thread fewer keeps a chunk's freed memory in its own
+    allocator arena. A thread starts one PCG64DXSM generator on the word
+    stream at its first trial's screen word, and draws each chunk as a
+    contiguous run of raw words, one per trial, so consecutive draws
+    continue at the next trial. It keeps only their ``_lanes`` until the
     next draw, and writes its screened levels into the output. The thread
     holds the rows the screens leave undecided, each exact-tier row as its
     trial index and its screen word rebuilt from the lanes, each IQ-tier row
@@ -465,26 +463,24 @@ def run_batch(config: ProtocolConfig, workers: int = 1) -> tuple[RawStream, Batc
     n = config.n_trials
     if n > np.iinfo(np.intp).max:  # np.empty raises ValueError, not MemoryError, past it
         raise ValidationError(f"n_trials {n} exceeds {np.iinfo(np.intp).max}, the largest array numpy can index")
-    out = np.empty(n, dtype=np.uint8)
     if config.ideal:
         _check_fair_triple()
-    else:
-        bounds = _WordBounds.of(config.noise)
-        key = _refinement_key(config.seed)
+        words = _word_stream(config.seed, 0).random_raw(-(-n // 64)).astype("<u8", copy=False)
+        stream = RawStream(np.unpackbits(words.view(np.uint8), count=n, bitorder="little"))
+        return stream, BatchSummary.of(stream, n_trials=n, seed=config.seed, ideal=True)
+    out = np.empty(n, dtype=np.uint8)
+    bounds = _WordBounds.of(config.noise)
+    key = _refinement_key(config.seed)
     n_chunks = -(-n // _CHUNK)
     threads = min(workers, n_chunks)
 
     def fill(t):
         start = t * n_chunks // threads * _CHUNK
         stop = min(n, (t + 1) * n_chunks // threads * _CHUNK)
-        gen = _word_stream(config.seed, start // 64 if config.ideal else start)
+        gen = _word_stream(config.seed, start)
         pending = []
         for lo in range(start, stop, _CHUNK):
             m = min(_CHUNK, stop - lo)
-            if config.ideal:
-                words = gen.random_raw(-(-m // 64)).astype("<u8", copy=False)
-                out[lo : lo + m] = np.unpackbits(words.view(np.uint8), count=m, bitorder="little")
-                continue
             lanes = _lanes(gen.random_raw(m))
             out[lo : lo + m], exact, iq = _batch_symbols(lanes, bounds)
             # the held rows: screen words rebuilt from their lanes, and u6 screens
@@ -505,4 +501,4 @@ def run_batch(config: ProtocolConfig, workers: int = 1) -> tuple[RawStream, Batc
             list(rest)
 
     stream = RawStream(out)
-    return stream, BatchSummary.of(stream, n_trials=n, seed=config.seed, ideal=config.ideal)
+    return stream, BatchSummary.of(stream, n_trials=n, seed=config.seed, ideal=False)

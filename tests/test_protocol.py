@@ -524,6 +524,35 @@ class TestIdealMode:
         assert stream.n_discard == 0
         assert abs(summary.p0 - 0.5) < 0.0015  # binomial 3 sigma
 
+    def test_starts_no_thread(self, monkeypatch):
+        # three and a bit noisy chunks would start three pool threads on four
+        # workers; an ideal run is one draw and one unpack on the calling thread
+        class NoPool:
+            def __init__(self, max_workers):
+                raise AssertionError("an ideal run started a thread pool")
+
+        cfg = ProtocolConfig(n_trials=3 * (1 << 17) + 5, seed=9, ideal=True)
+        serial = run_batch(cfg, workers=1)[0]
+        monkeypatch.setattr(protocol, "ThreadPoolExecutor", NoPool)
+        assert run_batch(cfg, workers=4)[0] == serial
+
+    def test_holds_output_and_drawn_words_only(self):
+        # 1 B/trial of output and the 8-byte words that hold 64 trials each;
+        # ideal runs have no discards, so RawStream's tallies allocate nothing
+        # per trial. np.unpackbits allocates a fixed 5.4 kB beside its output
+        # (numpy 2.4), hence 16 KiB of slack, where a second trace-sized
+        # buffer would add 1 MiB
+        n = (1 << 20) + 7
+        cfg = ProtocolConfig(n_trials=n, seed=10, ideal=True)
+        run_batch(cfg)
+        tracemalloc.start()
+        try:
+            run_batch(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= n + 8 * -(-n // 64) + 16 * 1024
+
     def test_run_trial_record(self):
         rec = run_trial(ProtocolConfig(n_trials=1, seed=3, ideal=True), TrialRandom(3, 0))
         assert rec.symbol == rec.true_level and type(rec.symbol) is int
@@ -623,8 +652,8 @@ class TestChunking:
         "kw",
         # at iq_sigma 0.36 and p_decay_10 0.4 every whole 2^10-trial chunk of these
         # runs holds exact-tier and IQ-tier rows (22 and 136 at least)
-        [{}, dict(noise=NoiseParams(iq_sigma=0.36, p_decay_10=0.4)), dict(ideal=True)],
-        ids=["noisy", "wide", "ideal"],
+        [{}, dict(noise=NoiseParams(iq_sigma=0.36, p_decay_10=0.4))],
+        ids=["noisy", "wide"],
     )
     @pytest.mark.parametrize("n", [1, (1 << 14) - 1, (1 << 14) + 1, 70_001])
     def test_chunk_size_invariance(self, monkeypatch, n, kw):
@@ -632,11 +661,9 @@ class TestChunking:
         # chunks; these sizes put chunk, resolve-batch and thread edges at
         # different trials, or past the end of the run
         cfg = ProtocolConfig(n_trials=n, seed=41, **kw)
-        undecided = np.array([], dtype=np.intp)
-        if not cfg.ideal:
-            words = protocol._word_stream(41, 0).random_raw(n)
-            _, exact, iq = protocol._batch_symbols(protocol._lanes(words), protocol._WordBounds.of(cfg.noise))
-            undecided = np.union1d(exact, iq)
+        words = protocol._word_stream(41, 0).random_raw(n)
+        _, exact, iq = protocol._batch_symbols(protocol._lanes(words), protocol._WordBounds.of(cfg.noise))
+        undecided = np.union1d(exact, iq)
         reference = None
         for chunk in (1 << 10, 1 << 14, 1 << 18):
             monkeypatch.setattr(protocol, "_CHUNK", chunk)
@@ -672,23 +699,20 @@ class TestChunking:
     @settings(max_examples=20, deadline=None)
     @given(
         seed=hst.integers(0, 2**64 - 1),
-        chunk=hst.sampled_from([64, 128, 16384]),
+        n=hst.integers(1, 320),
         workers=hst.integers(1, 3),
         data=hst.data(),
     )
-    def test_ideal_layout_matches_bit_oracle(self, seed, chunk, workers, data):
+    def test_ideal_layout_matches_bit_oracle(self, seed, n, workers, data):
         # ideal trial i is bit i % 64, least significant first, of word
-        # i // 64 of the word stream; chunks of one, two and 256 words, and
-        # runs that end inside a word
-        n = data.draw(hst.integers(1, 3 * chunk + 129), label="n_trials")
+        # i // 64 of the word stream, on runs of up to five words that end
+        # on or inside a word
         cfg = ProtocolConfig(n_trials=n, seed=seed, ideal=True)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(protocol, "_CHUNK", chunk)
-            symbols = run_batch(cfg, workers=workers)[0].symbols.tolist()
+        symbols = run_batch(cfg, workers=workers)[0].symbols.tolist()
         words = [int(protocol._word_stream(seed, k).random_raw()) for k in range(-(-n // 64))]
         assert symbols == [(words[i // 64] >> (i % 64)) & 1 for i in range(n)]
-        # run_trial at every chunk edge, the first words' trials and a sample
-        checked = set(range(min(n, 130))) | {n - 1} | {i for lo in range(chunk, n, chunk) for i in (lo - 1, lo)}
+        # run_trial at every word edge, the first words' trials and a sample
+        checked = set(range(min(n, 130))) | {n - 1} | {i for lo in range(64, n, 64) for i in (lo - 1, lo)}
         checked |= set(data.draw(hst.lists(hst.integers(0, n - 1), max_size=16), label="sampled"))
         for i in sorted(checked):
             assert run_trial(cfg, TrialRandom(seed, i)).symbol == symbols[i], i
@@ -721,10 +745,6 @@ class TestChunking:
         assert np.array_equal(run_batch(cfg, workers=2)[0].symbols, reference)
         for i in exact[(exact >= chunk - 64) & (exact < 3 * chunk + 64)]:
             assert int(run_trial(cfg, TrialRandom(43, int(i))).symbol) == reference[i], i
-
-    def test_chunk_is_whole_words(self):
-        # ideal mode starts every chunk, and every thread, on a word of 64 trials
-        assert protocol._CHUNK % 64 == 0
 
     def test_threads_capped_at_chunk_count(self, monkeypatch):
         requested = []
