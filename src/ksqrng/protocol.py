@@ -74,11 +74,11 @@ every step would give. The bounds hold on the float64 domain that
 ``readout.NoiseParams`` owns and enforces, so every accepted noise model
 takes this one path.
 
-Each chunk of ``_CHUNK`` trials is screened as it is drawn, and a thread
-holds its chunks' undecided rows and resolves them once per
-``_RESOLVE_CHUNKS`` chunks, so the exact path's short numpy calls, which
-hold the GIL, run once per batch of chunks. Each symbol is still a function
-of its trial's own words.
+Each chunk of ``_CHUNK`` trials is screened as it is drawn, into one lane
+buffer per thread, and a thread holds its chunks' undecided rows and
+resolves them once per ``_RESOLVE_CHUNKS`` chunks, so the exact path's short
+numpy calls, which hold the GIL, run once per batch of chunks. Each symbol
+is still a function of its trial's own words.
 """
 
 from __future__ import annotations
@@ -107,20 +107,29 @@ from .readout import (
 
 _UNIFORMS = 8  # a noisy trial's uniforms, u0-u7
 _STREAM_LENGTH = 1 << 128  # words of the word stream: the period of PCG64DXSM
-# Noisy trials per chunk. A chunk's screen words, lanes and temporaries peak
-# at about 17 B/trial in each thread. On a loaded 2-core x86-64 host 2^23
-# noisy trials on one worker took 141, 113, 111 and 113 ms at 2^15, 2^16,
-# 2^17 and 2^18 trials per chunk (medians of eleven): the per-chunk numpy
-# calls stop mattering at 2^17. Two workers resolving every chunk would gain
-# from 2^19 (67 against 85 ms), but at about 8 MB per thread.
+# Noisy trials per chunk. A chunk's screen words, its thread's lane buffer and
+# the temporaries peak at about 17 B/trial in each thread. On a loaded 2-core
+# x86-64 host 2^23 noisy trials on one worker took 141, 113, 111 and 113 ms
+# at 2^15, 2^16, 2^17 and 2^18 trials per chunk (warm repeat calls in one
+# process, medians of eleven): the per-chunk numpy calls stop mattering at
+# 2^17. Two workers resolving every chunk would gain from 2^19 (67 against
+# 85 ms), but at about 8 MB per thread. First calls in a fresh process, as
+# perfbench and the CLI make them, on two workers: 59.0 ms at 2^17 against
+# 66.9 at 2^16, and 77.0 against 77.5 at 2^18 on a busier host (medians of
+# 20 alternating cold passes each).
 _CHUNK = 1 << 17
 # Chunks per resolve batch. A thread holds each chunk's undecided rows, 16 B
 # per exact-tier row (3.4% of trials at the defaults), and resolves them once
 # per batch. Resolving every chunk, 2^23 noisy trials took 84 ms on two
 # workers and 99 on one; at 2, 4 and 8 chunks per batch 76, 63 and 55 ms on
-# two and 101, 89 and 89 on one (medians of 15 interleaved rounds, shared
-# 2-core x86-64 host). The tracemalloc peak beside the output went from 4.3 MB
-# to 6.2 MB at 4 and 12.2 MB at 8 chunks on two workers.
+# two and 101, 89 and 89 on one (warm repeat calls, medians of 15 interleaved
+# rounds, shared 2-core x86-64 host). The tracemalloc peak beside the output
+# went from 4.3 MB to 6.2 MB at 4 and 12.2 MB at 8 chunks on two workers.
+# First calls in a fresh process on two workers: 58.0 ms at 4 against 69.0 at
+# 2, and 59.7 against 72.2 at 8 (medians of 20 alternating cold passes).
+# A batch of 4 resolves in about 1.7 MB of temporaries at the defaults, which
+# fits in the heap its chunks freed; at 8 a fresh process's allocator hands
+# that heap back after each batch and the next draw faults it in again.
 _RESOLVE_CHUNKS = 4
 
 # SplitMix64: word n of the stream keyed k is _mix(k + (n + 1) _GAMMA mod 2^64),
@@ -356,12 +365,12 @@ class _WordBounds:
         )
 
 
-def _born_levels(initial, u_a, u_b, u, noise: NoiseParams):
-    """Born levels from the gate error on ``u_a``, ``u_b`` and the uniform
+def _born_levels(initial, error, u):
+    """Born levels from the relative gate error ``error`` and the uniform
     ``u``, for trials that start in level ``initial``."""
-    theta = (np.pi / 2.0) * (1.0 + gate_error(u_a, u_b, noise))
-    c = np.cos(theta / 2.0)
-    s = np.sin(theta / 2.0)
+    half = (np.pi / 2.0) * (1.0 + error) / 2.0  # theta / 2
+    c = np.cos(half)
+    s = np.sin(half, out=half)  # in place: one array of the batch fewer
     cc = c * c
     ss = s * s
 
@@ -376,10 +385,17 @@ def _born_levels(initial, u_a, u_b, u, noise: NoiseParams):
     return _sample_levels(p0, p2, u)
 
 
-def _lanes(words: np.ndarray) -> np.ndarray:
+def _lanes(words: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The screen words ``words`` as their four 16-bit lanes, one contiguous
-    row per lane, so each comparison runs unstrided."""
-    return words.astype("<u8", copy=False).view("<u2").reshape(-1, 4).T.copy()
+    row per lane, so each comparison runs unstrided: a new array, or the
+    first ``len(words)`` columns of ``out``, a ``(4, width)`` uint16 buffer,
+    written in place."""
+    lanes = words.astype("<u8", copy=False).view("<u2").reshape(-1, 4).T
+    if out is None:
+        return lanes.copy()
+    out = out[:, : len(words)]
+    np.copyto(out, lanes)
+    return out
 
 
 def _batch_symbols(lanes: np.ndarray, bounds: _WordBounds):
@@ -419,14 +435,18 @@ def _resolve(out, pending: list, noise: NoiseParams, key: int) -> None:
     steps on their uniforms: thermal start, gate rotation and Born sampling,
     relaxation. Then the IQ-tier rows, which need only r2, synthesise and
     classify a response from the relaxed levels in ``out``, whichever tier
-    wrote them.
+    wrote them. ``pending`` is emptied, and each array is released once
+    read, so a batch's temporaries stay near a dozen arrays of its rows.
     """
     exact, screens, iq, s6 = (np.concatenate(rows) for rows in zip(*pending))
+    pending.clear()  # the chunks' rows, now concatenated
     if exact.size:
         rows = [screens, *(_refinement(key, exact, r) for r in range(_REFINEMENT_WORDS))]
-        u0, u1, u2, u3, u4, u5 = (_uniform(rows, k) for k in range(6))
-        projected = _born_levels(thermal_init(u0, noise), u1, u2, u3, noise)
-        out[exact] = apply_relaxation(projected, u4, u5, noise)
+        initial = thermal_init(_uniform(rows, 0), noise)
+        error = gate_error(_uniform(rows, 1), _uniform(rows, 2), noise)
+        u3, u4, u5 = (_uniform(rows, k) for k in (3, 4, 5))
+        del rows, screens  # the words, once cut into uniforms
+        out[exact] = apply_relaxation(_born_levels(initial, error, u3), u4, u5, noise)
     if iq.size:
         # u6 and u7 read only the u6 screen, bits 16-31 of the screen word
         rows = [s6.astype(np.uint64) << 16, None, None, _refinement(key, iq, 2)]
@@ -449,13 +469,15 @@ def run_batch(config: ProtocolConfig, workers: int = 1) -> tuple[RawStream, Batc
     allocator arena. A thread starts one PCG64DXSM generator on the word
     stream at its first trial's screen word, and draws each chunk as a
     contiguous run of raw words, one per trial, so consecutive draws
-    continue at the next trial. It keeps only their ``_lanes`` until the
-    next draw, and writes its screened levels into the output. The thread
-    holds the rows the screens leave undecided, each exact-tier row as its
-    trial index and its screen word rebuilt from the lanes, each IQ-tier row
-    as its index and its u6 screen, and resolves them into the output once
-    per ``_RESOLVE_CHUNKS`` chunks and once at the end of its run. Screen
-    thresholds and the refinement key are computed once per call.
+    continue at the next trial. It writes each chunk's ``_lanes`` into one
+    buffer allocated once per call, so in a fresh process its chunks reuse
+    memory already faulted in, and writes its screened levels into the
+    output. The thread holds the rows the screens leave undecided, each
+    exact-tier row as its trial index and its screen word rebuilt from the
+    lanes, each IQ-tier row as its index and its u6 screen, and resolves
+    them into the output once per ``_RESOLVE_CHUNKS`` chunks and once at the
+    end of its run. Screen thresholds and the refinement key are computed
+    once per call.
     """
     workers = _integer(workers, "workers")
     if workers < 1:
@@ -478,17 +500,16 @@ def run_batch(config: ProtocolConfig, workers: int = 1) -> tuple[RawStream, Batc
         start = t * n_chunks // threads * _CHUNK
         stop = min(n, (t + 1) * n_chunks // threads * _CHUNK)
         gen = _word_stream(config.seed, start)
+        buffer = np.empty((4, min(_CHUNK, stop - start)), dtype="<u2")
         pending = []
         for lo in range(start, stop, _CHUNK):
             m = min(_CHUNK, stop - lo)
-            lanes = _lanes(gen.random_raw(m))
+            lanes = _lanes(gen.random_raw(m), buffer)
             out[lo : lo + m], exact, iq = _batch_symbols(lanes, bounds)
             # the held rows: screen words rebuilt from their lanes, and u6 screens
             pending.append((exact + lo, lanes.T[exact].view("<u8")[:, 0], iq + lo, lanes[1, iq]))
-            del lanes  # released before the next draw
             if len(pending) == _RESOLVE_CHUNKS:
                 _resolve(out, pending, config.noise, key)
-                pending = []
         if pending:
             _resolve(out, pending, config.noise, key)
 

@@ -1,6 +1,11 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -805,6 +810,92 @@ class TestChunking:
         row_bytes = 16  # a held row's position and screen word
         assert peaks[0] > protocol._RESOLVE_CHUNKS * protocol._CHUNK * row_bytes  # a batch's rows were held
         assert peaks[1] - peaks[0] <= 2 * n + protocol._CHUNK * 2
+
+    @pytest.mark.parametrize("m", [1 << 12, (1 << 12) - 5], ids=["full", "short"])
+    def test_lanes_fill_the_buffer(self, m):
+        # a thread's buffer is as wide as a full chunk; a short last chunk
+        # fills its first m columns, whatever an earlier chunk left there
+        buffer = np.full((4, 1 << 12), 0xABCD, dtype="<u2")
+        words = protocol._word_stream(51, 0).random_raw(m)
+        lanes = protocol._lanes(words, buffer)
+        assert lanes.shape == (4, m)
+        assert np.shares_memory(lanes, buffer)
+        assert np.array_equal(lanes, protocol._lanes(words))
+
+    def test_one_lane_buffer_per_thread(self, monkeypatch):
+        # 5 chunks and 3 trials: two threads take three chunks each, the
+        # second ending on the 3-trial chunk; each allocates one buffer as
+        # wide as a chunk and writes every chunk's lanes into it
+        calls = []
+        lanes = protocol._lanes
+
+        def recording(words, out=None):
+            calls.append((threading.get_ident(), out, len(words)))
+            return lanes(words, out)
+
+        chunk = 1 << 10
+        monkeypatch.setattr(protocol, "_CHUNK", chunk)
+        cfg = ProtocolConfig(n_trials=5 * chunk + 3, seed=53)
+        serial = run_batch(cfg, workers=1)[0]
+        monkeypatch.setattr(protocol, "_lanes", recording)
+        assert run_batch(cfg, workers=2)[0] == serial
+        assert sorted(m for _, _, m in calls) == [3] + [chunk] * 5
+        buffers = {}
+        for thread, out, _ in calls:
+            assert buffers.setdefault(thread, out) is out
+        assert len(buffers) == 2
+        a, b = buffers.values()
+        assert a.shape == b.shape == (4, chunk) and not np.shares_memory(a, b)
+
+    def test_resolve_holds_a_few_arrays_of_its_rows(self):
+        # a resolve batch at the defaults, about 17.7 k exact-tier rows,
+        # peaks at 12.6 float64 arrays of its rows (19.6 when it held every
+        # uniform at once and its callers' rows). A peak past the heap its
+        # chunks freed made a fresh process's allocator trim that heap after
+        # each batch and fault it back in on the next draw
+        noise = NoiseParams()
+        bounds = protocol._WordBounds.of(noise)
+        gen = protocol._word_stream(57, 0)
+        chunk = protocol._CHUNK
+        out = np.empty(protocol._RESOLVE_CHUNKS * chunk, dtype=np.uint8)
+        pending = []
+        for lo in range(0, len(out), chunk):
+            lanes = protocol._lanes(gen.random_raw(chunk))
+            out[lo : lo + chunk], exact, iq = protocol._batch_symbols(lanes, bounds)
+            pending.append((exact + lo, lanes.T[exact].view("<u8")[:, 0], iq + lo, lanes[1, iq]))
+        rows = sum(len(entry[0]) for entry in pending)
+        tracemalloc.start()
+        try:
+            protocol._resolve(out, pending, noise, protocol._refinement_key(57))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pending == []  # the chunks' rows are released once concatenated
+        assert 0.03 * len(out) < rows < 0.04 * len(out)
+        assert peak <= 14 * 8 * rows
+
+    def test_first_call_faults(self):
+        # in a fresh process, after a 2^16-trial warm-up, the first 2^23-trial
+        # run reuses its chunk memory: it read 1.3 k minor faults on one
+        # worker, against 40 k when every chunk's lanes were a new array and
+        # each resolve batch's temporaries outgrew the freed chunk memory.
+        # The bound reflects glibc's allocator on an x86-64 Linux host
+        pytest.importorskip("resource")
+        script = (
+            "import resource\n"
+            "from ksqrng.protocol import ProtocolConfig, run_batch\n"
+            "run_batch(ProtocolConfig(n_trials=1 << 16, seed=1))\n"
+            "f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "run_batch(ProtocolConfig(n_trials=1 << 23, seed=2), workers=1)\n"
+            "print(f0, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)\n"
+        )
+        src = str(Path(protocol.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+        before, faults = map(int, done.stdout.split())
+        if before == 0:
+            pytest.skip("ru_minflt reads 0 on this platform")
+        assert faults <= 20_000
 
 
 def reference_symbols(words, noise):
