@@ -15,8 +15,10 @@ from .errors import ValidationError
 
 
 def _integer(value, name: str) -> int:
-    """``value`` as a Python int; a float or other non-integer raises."""
+    """``value`` as a Python int; a bool, a float or other non-integer raises."""
     try:
+        if isinstance(value, bool):  # a truthy flag must not become a count or a seed
+            raise TypeError
         return operator.index(value)
     except TypeError:
         raise ValidationError(f"{name} must be an integer, got {value!r}") from None

@@ -385,32 +385,29 @@ def _born_levels(initial, error, u):
     return _sample_levels(p0, p2, u)
 
 
-def _lanes(words: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The screen words ``words`` as their four 16-bit lanes, one contiguous
-    row per lane, so each comparison runs unstrided: a new array, or the
-    first ``len(words)`` columns of ``out``, a ``(4, width)`` uint16 buffer,
-    written in place."""
-    lanes = words.astype("<u8", copy=False).view("<u2").reshape(-1, 4).T
-    if out is None:
-        return lanes.copy()
-    out = out[:, : len(words)]
-    np.copyto(out, lanes)
-    return out
+def _batch_symbols(gen, m: int, buffer: np.ndarray, bounds: _WordBounds, first: int):
+    """Draw, lay out and screen the noisy trials ``first`` to
+    ``first + m - 1``, whose screen words are the next ``m`` words of
+    ``gen``: their levels, and the ``_resolve`` entry of the rows their
+    screens leave undecided.
 
-
-def _batch_symbols(lanes: np.ndarray, bounds: _WordBounds):
-    """Levels of the noisy trials whose screen words have the ``_lanes``
-    ``lanes``, and the positions of the rows their screens leave undecided.
+    The words are copied into the first ``m`` columns of ``buffer``, a
+    ``(4, width)`` uint16 array, as their four 16-bit lanes, one contiguous
+    row per lane, so each comparison runs unstrided; the words are freed
+    before the comparisons allocate.
 
     A ground-state trial with a capped gate radius and u3 outside the Born
     band of ``_WordBounds.of`` is level [u3 >= 1/2] at any gate angle, so
     its relaxed level is [u3 >= 1/2] & [u4 >= p_decay_10], read off its
     screens. The other trials, and those whose u4 cell straddles
-    p_decay_10, are the exact-tier rows. A response whose noise uniform is
+    p_decay_10, are the exact-tier rows, held as their trial indices and
+    screen words rebuilt from the lanes. A response whose noise uniform is
     below ``bounds.iq``, one bound for every level, is classified as its
-    relaxed level; the others are the IQ-tier rows. :func:`_resolve`
-    computes their symbols.
+    relaxed level; the others are the IQ-tier rows, held as their trial
+    indices and u6 screens.
     """
+    lanes = buffer[:, :m]
+    np.copyto(lanes, gen.random_raw(m).astype("<u8", copy=False).view("<u2").reshape(-1, 4).T)
     s01, s6, s4, s3 = lanes
     decay_lo, decay_hi = bounds.decay_10
     levels = ((s3 >= _HALF_SCREEN) & (s4 >= decay_hi)).view(np.uint8)
@@ -421,15 +418,14 @@ def _batch_symbols(lanes: np.ndarray, bounds: _WordBounds):
         | ((s3 >= lo) & (s3 < hi))
         | ((s4 >= decay_lo) & (s4 < decay_hi))
     )
-    return levels, exact, np.flatnonzero(s6 >= bounds.iq)
+    iq = np.flatnonzero(s6 >= bounds.iq)
+    return levels, (exact + first, lanes.T[exact].view("<u8")[:, 0], iq + first, s6[iq])
 
 
 def _resolve(out, pending: list, noise: NoiseParams, key: int) -> None:
     """Write into ``out`` the symbols of the undecided rows of ``pending``,
-    one ``(exact, screens, iq, s6)`` entry per chunk: the trial indices and
-    screen words of its exact-tier rows, and the trial indices and u6
-    screens of its IQ-tier rows, whose refinement words are those of the
-    stream keyed ``key``.
+    one ``(exact, screens, iq, s6)`` entry per chunk as ``_batch_symbols``
+    returns it, whose refinement words are those of the stream keyed ``key``.
 
     The exact-tier rows read all three refinement words and take the exact
     steps on their uniforms: thermal start, gate rotation and Born sampling,
@@ -467,17 +463,15 @@ def run_batch(config: ProtocolConfig, workers: int = 1) -> tuple[RawStream, Batc
     only decides who computes them. The calling thread takes the first run,
     so one pool thread fewer keeps a chunk's freed memory in its own
     allocator arena. A thread starts one PCG64DXSM generator on the word
-    stream at its first trial's screen word, and draws each chunk as a
-    contiguous run of raw words, one per trial, so consecutive draws
-    continue at the next trial. It writes each chunk's ``_lanes`` into one
-    buffer allocated once per call, so in a fresh process its chunks reuse
-    memory already faulted in, and writes its screened levels into the
-    output. The thread holds the rows the screens leave undecided, each
-    exact-tier row as its trial index and its screen word rebuilt from the
-    lanes, each IQ-tier row as its index and its u6 screen, and resolves
-    them into the output once per ``_RESOLVE_CHUNKS`` chunks and once at the
-    end of its run. Screen thresholds and the refinement key are computed
-    once per call.
+    stream at its first trial's screen word and allocates one lane buffer,
+    so in a fresh process its chunks reuse memory already faulted in. Each
+    chunk is one ``_batch_symbols`` call, which draws the chunk's screen
+    words as a contiguous run of raw words, one per trial, so consecutive
+    draws continue at the next trial, lays them out in the buffer and
+    screens them. The thread writes the chunk's levels into the output and
+    holds the undecided rows it returns, and resolves them into the output
+    once per ``_RESOLVE_CHUNKS`` chunks and at the end of its run. Screen
+    thresholds and the refinement key are computed once per call.
     """
     workers = _integer(workers, "workers")
     if workers < 1:
@@ -504,14 +498,10 @@ def run_batch(config: ProtocolConfig, workers: int = 1) -> tuple[RawStream, Batc
         pending = []
         for lo in range(start, stop, _CHUNK):
             m = min(_CHUNK, stop - lo)
-            lanes = _lanes(gen.random_raw(m), buffer)
-            out[lo : lo + m], exact, iq = _batch_symbols(lanes, bounds)
-            # the held rows: screen words rebuilt from their lanes, and u6 screens
-            pending.append((exact + lo, lanes.T[exact].view("<u8")[:, 0], iq + lo, lanes[1, iq]))
-            if len(pending) == _RESOLVE_CHUNKS:
+            out[lo : lo + m], held = _batch_symbols(gen, m, buffer, bounds, lo)
+            pending.append(held)
+            if len(pending) == _RESOLVE_CHUNKS or lo + m == stop:
                 _resolve(out, pending, config.noise, key)
-        if pending:
-            _resolve(out, pending, config.noise, key)
 
     if threads == 1:
         fill(0)

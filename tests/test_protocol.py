@@ -143,6 +143,12 @@ class TestConfig:
             lambda: random_bits(1, 2.5),
             lambda: run_batch(ProtocolConfig(n_trials=1 << 16, seed=1), workers=1.5),
             lambda: run_batch(ProtocolConfig(n_trials=1 << 16, seed=1), workers=np.float64(2.0)),
+            # a bool is an int to Python, but a flag must not pass for a count or a seed
+            lambda: ProtocolConfig(n_trials=4096, seed=False),
+            lambda: ProtocolConfig(n_trials=True, seed=1),
+            lambda: TrialRandom(1, True),
+            lambda: random_bits(1, True),
+            lambda: run_batch(ProtocolConfig(n_trials=1 << 16, seed=1), workers=True),
         ],
         ids=[
             "seed-1.5",
@@ -156,6 +162,11 @@ class TestConfig:
             "bits-count-2.5",
             "workers-1.5",
             "workers-float64",
+            "seed-bool",
+            "trials-bool",
+            "trial-index-bool",
+            "bits-count-bool",
+            "workers-bool",
         ],
     )
     def test_rejects_non_integer_seed_and_counts(self, make):
@@ -652,6 +663,11 @@ class SerialPool:
         return map(fn, items)
 
 
+def lane_buffer(width):
+    """A fresh lane buffer for chunks of up to ``width`` trials."""
+    return np.empty((4, width), dtype="<u2")
+
+
 class TestChunking:
     @pytest.mark.parametrize(
         "kw",
@@ -666,8 +682,8 @@ class TestChunking:
         # chunks; these sizes put chunk, resolve-batch and thread edges at
         # different trials, or past the end of the run
         cfg = ProtocolConfig(n_trials=n, seed=41, **kw)
-        words = protocol._word_stream(41, 0).random_raw(n)
-        _, exact, iq = protocol._batch_symbols(protocol._lanes(words), protocol._WordBounds.of(cfg.noise))
+        gen = protocol._word_stream(41, 0)
+        _, (exact, _, iq, _) = protocol._batch_symbols(gen, n, lane_buffer(n), protocol._WordBounds.of(cfg.noise), 0)
         undecided = np.union1d(exact, iq)
         reference = None
         for chunk in (1 << 10, 1 << 14, 1 << 18):
@@ -733,8 +749,8 @@ class TestChunking:
         monkeypatch.setattr(protocol, "_CHUNK", chunk)
         n = 3 * chunk + 1234
         cfg = ProtocolConfig(n_trials=n, seed=43)
-        words = protocol._word_stream(43, 0).random_raw(n)
-        _, exact, _ = protocol._batch_symbols(protocol._lanes(words), protocol._WordBounds.of(cfg.noise))
+        gen = protocol._word_stream(43, 0)
+        _, (exact, *_) = protocol._batch_symbols(gen, n, lane_buffer(n), protocol._WordBounds.of(cfg.noise), 0)
         for split in (chunk, 2 * chunk, 3 * chunk):
             assert np.any((exact >= split - 64) & (exact < split))
             assert np.any((exact >= split) & (exact < split + 64))
@@ -811,38 +827,39 @@ class TestChunking:
         assert peaks[0] > protocol._RESOLVE_CHUNKS * protocol._CHUNK * row_bytes  # a batch's rows were held
         assert peaks[1] - peaks[0] <= 2 * n + protocol._CHUNK * 2
 
-    @pytest.mark.parametrize("m", [1 << 12, (1 << 12) - 5], ids=["full", "short"])
-    def test_lanes_fill_the_buffer(self, m):
-        # a thread's buffer is as wide as a full chunk; a short last chunk
-        # fills its first m columns, whatever an earlier chunk left there
-        buffer = np.full((4, 1 << 12), 0xABCD, dtype="<u2")
-        words = protocol._word_stream(51, 0).random_raw(m)
-        lanes = protocol._lanes(words, buffer)
-        assert lanes.shape == (4, m)
-        assert np.shares_memory(lanes, buffer)
-        assert np.array_equal(lanes, protocol._lanes(words))
+    def test_short_chunk_ignores_what_the_buffer_held(self):
+        # a thread's buffer is as wide as a full chunk; a short last chunk is
+        # laid out in its first m columns, whatever an earlier chunk left there
+        bounds = protocol._WordBounds.of(NoiseParams(iq_sigma=0.36, p_decay_10=0.4))
+        m = (1 << 12) - 5
+        stale = np.full((4, 1 << 12), 0xABCD, dtype="<u2")
+        levels, held = protocol._batch_symbols(protocol._word_stream(51, 7), m, stale, bounds, 7)
+        fresh_levels, fresh = protocol._batch_symbols(protocol._word_stream(51, 7), m, lane_buffer(m), bounds, 7)
+        assert np.array_equal(levels, fresh_levels)
+        assert all(a.size and np.array_equal(a, b) for a, b in zip(held, fresh, strict=True))
+        assert np.all(stale[:, m:] == 0xABCD)
 
     def test_one_lane_buffer_per_thread(self, monkeypatch):
         # 5 chunks and 3 trials: two threads take three chunks each, the
         # second ending on the 3-trial chunk; each allocates one buffer as
-        # wide as a chunk and writes every chunk's lanes into it
+        # wide as a chunk and lays out every chunk in it
         calls = []
-        lanes = protocol._lanes
+        batch_symbols = protocol._batch_symbols
 
-        def recording(words, out=None):
-            calls.append((threading.get_ident(), out, len(words)))
-            return lanes(words, out)
+        def recording(gen, m, buffer, bounds, first):
+            calls.append((threading.get_ident(), buffer, m))
+            return batch_symbols(gen, m, buffer, bounds, first)
 
         chunk = 1 << 10
         monkeypatch.setattr(protocol, "_CHUNK", chunk)
         cfg = ProtocolConfig(n_trials=5 * chunk + 3, seed=53)
         serial = run_batch(cfg, workers=1)[0]
-        monkeypatch.setattr(protocol, "_lanes", recording)
+        monkeypatch.setattr(protocol, "_batch_symbols", recording)
         assert run_batch(cfg, workers=2)[0] == serial
         assert sorted(m for _, _, m in calls) == [3] + [chunk] * 5
         buffers = {}
-        for thread, out, _ in calls:
-            assert buffers.setdefault(thread, out) is out
+        for thread, buffer, _ in calls:
+            assert buffers.setdefault(thread, buffer) is buffer
         assert len(buffers) == 2
         a, b = buffers.values()
         assert a.shape == b.shape == (4, chunk) and not np.shares_memory(a, b)
@@ -858,11 +875,11 @@ class TestChunking:
         gen = protocol._word_stream(57, 0)
         chunk = protocol._CHUNK
         out = np.empty(protocol._RESOLVE_CHUNKS * chunk, dtype=np.uint8)
+        buffer = lane_buffer(chunk)
         pending = []
         for lo in range(0, len(out), chunk):
-            lanes = protocol._lanes(gen.random_raw(chunk))
-            out[lo : lo + chunk], exact, iq = protocol._batch_symbols(lanes, bounds)
-            pending.append((exact + lo, lanes.T[exact].view("<u8")[:, 0], iq + lo, lanes[1, iq]))
+            out[lo : lo + chunk], held = protocol._batch_symbols(gen, chunk, buffer, bounds, lo)
+            pending.append(held)
         rows = sum(len(entry[0]) for entry in pending)
         tracemalloc.start()
         try:
@@ -876,9 +893,10 @@ class TestChunking:
 
     def test_first_call_faults(self):
         # in a fresh process, after a 2^16-trial warm-up, the first 2^23-trial
-        # run reuses its chunk memory: it read 1.3 k minor faults on one
-        # worker, against 40 k when every chunk's lanes were a new array and
-        # each resolve batch's temporaries outgrew the freed chunk memory.
+        # run reuses its chunk memory: it read 0.95-1.5 k minor faults on one
+        # worker, against 7.2 k when one chunk's drawn words outlived the next
+        # draw, and 40 k when every chunk's lanes were a new array and each
+        # resolve batch's temporaries outgrew the freed chunk memory.
         # The bound reflects glibc's allocator on an x86-64 Linux host
         pytest.importorskip("resource")
         script = (
@@ -895,7 +913,7 @@ class TestChunking:
         before, faults = map(int, done.stdout.split())
         if before == 0:
             pytest.skip("ru_minflt reads 0 on this platform")
-        assert faults <= 20_000
+        assert faults <= 4_000
 
 
 def reference_symbols(words, noise):
@@ -1048,7 +1066,8 @@ class TestEarlyDecisions:
         s4 = screen(16, *bounds.decay_10)
         s6 = screen(16, bounds.iq)
         word = s3 << 48 | s4 << 32 | s6 << 16 | s0 << 8 | s1
-        levels, exact, iq = protocol._batch_symbols(protocol._lanes(np.array([word], dtype=np.uint64)), bounds)
+        gen = StreamWords(np.array([word], dtype=np.uint64))
+        levels, (exact, _, iq, _) = protocol._batch_symbols(gen, 1, lane_buffer(1), bounds, 0)
         edges = hst.sampled_from([0, 2**64 - 1])
         refinement = data.draw(hst.lists(hst.one_of(edges, hst.integers(0, 2**64 - 1)), min_size=3, max_size=3))
         record = run_trial(ProtocolConfig(n_trials=1, seed=0, noise=noise), WordsRandom([word, *refinement]))
