@@ -827,14 +827,17 @@ class TestChunking:
         assert peaks[0] > protocol._RESOLVE_CHUNKS * protocol._CHUNK * row_bytes  # a batch's rows were held
         assert peaks[1] - peaks[0] <= 2 * n + protocol._CHUNK * 2
 
-    def test_short_chunk_ignores_what_the_buffer_held(self):
-        # a thread's buffer is as wide as a full chunk; a short last chunk is
-        # laid out in its first m columns, whatever an earlier chunk left there
+    @pytest.mark.parametrize("m", [1 << 12, (1 << 12) - 5], ids=["full", "short"])
+    def test_lanes_fill_the_buffer(self, m):
+        # a thread's buffer is as wide as a full chunk; a chunk, full or a short
+        # last one, is laid out in its first m columns, whatever an earlier
+        # chunk left there, and screens as it would in a fresh buffer
         bounds = protocol._WordBounds.of(NoiseParams(iq_sigma=0.36, p_decay_10=0.4))
-        m = (1 << 12) - 5
         stale = np.full((4, 1 << 12), 0xABCD, dtype="<u2")
+        fresh_buffer = lane_buffer(m)
         levels, held = protocol._batch_symbols(protocol._word_stream(51, 7), m, stale, bounds, 7)
-        fresh_levels, fresh = protocol._batch_symbols(protocol._word_stream(51, 7), m, lane_buffer(m), bounds, 7)
+        fresh_levels, fresh = protocol._batch_symbols(protocol._word_stream(51, 7), m, fresh_buffer, bounds, 7)
+        assert np.array_equal(stale[:, :m], fresh_buffer)
         assert np.array_equal(levels, fresh_levels)
         assert all(a.size and np.array_equal(a, b) for a, b in zip(held, fresh, strict=True))
         assert np.all(stale[:, m:] == 0xABCD)
